@@ -17,6 +17,7 @@ from .distributions import (
     std_normal_quantile,
 )
 from .errors import (
+    BadLossError,
     ConfigError,
     DomainError,
     EstimationError,
@@ -79,7 +80,7 @@ __all__ = [
     "__version__",
     "CorrelationMatrix", "DistributionSpec", "MarginalSpec",
     "copula_log_density", "joint_log_density", "sample_inputs", "std_normal_quantile",
-    "ConfigError", "DomainError", "EstimationError", "FeasibilityError",
+    "BadLossError", "ConfigError", "DomainError", "EstimationError", "FeasibilityError",
     "TailMassError", "WeightsDimensionError", "WeightsFileError", "WeightsFormatError",
     "EstimateReport", "ISConfig", "WeightedLossSample",
     "cvar", "cvar_standard_error", "estimate", "naive_var_cvar",

@@ -24,18 +24,15 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .distributions import CorrelationMatrix, DistributionSpec
 from .errors import ConfigError, DomainError, EstimationError, WeightsFileError
-from .estimators import ISConfig, estimate
-from .harness import (
+from .harness import (  # noqa: F401  (REPLICATION_COLUMNS is re-exported)
     AffineH, ExperimentConfig, FixedH, GridH, REPLICATION_COLUMNS, SUMMARY_COLUMNS,
-    cross_validate_h, derive_seed, relative_rmse, run_replications, summarize,
+    ReplicationTable, _spread, cross_validate_h, run_replications, summarize,
     variance_ratio_study, write_rows_csv,
 )
-from .losses import LossModel, ReluNetParams, load_relu_params
+from .losses import LossModel, _params_from_dict, _params_to_dict, load_relu_params
 
 _LOSS_KINDS = ("pert7", "linear", "relu_net")
 _PATTERNS = ("tridiagonal", "equicorrelated", "identity")
@@ -104,23 +101,12 @@ def _parse_loss(spec, base_dir):
         if kind == "linear":
             return LossModel.linear(rho=rho), resolved
         if "weights" in spec:
-            w = spec["weights"]
-            params = ReluNetParams(
-                W1=np.asarray(w["W1"], dtype=float).reshape(
-                    int(w["dims"]["hidden"]), int(w["dims"]["d"])),
-                b1=w["b1"], w2=w["w2"], b2=w["b2"],
-            )
+            params = _params_from_dict(spec["weights"], "inline weights")
         else:
             rel = Path(_require(spec, "weights_file", str, where="loss"))
             path = rel if rel.is_absolute() else base_dir / rel
             params = load_relu_params(path)
-        resolved["weights"] = {
-            "dims": {"d": params.dim, "hidden": params.hidden},
-            "W1": [float(v) for v in params.W1.ravel()],
-            "b1": [float(v) for v in params.b1],
-            "w2": [float(v) for v in params.w2],
-            "b2": params.b2,
-        }
+        resolved["weights"] = _params_to_dict(params)
         return LossModel.relu_net(params, rho=rho), resolved
     except FileNotFoundError as exc:
         raise ConfigError(f"weights file not found: {exc}", field="loss.weights_file") from None
@@ -285,8 +271,9 @@ def _write_manifest(out_dir, command, config_path, spec, outputs, wall_seconds):
     return path
 
 
-def _reject_grid(spec):
-    if "is" in spec.methods and isinstance(spec.experiment.h_rule, GridH):
+def _reject_grid(spec, methods=None):
+    """Refuse an h grid where the importance method runs (all but crossval)."""
+    if "is" in (methods or spec.methods) and isinstance(spec.experiment.h_rule, GridH):
         raise ConfigError(
             "an h grid only works with the crossval command; fix h (or pass --h)", field="h")
 
@@ -294,32 +281,17 @@ def _reject_grid(spec):
 def cmd_estimate(spec, out_dir):
     """One estimation per (method, beta); rows flagged on failure."""
     _reject_grid(spec)
-    exp = spec.experiment
-    rows, failures = [], 0
-    for method in spec.methods:
-        for bi, beta in enumerate(exp.betas):
-            h = exp.h_rule.h_for(beta) if method == "is" else None
-            seed = derive_seed(exp.base_seed, bi, method, rep=0)
-            try:
-                rep = estimate(exp.dist, exp.loss,
-                               ISConfig(beta=beta, n=exp.n, seed=seed, h=h), method=method)
-                rows.append((method, beta, rep.h, exp.n, 0, seed,
-                             rep.var_hat, rep.cvar_hat, rep.cvar_se, "ok"))
-                print(f"{method:>5}  beta={beta:<12g} var={rep.var_hat:<12.6g} "
-                      f"cvar={rep.cvar_hat:<12.6g} se={rep.cvar_se:.3g}")
-            except EstimationError as exc:
-                failures += 1
-                rows.append((method, beta, h, exp.n, 0, seed,
-                             float("nan"), float("nan"), float("nan"), _status_of(exc)))
-                print(f"{method:>5}  beta={beta:<12g} FAILED: {exc}")
+    single = replace(spec.experiment, reps=1)
+    rows = [r for method in spec.methods for r in run_replications(single, method).rows]
+    for r in rows:
+        if r.status == "ok":
+            print(f"{r.method:>5}  beta={r.beta:<12g} var={r.var_hat:<12.6g} "
+                  f"cvar={r.cvar_hat:<12.6g} se={r.cvar_se:.3g}")
+        else:
+            print(f"{r.method:>5}  beta={r.beta:<12g} FAILED ({r.status})")
     out = out_dir / "estimates.csv"
-    write_rows_csv(out, REPLICATION_COLUMNS, rows)
-    return (2 if failures else 0), [out]
-
-
-def _status_of(exc):
-    from .errors import FeasibilityError
-    return "infeasible" if isinstance(exc, FeasibilityError) else "tail-mass"
+    ReplicationTable(rows=rows).write_csv(out)
+    return (2 if any(r.status != "ok" for r in rows) else 0), [out]
 
 
 def cmd_crossval(spec, out_dir):
@@ -344,12 +316,8 @@ def cmd_benchmark(spec, out_dir):
     _reject_grid(spec)
     exp = spec.experiment
     tables = [run_replications(exp, m) for m in spec.methods]
-    all_rows = [r for t in tables for r in t.rows]
     rep_path = out_dir / "replications.csv"
-    write_rows_csv(rep_path, REPLICATION_COLUMNS, [
-        (r.method, r.beta, r.h, r.n, r.rep, r.seed, r.var_hat, r.cvar_hat, r.cvar_se, r.status)
-        for r in all_rows
-    ])
+    ReplicationTable(rows=[r for t in tables for r in t.rows]).write_csv(rep_path)
     summary_rows = []
     for table in tables:
         summary_rows.extend(summarize(table))
@@ -392,11 +360,9 @@ def _naive_matching_n(spec, summary_rows, max_factor=64, hard_cap=512_000):
     while True:
         if n * beta >= 5:
             sub = replace(exp, betas=(beta,), n=n, reps=reps)
-            table = run_replications(sub, "naive")
-            vals = table.values("cvar_hat", beta, "naive")
-            if vals.size >= 2 and vals.mean() != 0:
-                cv = relative_rmse(vals)
-                mean_cvar = float(vals.mean())
+            vals = run_replications(sub, "naive").values("cvar_hat", beta, "naive")
+            cv = _spread(vals)
+            mean_cvar = float(vals.mean()) if vals.size else float("nan")
             matched = math.isfinite(cv) and cv <= target
         if matched or n * 2 > budget:
             return {
@@ -410,11 +376,8 @@ def _naive_matching_n(spec, summary_rows, max_factor=64, hard_cap=512_000):
 
 def cmd_varratio(spec, out_dir):
     """Replication cv of both methods at every beta."""
-    exp = spec.experiment
-    if isinstance(exp.h_rule, GridH):   # this command always runs the importance path
-        raise ConfigError(
-            "an h grid only works with the crossval command; fix h (or pass --h)", field="h")
-    rows = variance_ratio_study(exp)
+    _reject_grid(spec, methods=("is",))   # this command always runs the importance path
+    rows = variance_ratio_study(spec.experiment)
     out = out_dir / "varratio.csv"
     write_rows_csv(out, VARRATIO_COLUMNS,
                    [(r.beta, r.cv_is, r.cv_naive, r.naive_status) for r in rows])

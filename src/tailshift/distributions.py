@@ -247,10 +247,7 @@ def copula_log_density(u, correlation):
         of u.  Exactly 0 when R is the identity.
     """
     u = _validate_vectors(u, correlation.dim, name="u")
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
-        raise DomainError("u components must lie strictly inside (0, 1)")
-    z = np.where(u <= 0.5, ndtri(np.minimum(u, 0.5)), -ndtri(1.0 - np.maximum(u, 0.5)))
-    out = _copula_log_density_from_scores(z, correlation)
+    out = _copula_log_density_from_scores(std_normal_quantile(u), correlation)
     return float(out) if out.ndim == 0 else out
 
 

@@ -17,6 +17,10 @@ class FeasibilityError(EstimationError):
     """The requested estimation is infeasible at the given sample size."""
 
 
+class BadLossError(EstimationError):
+    """The loss returned values that are not finite numbers."""
+
+
 class ConfigError(ValueError):
     """A run configuration failed to parse or validate.
 

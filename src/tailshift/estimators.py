@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .distributions import sample_inputs
-from .errors import DomainError, FeasibilityError, TailMassError
+from .errors import BadLossError, DomainError, FeasibilityError, TailMassError
 from .losses import LossModel
 from .transform import TransformParams, extrapolate, extrapolation_factor, log_likelihood_ratio
 
@@ -226,8 +226,12 @@ def estimate(dist, loss, config, method="is", r_override=None):
     ------
     FeasibilityError
         Naive method at infeasible n * beta.
+    BadLossError
+        The loss returned a value that is not a finite number.
     TailMassError
-        The weighted sample carries too little mass for the level beta.
+        The weighted sample carries too little mass for the level beta, or
+        no sampled loss lies strictly above the estimated var (an empty
+        tail, whose cvar and standard error would say nothing).
     """
     if method not in ("is", "naive"):
         raise DomainError(f"method must be 'is' or 'naive', got {method!r}")
@@ -255,8 +259,16 @@ def estimate(dist, loss, config, method="is", r_override=None):
         Z = extrapolate(X, params)
         logw = log_likelihood_ratio(X, dist, params)
         losses = loss(Z)
-    pair = (np.asarray(losses, dtype=float), logw)
+    losses = np.asarray(losses, dtype=float)
+    if not np.all(np.isfinite(losses)):
+        bad = int(np.count_nonzero(~np.isfinite(losses)))
+        raise BadLossError(f"the loss returned {bad} non-finite values out of {losses.size}")
+    pair = (losses, logw)
     v = value_at_risk(pair, config.beta)
+    if not np.any(losses > v):
+        raise TailMassError(
+            f"no sampled loss lies above var = {v:g} at beta = {config.beta:g}; the tail is empty"
+        )
     c = cvar(pair, config.beta, v)
     se = cvar_standard_error(pair, config.beta, v)
     return EstimateReport(

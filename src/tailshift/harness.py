@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, EstimationError, FeasibilityError
+from .errors import BadLossError, DomainError, EstimationError, FeasibilityError
 from .estimators import ISConfig, estimate
 from .losses import LossModel
 from .transform import extrapolation_factor
@@ -203,28 +203,23 @@ def write_rows_csv(path, columns, rows):
             writer.writerow([_format_cell(v) for v in row])
 
 
+def _status_of(exc):
+    """Status tag of a replication that raised the EstimationError exc."""
+    if isinstance(exc, FeasibilityError):
+        return "infeasible"
+    if isinstance(exc, BadLossError):
+        return "bad-loss"
+    return "tail-mass"
+
+
 def _one_replication(dist, loss, method, beta, h, n, rep, seed):
     try:
         report = estimate(dist, loss, ISConfig(beta=beta, n=n, seed=seed, h=h), method=method)
-        return ReplicationRow(
-            method=method, beta=beta, h=report.h, n=n, rep=rep, seed=seed,
-            var_hat=report.var_hat, cvar_hat=report.cvar_hat, cvar_se=report.cvar_se,
-            status="ok",
-        )
-    except FeasibilityError:
-        status = "infeasible"
-        return ReplicationRow(
-            method=method, beta=beta, h=h, n=n, rep=rep, seed=seed,
-            var_hat=float("nan"), cvar_hat=float("nan"), cvar_se=float("nan"),
-            status=status,
-        )
-    except EstimationError:
-        status = "tail-mass"
-        return ReplicationRow(
-            method=method, beta=beta, h=h, n=n, rep=rep, seed=seed,
-            var_hat=float("nan"), cvar_hat=float("nan"), cvar_se=float("nan"),
-            status=status,
-        )
+    except EstimationError as exc:
+        nan = float("nan")
+        return ReplicationRow(method, beta, h, n, rep, seed, nan, nan, nan, _status_of(exc))
+    return ReplicationRow(method, beta, report.h, n, rep, seed,
+                          report.var_hat, report.cvar_hat, report.cvar_se, "ok")
 
 
 def run_replications(config, method):
@@ -232,8 +227,10 @@ def run_replications(config, method):
 
     The naive method is attempted only where n * beta >= 5; infeasible
     levels still get their rows, tagged "infeasible", so downstream
-    summaries can flag them.  Estimation failures inside a replication
-    (too little tail mass) are recorded the same way rather than aborting.
+    summaries can flag them.  Other estimation failures inside a
+    replication are recorded the same way rather than aborting: "tail-mass"
+    (too little weighted mass, or no sample above var) and "bad-loss" (the
+    loss returned a non-finite value).
     """
     if method not in _METHOD_CODES:
         raise DomainError(f"method must be one of {sorted(_METHOD_CODES)}, got {method!r}")
@@ -274,11 +271,17 @@ def relative_rmse(values, reference=None):
     return float(math.sqrt(float(np.mean((v - float(reference)) ** 2))) / mean)
 
 
+def _spread(values):
+    """relative_rmse of the values, or nan for fewer than two or a zero mean."""
+    v = np.asarray(values, dtype=float)
+    return relative_rmse(v) if v.size >= 2 and v.mean() != 0 else float("nan")
+
+
 def summarize(table):
     """Aggregate a replication table into one row per (method, beta).
 
-    Relative errors follow the no-reference convention; levels with fewer
-    than two successful replications report nan errors.
+    Relative errors follow the no-reference convention; a column with fewer
+    than two successful replications, or a zero mean, reports a nan error.
     """
     keys = []
     for r in table.rows:
@@ -291,19 +294,14 @@ def summarize(table):
         ok = [r for r in rows if r.status == "ok"]
         var_vals = np.array([r.var_hat for r in ok])
         cvar_vals = np.array([r.cvar_hat for r in ok])
-        if len(ok) >= 2 and var_vals.mean() != 0 and cvar_vals.mean() != 0:
-            rrv = relative_rmse(var_vals)
-            rrc = relative_rmse(cvar_vals)
-        else:
-            rrv = rrc = float("nan")
         out.append({
             "method": method,
             "beta": beta,
             "h": rows[0].h,
             "n": rows[0].n,
             "reps": len(rows),
-            "rel_rmse_var": rrv,
-            "rel_rmse_cvar": rrc,
+            "rel_rmse_var": _spread(var_vals),
+            "rel_rmse_cvar": _spread(cvar_vals),
             "mean_cvar": float(cvar_vals.mean()) if len(ok) else float("nan"),
         })
     return out
@@ -355,10 +353,9 @@ def cross_validate_h(config, grid, beta, reps_cv=20):
         sub = replace(config, betas=(beta,), h_rule=FixedH(h), reps=reps_cv)
         table = run_replications(sub, "is")
         vals = table.values("cvar_hat", beta, "is")
-        if vals.size < 2 or vals.mean() == 0:
-            entries.append(CrossValEntry(h=h, cv=float("nan"), status="failed", n_ok=int(vals.size)))
-            continue
-        entries.append(CrossValEntry(h=h, cv=relative_rmse(vals), status="ok", n_ok=int(vals.size)))
+        cv = _spread(vals)
+        entries.append(CrossValEntry(h=h, cv=cv, status="failed" if math.isnan(cv) else "ok",
+                                     n_ok=int(vals.size)))
     return CrossValResult(beta=beta, selected_h=_select_h(entries), entries=tuple(entries))
 
 
@@ -373,24 +370,18 @@ class VarianceRatioRow:
 def variance_ratio_study(config):
     """Replication cv of the importance and naive methods, level by level.
 
-    The naive column is filled only where n * beta >= 5; other levels are
-    flagged infeasible instead of being run.
+    The naive column is filled only where n * beta >= 5; levels whose naive
+    rows run_replications tagged infeasible are reported as such.
     """
     is_table = run_replications(config, "is")
     naive_table = run_replications(config, "naive")
     out = []
     for beta in config.betas:
-        vals_is = is_table.values("cvar_hat", beta, "is")
-        cv_is = relative_rmse(vals_is) if vals_is.size >= 2 and vals_is.mean() != 0 else float("nan")
-        if config.n * beta < 5:
-            out.append(VarianceRatioRow(beta=beta, cv_is=cv_is, cv_naive=float("nan"),
-                                        naive_status="infeasible"))
-            continue
-        vals_nv = naive_table.values("cvar_hat", beta, "naive")
-        if vals_nv.size >= 2 and vals_nv.mean() != 0:
-            out.append(VarianceRatioRow(beta=beta, cv_is=cv_is, cv_naive=relative_rmse(vals_nv),
-                                        naive_status="ok"))
+        cv_is = _spread(is_table.values("cvar_hat", beta, "is"))
+        cv_naive = _spread(naive_table.values("cvar_hat", beta, "naive"))
+        if any(r.status == "infeasible" for r in naive_table.rows_for(beta, "naive")):
+            status = "infeasible"
         else:
-            out.append(VarianceRatioRow(beta=beta, cv_is=cv_is, cv_naive=float("nan"),
-                                        naive_status="failed"))
+            status = "failed" if math.isnan(cv_naive) else "ok"
+        out.append(VarianceRatioRow(beta=beta, cv_is=cv_is, cv_naive=cv_naive, naive_status=status))
     return out

@@ -110,6 +110,47 @@ def relu_net_loss(x, params):
     return float(out) if out.ndim == 0 else out
 
 
+def _params_to_dict(params):
+    return {
+        "dims": {"d": params.dim, "hidden": params.hidden},
+        "W1": [float(v) for v in params.W1.ravel()],
+        "b1": [float(v) for v in params.b1],
+        "w2": [float(v) for v in params.w2],
+        "b2": params.b2,
+    }
+
+
+def _params_from_dict(doc, where):
+    """Validate the JSON weights layout; where names its source in error messages."""
+    if not isinstance(doc, dict):
+        raise WeightsFormatError(f"{where} must hold a JSON object")
+    missing = [k for k in ("dims", "W1", "b1", "w2", "b2") if k not in doc]
+    if missing:
+        raise WeightsFormatError(f"{where} is missing keys: {', '.join(missing)}")
+    dims = doc["dims"]
+    if not (isinstance(dims, dict) and "d" in dims and "hidden" in dims):
+        raise WeightsFormatError(f"{where}: 'dims' must hold 'd' and 'hidden'")
+    try:
+        d, hidden = int(dims["d"]), int(dims["hidden"])
+        W1 = np.asarray(doc["W1"], dtype=float)
+        b1 = np.asarray(doc["b1"], dtype=float)
+        w2 = np.asarray(doc["w2"], dtype=float)
+        b2 = float(doc["b2"])
+    except (TypeError, ValueError) as exc:
+        raise WeightsFormatError(f"{where} holds non-numeric entries: {exc}") from None
+    if W1.ndim == 1:
+        if W1.size != hidden * d:
+            raise WeightsDimensionError(
+                f"{where}: W1 has {W1.size} entries, expected hidden*d = {hidden * d}"
+            )
+        W1 = W1.reshape(hidden, d)
+    elif W1.shape != (hidden, d):
+        raise WeightsDimensionError(
+            f"{where}: W1 has shape {W1.shape}, expected ({hidden}, {d})"
+        )
+    return ReluNetParams(W1=W1, b1=b1, w2=w2, b2=b2)
+
+
 def load_relu_params(path):
     """Read network weights from a JSON file.
 
@@ -123,46 +164,13 @@ def load_relu_params(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise WeightsFormatError(f"weights file {path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise WeightsFormatError(f"weights file {path} must hold a JSON object")
-    missing = [k for k in ("dims", "W1", "b1", "w2", "b2") if k not in doc]
-    if missing:
-        raise WeightsFormatError(f"weights file {path} is missing keys: {', '.join(missing)}")
-    dims = doc["dims"]
-    if not (isinstance(dims, dict) and "d" in dims and "hidden" in dims):
-        raise WeightsFormatError(f"weights file {path}: 'dims' must hold 'd' and 'hidden'")
-    try:
-        d, hidden = int(dims["d"]), int(dims["hidden"])
-        W1 = np.asarray(doc["W1"], dtype=float)
-        b1 = np.asarray(doc["b1"], dtype=float)
-        w2 = np.asarray(doc["w2"], dtype=float)
-        b2 = float(doc["b2"])
-    except (TypeError, ValueError) as exc:
-        raise WeightsFormatError(f"weights file {path} holds non-numeric entries: {exc}") from None
-    if W1.ndim == 1:
-        if W1.size != hidden * d:
-            raise WeightsDimensionError(
-                f"weights file {path}: W1 has {W1.size} entries, expected hidden*d = {hidden * d}"
-            )
-        W1 = W1.reshape(hidden, d)
-    elif W1.shape != (hidden, d):
-        raise WeightsDimensionError(
-            f"weights file {path}: W1 has shape {W1.shape}, expected ({hidden}, {d})"
-        )
-    return ReluNetParams(W1=W1, b1=b1, w2=w2, b2=b2)
+    return _params_from_dict(doc, f"weights file {path}")
 
 
 def save_relu_params(params, path):
     """Write network weights as JSON (floats round-trip exactly)."""
-    doc = {
-        "dims": {"d": params.dim, "hidden": params.hidden},
-        "W1": [float(v) for v in params.W1.ravel()],
-        "b1": [float(v) for v in params.b1],
-        "w2": [float(v) for v in params.w2],
-        "b2": params.b2,
-    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        json.dump(_params_to_dict(params), fh)
         fh.write("\n")
 
 

@@ -11,8 +11,10 @@ from tailshift import (
     ConfigError,
     ISConfig,
     LossModel,
+    WeightsFileError,
     derive_seed,
     estimate,
+    load_relu_params,
     save_relu_params,
     synthetic_relu_params,
 )
@@ -119,6 +121,38 @@ class TestParseConfig:
         # and the resolved form carries the weights inline
         assert spec.resolved["loss"]["weights"]["dims"] == {"d": 3, "hidden": 4}
 
+    @pytest.mark.parametrize("case", ["transposed nested W1", "wrong flat W1 count",
+                                      "missing key"])
+    def test_inline_and_file_weights_reject_alike(self, tmp_path, case):
+        p = synthetic_relu_params(dim=3, hidden=2, seed=5)
+        good = {"dims": {"d": 3, "hidden": 2}, "W1": p.W1.ravel().tolist(),
+                "b1": p.b1.tolist(), "w2": p.w2.tolist(), "b2": p.b2}
+        bad = {
+            "transposed nested W1": dict(good, W1=p.W1.T.tolist()),
+            "wrong flat W1 count": dict(good, W1=good["W1"][:-1]),
+            "missing key": {k: v for k, v in good.items() if k != "b1"},
+        }[case]
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(WeightsFileError):
+            load_relu_params(path)
+        doc = dict(MINIMAL, dist={"alphas": [1.0, 1.0, 1.0], "correlation": "identity"},
+                   loss={"kind": "relu_net", "weights": bad})
+        with pytest.raises(ConfigError, match="bad network weights"):
+            parse_config(write_config(tmp_path, doc))
+
+    def test_inline_and_file_weights_resolve_alike(self, tmp_path):
+        params = synthetic_relu_params(dim=3, hidden=2, seed=5)
+        save_relu_params(params, tmp_path / "net.json")
+        dist = {"alphas": [1.0, 1.0, 1.0], "correlation": "identity"}
+        from_file = parse_config(write_config(tmp_path, dict(
+            MINIMAL, dist=dist, loss={"kind": "relu_net", "weights_file": "net.json"})))
+        inline = parse_config(write_config(tmp_path, dict(
+            MINIMAL, dist=dist, loss={"kind": "relu_net", "weights": {
+                "dims": {"d": 3, "hidden": 2}, "W1": params.W1.tolist(),
+                "b1": params.b1.tolist(), "w2": params.w2.tolist(), "b2": params.b2}})))
+        assert json.dumps(inline.resolved) == json.dumps(from_file.resolved)
+
     def test_missing_weights_file(self, tmp_path):
         doc = dict(MINIMAL,
                    dist={"alphas": [1.0, 1.0, 1.0], "correlation": "identity"},
@@ -204,7 +238,7 @@ class TestEstimateCommand:
         rows = read_csv(out / "estimates.csv")
         assert rows[1][0] == "naive" and rows[1][-1] == "infeasible"
         assert rows[1][6] == "nan"
-        assert "FAILED" in capsys.readouterr().out
+        assert "FAILED (infeasible)" in capsys.readouterr().out
 
     def test_invalid_config_exits_1_without_csv(self, tmp_path, capsys):
         doc = dict(MINIMAL, betas=[0.5])

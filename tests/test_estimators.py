@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailshift import (
+    BadLossError,
     DistributionSpec,
     DomainError,
     EstimateReport,
+    EstimationError,
     FeasibilityError,
     ISConfig,
     LossModel,
@@ -280,6 +282,23 @@ class TestEstimate:
         with pytest.raises(DomainError):
             estimate(onedim_dist, linear,
                      ISConfig(beta=0.1, n=100, seed=0), method="quasi")
+
+    def test_non_finite_loss_raises_bad_loss(self, onedim_dist):
+        def loss(x):
+            return float("nan") if x[0] < 1.0 else float(x[0])
+
+        with pytest.raises(BadLossError, match="non-finite"):
+            estimate(onedim_dist, LossModel.external(loss, rho=1.0),
+                     ISConfig(beta=1e-3, n=200, seed=4, h=2.6))
+        assert issubclass(BadLossError, EstimationError)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.02, 1e-6), (1.0, 1e-300)])
+    def test_empty_tail_is_not_reported(self, alpha, beta, linear):
+        # in both, the weight of the largest sampled loss alone exceeds beta,
+        # so var is that loss and nothing lies above it
+        dist = DistributionSpec.from_alphas([alpha])
+        with pytest.raises(TailMassError, match="no sampled loss lies above var"):
+            estimate(dist, linear, ISConfig(beta=beta, n=1000, seed=7, h=2.6))
 
     def test_dimension_mismatch_surfaces(self, linear):
         dist2 = DistributionSpec.from_alphas([1.0, 1.0])

@@ -1,6 +1,7 @@
 """Replication tables, error summaries, h selection, variance ratios."""
 
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -8,11 +9,13 @@ import pytest
 
 from tailshift import (
     AffineH,
+    DistributionSpec,
     DomainError,
     EstimationError,
     ExperimentConfig,
     FixedH,
     GridH,
+    LossModel,
     REPLICATION_COLUMNS,
     SUMMARY_COLUMNS,
     TailMassError,
@@ -163,6 +166,28 @@ class TestRunReplications:
         assert statuses == ["ok", "tail-mass", "ok", "tail-mass"]
         assert table.failure_fraction(0.1) == 0.5
         assert not table.flagged(0.1)
+
+    def test_non_finite_loss_rows_are_tagged_bad_loss(self, onedim_dist, linear):
+        # the loss is called once per row, rep by rep: nan for a few rows of rep 1
+        n = 60
+        calls = itertools.count()
+
+        def loss(x):
+            k = next(calls)
+            return float("nan") if k // n == 1 and k % 10 == 0 else float(x[0])
+
+        cfg = small_config(onedim_dist, LossModel.external(loss, rho=1.0), n=n, reps=3)
+        table = run_replications(cfg, "is")
+        assert [r.status for r in table.rows] == ["ok", "bad-loss", "ok"]
+        assert math.isnan(table.rows[1].cvar_hat)
+        clean = run_replications(small_config(onedim_dist, linear, n=n, reps=3), "is")
+        assert [table.rows[i] for i in (0, 2)] == [clean.rows[i] for i in (0, 2)]
+
+    def test_empty_tail_rows_are_tagged_tail_mass(self, linear):
+        cfg = small_config(DistributionSpec.from_alphas([0.02]), linear,
+                           betas=(1e-6,), n=1000, h_rule=FixedH(2.6), reps=3)
+        table = run_replications(cfg, "is")
+        assert [r.status for r in table.rows] == ["tail-mass"] * 3
 
     def test_rejects_unknown_method(self, onedim_dist, linear):
         with pytest.raises(DomainError):
