@@ -13,8 +13,7 @@ stretch factor is set per level by the affine rule h(beta) = 2 + 0.6 ln(1/beta).
 """
 
 from tailshift import (
-    AffineH, CorrelationMatrix, DistributionSpec, ExperimentConfig, LossModel,
-    pert_h_rule, relative_rmse, run_replications, summarize,
+    CorrelationMatrix, DistributionSpec, ExperimentConfig, LossModel, pert_h_rule, relative_rmse, run_replications, summarize,
 )
 
 dist = DistributionSpec.from_alphas(
@@ -23,11 +22,11 @@ dist = DistributionSpec.from_alphas(
 betas = (1e-3, 1e-4, 1e-6)
 config = ExperimentConfig(
     dist=dist, loss=LossModel.pert7(), betas=betas, n=1000,
-    h_rule=AffineH(intercept=2.0, slope=0.6), reps=50, base_seed=606,
+    h_rule=pert_h_rule, reps=50, base_seed=606,
 )
 
 for beta in betas:
-    print(f"beta={beta:.0e}: h rule gives h = {pert_h_rule(beta):.3f}")
+    print(f"beta={beta:.0e}: h rule gives h = {pert_h_rule.h_for(beta):.3f}")
 print()
 
 table = run_replications(config, "is")

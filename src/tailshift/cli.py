@@ -40,6 +40,9 @@ _PATTERNS = ("tridiagonal", "equicorrelated", "identity")
 VARRATIO_COLUMNS = ("beta", "cv_is", "cv_naive", "naive_status")
 CROSSVAL_COLUMNS = ("h", "cv", "n_ok", "status", "selected")
 
+_MATCH_MAX_FACTOR = 64           # the naive-match search stops past max(factor * n, cap)
+_MATCH_HARD_CAP = 512_000
+
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -62,6 +65,14 @@ def _require(doc, field, types, where=""):
     if types is not None and not isinstance(value, types):
         raise ConfigError(f"expected {types}, got {type(value).__name__}", field=name)
     return value
+
+
+def _convert(value, kind, field):
+    """kind(value) for kind int or float; a ConfigError naming field if that fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"expected a number, got {value!r}", field=field) from None
 
 
 def _parse_correlation(spec, dim):
@@ -93,7 +104,7 @@ def _parse_loss(spec, base_dir):
     kind = _require(spec, "kind", str, where="loss")
     if kind not in _LOSS_KINDS:
         raise ConfigError(f"unknown kind {kind!r}, expected one of {_LOSS_KINDS}", field="loss.kind")
-    rho = float(spec.get("rho", 1.0))
+    rho = _convert(spec.get("rho", 1.0), float, "loss.rho")
     resolved = {"kind": kind, "rho": rho}
     try:
         if kind == "pert7":
@@ -110,10 +121,10 @@ def _parse_loss(spec, base_dir):
         return LossModel.relu_net(params, rho=rho), resolved
     except FileNotFoundError as exc:
         raise ConfigError(f"weights file not found: {exc}", field="loss.weights_file") from None
+    except DomainError as exc:        # before ValueError, which it subclasses
+        raise ConfigError(str(exc), field="loss") from None
     except (WeightsFileError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad network weights: {exc}", field="loss") from None
-    except DomainError as exc:
-        raise ConfigError(str(exc), field="loss") from None
 
 
 def _parse_h_rule(spec):
@@ -121,10 +132,11 @@ def _parse_h_rule(spec):
         return FixedH(float(spec)), {"fixed": float(spec)}
     if isinstance(spec, dict):
         if "fixed" in spec:
-            return FixedH(float(spec["fixed"])), {"fixed": float(spec["fixed"])}
+            h = _convert(spec["fixed"], float, "h.fixed")
+            return FixedH(h), {"fixed": h}
         if "grid" in spec:
             try:
-                grid = GridH(tuple(float(v) for v in spec["grid"]))
+                grid = GridH(tuple(spec["grid"]))
             except (TypeError, ValueError, DomainError) as exc:
                 raise ConfigError(f"bad h grid: {exc}", field="h.grid") from None
             return grid, {"grid": list(grid.values)}
@@ -185,7 +197,7 @@ def parse_config(path, overrides=None):
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad alphas object: {exc}", field="dist.alphas") from None
     else:
-        alphas = [float(a) for a in alphas_spec]
+        alphas = [_convert(a, float, "dist.alphas") for a in alphas_spec]
     if not alphas:
         raise ConfigError("needs at least one entry", field="dist.alphas")
     correlation = _parse_correlation(
@@ -198,7 +210,8 @@ def parse_config(path, overrides=None):
     loss, loss_resolved = _parse_loss(_require(doc, "loss", dict), path.parent)
 
     betas_spec = _require(doc, "betas", (list, int, float))
-    betas = [float(b) for b in (betas_spec if isinstance(betas_spec, list) else [betas_spec])]
+    betas = [_convert(b, float, "betas")
+             for b in (betas_spec if isinstance(betas_spec, list) else [betas_spec])]
     if not betas:
         raise ConfigError("needs at least one level", field="betas")
     for b in betas:
@@ -221,12 +234,12 @@ def parse_config(path, overrides=None):
         h_rule = FixedH(float("nan"))    # never consulted on the naive path
 
     n = _require(doc, "n", (int, float))
-    if n != int(n):
+    if n != _convert(n, int, "n"):
         raise ConfigError(f"must be a whole number, got {n!r}", field="n")
     n = int(n)
-    reps = int(doc.get("reps", 50))
-    seed = int(doc.get("seed", 0))
-    threads = int(doc.get("threads", 1))
+    reps = _convert(doc.get("reps", 50), int, "reps")
+    seed = _convert(doc.get("seed", 0), int, "seed")
+    threads = _convert(doc.get("threads", 1), int, "threads")
     try:
         experiment = ExperimentConfig(
             dist=dist, loss=loss, betas=tuple(betas), n=n, h_rule=h_rule,
@@ -344,7 +357,7 @@ def cmd_benchmark(spec, out_dir):
     return 0, [rep_path, sum_path]
 
 
-def _naive_matching_n(spec, summary_rows, max_factor=64, hard_cap=512_000):
+def _naive_matching_n(spec, summary_rows):
     """Double the naive n at the largest beta until its cv matches the
     importance cv (or the budget runs out); returns a summary row."""
     exp = spec.experiment
@@ -354,16 +367,15 @@ def _naive_matching_n(spec, summary_rows, max_factor=64, hard_cap=512_000):
     if not math.isfinite(target):
         return None
     reps = min(exp.reps, 20)
-    budget = max(max_factor * exp.n, hard_cap)
+    budget = max(_MATCH_MAX_FACTOR * exp.n, _MATCH_HARD_CAP)
     n = exp.n
-    cv, mean_cvar, matched = float("nan"), float("nan"), False
     while True:
-        if n * beta >= 5:
-            sub = replace(exp, betas=(beta,), n=n, reps=reps)
-            vals = run_replications(sub, "naive").values("cvar_hat", beta, "naive")
-            cv = _spread(vals)
-            mean_cvar = float(vals.mean()) if vals.size else float("nan")
-            matched = math.isfinite(cv) and cv <= target
+        # below n * beta = 5 every row is tagged infeasible: no values, cv nan
+        sub = replace(exp, betas=(beta,), n=n, reps=reps)
+        vals = run_replications(sub, "naive").values("cvar_hat", beta, "naive")
+        cv = _spread(vals)
+        mean_cvar = float(vals.mean()) if vals.size else float("nan")
+        matched = math.isfinite(cv) and cv <= target
         if matched or n * 2 > budget:
             return {
                 "beta": beta, "n": n, "matched": matched,

@@ -32,8 +32,6 @@ __all__ = [
     "sample_inputs",
 ]
 
-_LN2 = math.log(2.0)
-
 
 def std_normal_quantile(p):
     """Standard normal quantile function.
@@ -48,18 +46,11 @@ def std_normal_quantile(p):
     float or ndarray
         Quantiles, accurate to better than 1e-9 absolute error for
         p in [1e-300, 1 - 1e-12].
-
-    Notes
-    -----
-    For p > 1/2 the reflection -ndtri(1 - p) is used.  In that range 1 - p
-    is computed exactly in floating point, which keeps the upper tail as
-    accurate as the lower one; evaluating ndtri(p) directly near 1 loses
-    six digits by p = 1 - 1e-12.
     """
     p = np.asarray(p, dtype=float)
     if p.size and (np.any(~np.isfinite(p)) or np.any(p <= 0.0) or np.any(p >= 1.0)):
         raise DomainError("p must lie strictly inside (0, 1)")
-    out = np.where(p <= 0.5, ndtri(np.minimum(p, 0.5)), -ndtri(1.0 - np.maximum(p, 0.5)))
+    out = ndtri(p)
     return float(out) if out.ndim == 0 else out
 
 
@@ -110,7 +101,10 @@ class CorrelationMatrix:
     """
 
     def __init__(self, matrix):
-        R = np.array(matrix, dtype=float)
+        try:
+            R = np.array(matrix, dtype=float)
+        except (TypeError, ValueError):
+            raise DomainError("correlation matrix entries must be numbers") from None
         if R.ndim != 2 or R.shape[0] != R.shape[1]:
             raise DomainError(f"correlation matrix must be square, got shape {R.shape}")
         if not np.all(np.isfinite(R)):
@@ -214,14 +208,11 @@ def _validate_vectors(x, dim, name="x"):
 def _normal_scores(x, alphas):
     """Normal scores z with Phi(z) = 1 - exp(-x**alpha), componentwise.
 
-    Below the median the score comes from the CDF via expm1; above it the
-    tail probability exp(-x**alpha) is passed to ndtri_exp in log form, so
-    the score stays accurate even when the CDF is within one ulp of 1.
+    The tail probability exp(-x**alpha) goes to ndtri_exp in log form, so
+    the score stays accurate even when the CDF is within one ulp of 1;
+    ndtri_exp switches to its own near-zero form for small x**alpha.
     """
-    t = x ** alphas
-    lower = ndtri(-np.expm1(-np.minimum(t, _LN2)))
-    upper = -ndtri_exp(-np.maximum(t, _LN2))
-    return np.where(t < _LN2, lower, upper)
+    return -ndtri_exp(-(x ** alphas))
 
 
 def _copula_log_density_from_scores(z, correlation):

@@ -18,7 +18,7 @@ class FeasibilityError(EstimationError):
 
 
 class BadLossError(EstimationError):
-    """The loss returned values that are not finite numbers."""
+    """The loss raised, or returned values that are not finite numbers."""
 
 
 class ConfigError(ValueError):

@@ -28,7 +28,9 @@ from scipy.special import logsumexp
 from .distributions import sample_inputs
 from .errors import BadLossError, DomainError, FeasibilityError, TailMassError
 from .losses import LossModel
-from .transform import TransformParams, extrapolate, extrapolation_factor, log_likelihood_ratio
+from .transform import (
+    TransformParams, _check_beta, extrapolate, extrapolation_factor, log_likelihood_ratio,
+)
 
 __all__ = [
     "WeightedLossSample",
@@ -75,12 +77,6 @@ def _as_arrays(samples):
     if np.any(~np.isfinite(losses)) or np.any(np.isnan(logw)) or np.any(logw == np.inf):
         raise DomainError("losses must be finite and log weights must not be nan or +inf")
     return losses, logw
-
-
-def _check_beta(beta):
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and 0.0 < beta < 1.0):
-        raise DomainError(f"beta must lie in (0, 1), got {beta!r}")
-    return float(beta)
 
 
 def tail_probability(samples, u):
@@ -204,7 +200,7 @@ class EstimateReport:
     cvar_se: float
 
 
-def estimate(dist, loss, config, method="is", r_override=None):
+def estimate(dist, loss, config, method="is"):
     """Run one estimation and report (value at risk, cvar, standard error).
 
     Parameters
@@ -218,16 +214,13 @@ def estimate(dist, loss, config, method="is", r_override=None):
         the loss on the raw samples with unit weights and refuses to run
         when n * beta < 5 (the empirical tail would hold fewer than five
         samples, giving meaningless quantiles).
-    r_override : float, optional
-        Forces the stretch factor (test hook; r_override=1.0 makes the
-        importance path reproduce the naive path exactly, seed for seed).
 
     Raises
     ------
     FeasibilityError
         Naive method at infeasible n * beta.
     BadLossError
-        The loss returned a value that is not a finite number.
+        The loss raised, or returned a value that is not a finite number.
     TailMassError
         The weighted sample carries too little mass for the level beta, or
         no sampled loss lies strictly above the estimated var (an empty
@@ -248,13 +241,9 @@ def estimate(dist, loss, config, method="is", r_override=None):
         losses = loss(sample_inputs(config.n, dist, config.seed))
         logw = np.zeros(config.n)
     else:
-        if r_override is None:
-            if h is None:
-                raise DomainError("the importance method needs h (or an explicit r_override)")
-            r = extrapolation_factor(config.beta, h)
-        else:
-            r = r_override
-        params = TransformParams(r=r, rho=loss.rho)
+        if h is None:
+            raise DomainError("the importance method needs h")
+        params = TransformParams(r=extrapolation_factor(config.beta, h), rho=loss.rho)
         X = sample_inputs(config.n, dist, config.seed)
         Z = extrapolate(X, params)
         logw = log_likelihood_ratio(X, dist, params)

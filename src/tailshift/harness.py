@@ -63,12 +63,17 @@ class FixedH:
 
 @dataclass(frozen=True)
 class AffineH:
-    """h(beta) = intercept + slope * log(1/beta)."""
+    """h(beta) = intercept + slope * log(1/beta) for beta in (0, 1].
+
+    beta = 1 (the intercept) is admitted although no estimation accepts it.
+    """
 
     intercept: float
     slope: float
 
     def h_for(self, beta):
+        if not 0.0 < beta <= 1.0:
+            raise DomainError(f"beta must lie in (0, 1], got {beta!r}")
         return self.intercept + self.slope * math.log(1.0 / beta)
 
 
@@ -90,15 +95,7 @@ class GridH:
         )
 
 
-def pert_h_rule(beta):
-    """h(beta) = 2 + 0.6 log(1/beta), the affine rule for the project network runs.
-
-    beta = 1 is admitted (the log term vanishes and the rule returns 2) even
-    though no estimation accepts it; the rule itself is just arithmetic.
-    """
-    if not 0.0 < beta <= 1.0:
-        raise DomainError(f"beta must lie in (0, 1], got {beta!r}")
-    return 2.0 + 0.6 * math.log(1.0 / beta)
+pert_h_rule = AffineH(2.0, 0.6)   # the affine rule for the project network runs
 
 
 @dataclass(frozen=True)
@@ -118,6 +115,8 @@ class ExperimentConfig:
         betas = tuple(float(b) for b in np.atleast_1d(np.asarray(self.betas, dtype=float)))
         if not betas:
             raise DomainError("at least one beta level is required")
+        if len(set(betas)) != len(betas):
+            raise DomainError(f"beta levels must be distinct, got {betas}")
         object.__setattr__(self, "betas", betas)
         for name in ("n", "reps", "threads"):
             value = int(getattr(self, name))
@@ -125,6 +124,8 @@ class ExperimentConfig:
                 raise DomainError(f"{name} must be positive, got {value}")
             object.__setattr__(self, name, value)
         object.__setattr__(self, "base_seed", int(self.base_seed))
+        if self.base_seed < 0:
+            raise DomainError(f"base_seed must be nonnegative, got {self.base_seed}")
 
 
 def derive_seed(base_seed, beta_index, method, rep):
@@ -230,7 +231,7 @@ def run_replications(config, method):
     summaries can flag them.  Other estimation failures inside a
     replication are recorded the same way rather than aborting: "tail-mass"
     (too little weighted mass, or no sample above var) and "bad-loss" (the
-    loss returned a non-finite value).
+    loss raised or returned a non-finite value).
     """
     if method not in _METHOD_CODES:
         raise DomainError(f"method must be one of {sorted(_METHOD_CODES)}, got {method!r}")
@@ -340,9 +341,7 @@ def cross_validate_h(config, grid, beta, reps_cv=20):
     factor would not push outward are skipped; if every point fails, an
     EstimationError is raised.
     """
-    values = grid.values if isinstance(grid, GridH) else tuple(float(v) for v in grid)
-    if not values:
-        raise DomainError("h grid must not be empty")
+    values = (grid if isinstance(grid, GridH) else GridH(tuple(grid))).values
     entries = []
     for h in values:
         try:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, WeightsDimensionError, WeightsFormatError
+from .distributions import _validate_vectors
+from .errors import BadLossError, DomainError, WeightsDimensionError, WeightsFormatError
 
 __all__ = [
     "PERT_DIM",
@@ -31,13 +32,6 @@ __all__ = [
 PERT_DIM = 7
 
 
-def _check_dim(x, dim, what):
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != dim:
-        raise DomainError(f"{what} expects vectors of {dim} components, got shape {x.shape}")
-    return x
-
-
 def pert_completion_time(x):
     """Longest path through the fixed 7-activity precedence network.
 
@@ -45,7 +39,7 @@ def pert_completion_time(x):
     so the completion time is
     x1 + x7 + max(x5 + max(x2, x3), x6 + max(x3, x4)).
     """
-    x = _check_dim(x, PERT_DIM, "pert_completion_time")
+    x = _validate_vectors(x, PERT_DIM)
     upper = x[..., 4] + np.maximum(x[..., 1], x[..., 2])
     lower = x[..., 5] + np.maximum(x[..., 2], x[..., 3])
     out = x[..., 0] + x[..., 6] + np.maximum(upper, lower)
@@ -105,7 +99,7 @@ class ReluNetParams:
 
 def relu_net_loss(x, params):
     """Evaluate w2' relu(W1 x + b1) + b2 at x (vector or batch)."""
-    x = _check_dim(x, params.dim, "relu_net_loss")
+    x = _validate_vectors(x, params.dim)
     out = np.maximum(x @ params.W1.T + params.b1, 0.0) @ params.w2 + params.b2
     return float(out) if out.ndim == 0 else out
 
@@ -231,7 +225,10 @@ class LossModel:
 
     @classmethod
     def external(cls, func, rho):
-        """Register a deterministic vector-to-scalar callable with its rho."""
+        """Register a deterministic vector-to-scalar callable with its rho.
+
+        Anything func raises surfaces as BadLossError, chained to the original.
+        """
         return cls(kind="external", rho=rho, func=func)
 
     def __call__(self, x):
@@ -242,6 +239,9 @@ class LossModel:
         if self.kind == "relu_net":
             return relu_net_loss(x, self.relu)
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return float(self.func(x))
-        return np.array([float(self.func(row)) for row in x])
+        try:
+            if x.ndim == 1:
+                return float(self.func(x))
+            return np.array([float(self.func(row)) for row in x])
+        except Exception as exc:    # the user's code: any failure is a bad loss
+            raise BadLossError(f"the external loss raised {type(exc).__name__}: {exc}") from exc

@@ -36,14 +36,19 @@ __all__ = [
 ]
 
 
+def _check_beta(beta):
+    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and 0.0 < beta < 1.0):
+        raise DomainError(f"beta must lie in (0, 1), got {beta!r}")
+    return float(beta)
+
+
 def extrapolation_factor(beta, h):
     """Stretch factor r = h * log log(1/beta) for tail level beta.
 
     Requires beta < 1/e (otherwise the iterated logarithm is not positive)
     and a resulting r > 1 (otherwise nothing is pushed outward).
     """
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and 0.0 < beta < 1.0):
-        raise DomainError(f"beta must lie in (0, 1), got {beta!r}")
+    _check_beta(beta)
     if beta >= 1.0 / math.e:
         raise DomainError(
             f"extrapolation undefined for beta >= 1/e (got beta = {beta:g}); "

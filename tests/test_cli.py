@@ -176,6 +176,10 @@ class TestParseConfig:
         assert again.resolved == spec.resolved
         assert again.experiment == spec.experiment
 
+    def test_repeated_betas_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="distinct"):
+            parse_config(write_config(tmp_path, dict(MINIMAL, betas=[1e-3, 1e-3])))
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
@@ -267,6 +271,42 @@ class TestEstimateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["resolved_config"]["seed"] == 7
         assert manifest["resolved_config"]["betas"] == [0.05, 0.1]
+
+    def test_repeated_beta_override_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, MINIMAL)
+        code = main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--beta", "1e-3", "--beta", "1e-3"])
+        assert code == 1
+        assert "distinct" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, doc", [
+        ("reps", dict(MINIMAL, reps="many")),
+        ("seed", dict(MINIMAL, seed=None)),
+        ("threads", dict(MINIMAL, threads=[2])),
+        ("betas", dict(MINIMAL, betas=["1e-6x"])),
+        ("dist.alphas", dict(MINIMAL, dist={"alphas": ["a"], "correlation": "identity"})),
+        ("loss.rho", dict(MINIMAL, loss={"kind": "linear", "rho": "x"})),
+        ("h.fixed", dict(MINIMAL, h={"fixed": "x"})),
+        ("dist.correlation", dict(MINIMAL, dist={"alphas": [1.0],
+                                                 "correlation": {"matrix": [["a"]]}})),
+    ])
+    def test_non_numeric_values_exit_1_naming_the_field(self, tmp_path, capsys, field, doc):
+        cfg = write_config(tmp_path, doc)
+        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert f"config field '{field}'" in capsys.readouterr().err
+
+    def test_negative_seed_override_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, MINIMAL)
+        code = main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--seed", "-1"])
+        assert code == 1
+        assert "base_seed must be nonnegative" in capsys.readouterr().err
+
+    def test_negative_rho_is_not_a_weights_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(MINIMAL, loss={"kind": "pert7", "rho": -1}))
+        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "rho must be positive" in err and "bad network weights" not in err
 
     def test_grid_h_rejected_outside_crossval(self, tmp_path, capsys):
         doc = dict(MINIMAL, h={"grid": [2.0, 3.0]})

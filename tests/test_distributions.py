@@ -18,6 +18,7 @@ from tailshift import (
     sample_inputs,
     std_normal_quantile,
 )
+from tailshift.distributions import _normal_scores
 
 # Reference values for the normal quantile were produced with mpmath at 60
 # decimal digits (root of log(ncdf(x)) = log(p), seeded from the classic
@@ -63,6 +64,49 @@ class TestStdNormalQuantile:
             std_normal_quantile(1.0)
         with pytest.raises(DomainError):
             std_normal_quantile(-0.2)
+
+
+# Normal scores z with Phi(z) = 1 - exp(-t), from mpmath at 60 decimal digits
+# as sqrt(2) * erfinv(1 - 2 exp(-t)).  Keys are the exact float64 inputs t;
+# they cover ndtri_exp's three argument ranges (t below 0.1454, up to 2, and
+# beyond) and both sides of the median t = ln 2.
+SCORE_ORACLE = {
+    1e-12: -7.034483825301201653983,
+    1e-06: -4.753424409867024736564,
+    0.01: -2.328221737537175678615,
+    0.1: -1.309617799458493132053,
+    0.145: -1.103165239178193630633,
+    0.147: -1.09523876865138465275,
+    0.3: -0.6458699862012635814457,
+    0.5: -0.2702880207387358539209,
+    0.69: -0.003950629560280057015239,
+    0.7: 0.008559478582480282295668,
+    1.0: 0.3374749637642024552758,
+    1.9: 1.038285325600339044973,
+    2.1: 1.162794580545809333639,
+    5.0: 2.470938637261588416889,
+    20.0: 5.879209356485336259886,
+    50.0: 9.67482528361235650875,
+}
+
+
+class TestNormalScores:
+    def test_oracle_points(self):
+        t = np.array(list(SCORE_ORACLE))
+        want = np.array(list(SCORE_ORACLE.values()))
+        got = _normal_scores(t[:, None], np.array([1.0]))[:, 0]
+        np.testing.assert_allclose(got, want, rtol=0, atol=4e-15)
+
+    @pytest.mark.parametrize("model", ["portfolio", "pert", "alpha 0.02"])
+    def test_scores_recover_the_sampler_normals(self, model, request):
+        # sample_inputs maps V = W chol' to x; the scores joint_log_density
+        # takes of x must give V back
+        dist = (request.getfixturevalue(f"{model}_dist") if model != "alpha 0.02"
+                else DistributionSpec.from_alphas([0.02]))
+        n, seed = 2000, 31
+        X = sample_inputs(n, dist, seed)
+        V = np.random.default_rng(seed).standard_normal((n, dist.dim)) @ dist.correlation.chol.T
+        np.testing.assert_allclose(_normal_scores(X, dist.alphas), V, rtol=0, atol=1e-13)
 
 
 class TestMarginal:

@@ -17,11 +17,15 @@ from tailshift import (
     ISConfig,
     LossModel,
     TailMassError,
+    TransformParams,
     WeightedLossSample,
     cvar,
     cvar_standard_error,
     estimate,
+    extrapolate,
+    log_likelihood_ratio,
     naive_var_cvar,
+    sample_inputs,
     tail_probability,
     value_at_risk,
 )
@@ -255,11 +259,14 @@ class TestEstimate:
 
     def test_unit_factor_reproduces_naive_exactly(self, onedim_dist, linear):
         cfg = ISConfig(beta=0.1, n=200, seed=42)
-        a = estimate(onedim_dist, linear, cfg, method="is", r_override=1.0)
+        params = TransformParams(r=1.0, rho=linear.rho)
+        x = sample_inputs(cfg.n, onedim_dist, cfg.seed)
+        pair = (linear(extrapolate(x, params)), log_likelihood_ratio(x, onedim_dist, params))
+        a_var = value_at_risk(pair, cfg.beta)
         b = estimate(onedim_dist, linear, cfg, method="naive")
-        assert a.var_hat == b.var_hat
-        assert a.cvar_hat == b.cvar_hat
-        assert a.cvar_se == b.cvar_se
+        assert a_var == b.var_hat
+        assert cvar(pair, cfg.beta, a_var) == b.cvar_hat
+        assert cvar_standard_error(pair, cfg.beta, a_var) == b.cvar_se
 
     def test_naive_guard_fires_for_deep_tail(self, onedim_dist, linear):
         cfg = ISConfig(beta=1e-6, n=1000, seed=1)

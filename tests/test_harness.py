@@ -45,7 +45,7 @@ class TestHRules:
         rule = AffineH(intercept=2.0, slope=0.6)
         beta = 10.0 ** -3.5
         assert math.isclose(rule.h_for(beta), 6.8354286952874959364, rel_tol=1e-13)
-        assert rule.h_for(beta) == pert_h_rule(beta)
+        assert rule.h_for(beta) == pert_h_rule.h_for(beta)
 
     def test_grid_cannot_be_used_directly(self):
         with pytest.raises(DomainError):
@@ -56,14 +56,18 @@ class TestHRules:
             GridH(())
 
     def test_pert_rule_endpoints(self):
-        assert pert_h_rule(1.0) == 2.0
-        assert math.isclose(pert_h_rule(math.exp(-5.0)), 5.0, rel_tol=1e-14)
+        assert pert_h_rule.h_for(1.0) == 2.0
+        assert math.isclose(pert_h_rule.h_for(math.exp(-5.0)), 5.0, rel_tol=1e-14)
 
     def test_pert_rule_domain(self):
         with pytest.raises(DomainError):
-            pert_h_rule(0.0)
+            pert_h_rule.h_for(0.0)
         with pytest.raises(DomainError):
-            pert_h_rule(1.5)
+            pert_h_rule.h_for(1.5)
+
+    def test_pert_rule_drives_a_run(self, onedim_dist, linear):
+        table = run_replications(small_config(onedim_dist, linear, h_rule=pert_h_rule, reps=1), "is")
+        assert [r.h for r in table.rows] == [pert_h_rule.h_for(0.1)]
 
 
 class TestDeriveSeed:
@@ -183,6 +187,22 @@ class TestRunReplications:
         clean = run_replications(small_config(onedim_dist, linear, n=n, reps=3), "is")
         assert [table.rows[i] for i in (0, 2)] == [clean.rows[i] for i in (0, 2)]
 
+    def test_raising_loss_rows_are_tagged_bad_loss(self, onedim_dist, linear):
+        # the loss is called once per row, rep by rep: it raises once, inside rep 1
+        n = 60
+        calls = itertools.count()
+
+        def loss(x):
+            if next(calls) == n + 7:
+                raise ValueError("model diverged")
+            return float(x[0])
+
+        cfg = small_config(onedim_dist, LossModel.external(loss, rho=1.0), n=n, reps=3)
+        table = run_replications(cfg, "is")
+        assert [r.status for r in table.rows] == ["ok", "bad-loss", "ok"]
+        clean = run_replications(small_config(onedim_dist, linear, n=n, reps=3), "is")
+        assert [table.rows[i] for i in (0, 2)] == [clean.rows[i] for i in (0, 2)]
+
     def test_empty_tail_rows_are_tagged_tail_mass(self, linear):
         cfg = small_config(DistributionSpec.from_alphas([0.02]), linear,
                            betas=(1e-6,), n=1000, h_rule=FixedH(2.6), reps=3)
@@ -292,6 +312,17 @@ class TestExperimentConfig:
         with pytest.raises(DomainError):
             ExperimentConfig(dist=onedim_dist, loss=linear, betas=(),
                              n=10, h_rule=FixedH(2.0))
+
+    def test_rejects_repeated_betas(self, onedim_dist, linear):
+        # summaries key levels by value, so a repeated level would be merged
+        with pytest.raises(DomainError, match="distinct"):
+            ExperimentConfig(dist=onedim_dist, loss=linear, betas=(1e-3, 1e-3),
+                             n=10, h_rule=FixedH(2.0))
+
+    def test_rejects_negative_base_seed(self, onedim_dist, linear):
+        with pytest.raises(DomainError, match="base_seed"):
+            ExperimentConfig(dist=onedim_dist, loss=linear, betas=(0.1,),
+                             n=10, h_rule=FixedH(2.0), base_seed=-1)
 
     def test_rejects_nonpositive_counts(self, onedim_dist, linear):
         with pytest.raises(DomainError):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailshift import (
+    BadLossError,
     DomainError,
     LossModel,
     ReluNetParams,
@@ -227,6 +228,16 @@ class TestLossModel:
         np.testing.assert_array_equal(L(X), [5.0, 3.0])
         assert len(calls) == 2
         assert L.rho == 2.0
+
+    def test_external_failures_become_bad_loss(self):
+        def diverges(x):
+            raise ValueError("model diverged")
+
+        X = np.ones((2, 3))
+        for func, cause in ((diverges, ValueError), (lambda x: None, TypeError)):
+            with pytest.raises(BadLossError) as info:
+                LossModel.external(func, rho=1.0)(X)
+            assert isinstance(info.value.__cause__, cause)
 
     def test_rho_override(self):
         assert LossModel.linear(rho=0.5).rho == 0.5
