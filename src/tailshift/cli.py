@@ -212,11 +212,6 @@ def parse_config(path, overrides=None):
     betas_spec = _require(doc, "betas", (list, int, float))
     betas = [_convert(b, float, "betas")
              for b in (betas_spec if isinstance(betas_spec, list) else [betas_spec])]
-    if not betas:
-        raise ConfigError("needs at least one level", field="betas")
-    for b in betas:
-        if not (math.isfinite(b) and 0.0 < b < 1.0):
-            raise ConfigError(f"levels must lie in (0, 1), got {b!r}", field="betas")
 
     method = doc.get("method", "is")
     if method not in ("is", "naive", "both"):
@@ -234,12 +229,9 @@ def parse_config(path, overrides=None):
         h_rule = FixedH(float("nan"))    # never consulted on the naive path
 
     n = _require(doc, "n", (int, float))
-    if n != _convert(n, int, "n"):
-        raise ConfigError(f"must be a whole number, got {n!r}", field="n")
-    n = int(n)
-    reps = _convert(doc.get("reps", 50), int, "reps")
-    seed = _convert(doc.get("seed", 0), int, "seed")
-    threads = _convert(doc.get("threads", 1), int, "threads")
+    reps, seed, threads = (_require({key: default, **doc}, key, (int, float))
+                           for key, default in (("reps", 50), ("seed", 0), ("threads", 1)))
+    # ExperimentConfig owns the study rules: whole counts, distinct levels in (0, 1)
     try:
         experiment = ExperimentConfig(
             dist=dist, loss=loss, betas=tuple(betas), n=n, h_rule=h_rule,
@@ -257,11 +249,11 @@ def parse_config(path, overrides=None):
         },
         "loss": loss_resolved,
         "betas": betas,
-        "n": int(n),
-        "reps": reps,
-        "seed": seed,
+        "n": experiment.n,
+        "reps": experiment.reps,
+        "seed": experiment.base_seed,
         "method": method,
-        "threads": threads,
+        "threads": experiment.threads,
     }
     if h_resolved is not None:
         resolved["h"] = h_resolved

@@ -28,9 +28,7 @@ from scipy.special import logsumexp
 from .distributions import sample_inputs
 from .errors import BadLossError, DomainError, FeasibilityError, TailMassError
 from .losses import LossModel
-from .transform import (
-    TransformParams, _check_beta, extrapolate, extrapolation_factor, log_likelihood_ratio,
-)
+from .transform import TransformParams, _check_beta, _weighted_stretch, extrapolation_factor
 
 __all__ = [
     "WeightedLossSample",
@@ -93,14 +91,16 @@ def value_at_risk(samples, beta):
 
     Requires the total weighted mass mean(weights) to exceed beta, else
     every threshold would qualify; failing that raises TailMassError
-    ("beta too large for sampled tail mass").
+    ("beta too large for sampled tail mass"), naming the mean weight.
     """
     losses, logw = _as_arrays(samples)
     beta = _check_beta(beta)
     n = losses.size
-    if logsumexp(logw) - math.log(n) <= math.log(beta):
+    log_mean = logsumexp(logw) - math.log(n)
+    if log_mean <= math.log(beta):
         raise TailMassError(
-            f"beta too large for sampled tail mass: mean weight <= beta = {beta:g}"
+            f"beta too large for sampled tail mass: mean weight {math.exp(log_mean):.3g} = "
+            f"exp({log_mean:.4g}) <= beta = {beta:g}; h is too large for this model (try a smaller h)"
         )
     m = float(logw.max())
     scaled = np.exp(logw - m)          # in (0, 1], so suffix sums stay bounded by n
@@ -114,16 +114,20 @@ def value_at_risk(samples, beta):
     return float(uniq[int(np.argmax(above <= threshold))])
 
 
-def cvar(samples, beta, var):
-    """Tail average var + mean(weight * (loss - var)+) / beta."""
+def _weighted_excess(samples, beta, var):
+    """(n, checked beta, m, exp(logw - m), (loss - var)+), m the largest log weight."""
     losses, logw = _as_arrays(samples)
     beta = _check_beta(beta)
-    n = losses.size
     m = float(logw.max())
     if m == -np.inf:
-        return float(var)
-    excess = np.maximum(losses - var, 0.0)
-    shifted = float(np.exp(logw - m) @ excess)
+        m = 0.0                        # every weight is zero: scaled weights are exact zeros
+    return losses.size, beta, m, np.exp(logw - m), np.maximum(losses - var, 0.0)
+
+
+def cvar(samples, beta, var):
+    """Tail average var + mean(weight * (loss - var)+) / beta."""
+    n, beta, m, scaled, excess = _weighted_excess(samples, beta, var)
+    shifted = float(scaled @ excess)
     if shifted == 0.0:
         # nothing above var: exp(m) may be inf here and inf * 0 is nan
         return float(var)
@@ -137,16 +141,10 @@ def cvar_standard_error(samples, beta, var):
     sqrt(sample variance of weight * (loss - var)+ over n) / beta, with the
     n - 1 divisor.  A single sample has no variance estimate, so n >= 2.
     """
-    losses, logw = _as_arrays(samples)
-    beta = _check_beta(beta)
-    n = losses.size
+    n, beta, m, scaled, excess = _weighted_excess(samples, beta, var)
     if n < 2:
         raise DomainError("standard error needs at least two samples")
-    m = float(logw.max())
-    if m == -np.inf:
-        return 0.0
-    terms = np.exp(logw - m) * np.maximum(losses - var, 0.0)
-    spread = math.sqrt(np.var(terms, ddof=1) / n)
+    spread = math.sqrt(np.var(scaled * excess, ddof=1) / n)
     if spread == 0.0:
         return 0.0
     with np.errstate(over="ignore"):
@@ -174,12 +172,11 @@ class ISConfig:
     h: float | None = None
 
     def __post_init__(self):
-        _check_beta(self.beta)
+        object.__setattr__(self, "beta", _check_beta(self.beta))
         if not (isinstance(self.n, (int, np.integer)) and int(self.n) >= 1):
             raise DomainError(f"n must be a positive integer, got {self.n!r}")
         if not isinstance(self.seed, (int, np.integer)) or int(self.seed) < 0:
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "seed", int(self.seed))
         if self.h is not None:
@@ -237,18 +234,14 @@ def estimate(dist, loss, config, method="is"):
                 f"naive estimation infeasible: n*beta = {config.n * config.beta:.4g} < "
                 f"{NAIVE_MIN_TAIL_COUNT:g}; increase n or use the importance method"
             )
-        h = None
-        losses = loss(sample_inputs(config.n, dist, config.seed))
-        logw = np.zeros(config.n)
+        h = params = None
+    elif h is None:
+        raise DomainError("the importance method needs h")
     else:
-        if h is None:
-            raise DomainError("the importance method needs h")
         params = TransformParams(r=extrapolation_factor(config.beta, h), rho=loss.rho)
-        X = sample_inputs(config.n, dist, config.seed)
-        Z = extrapolate(X, params)
-        logw = log_likelihood_ratio(X, dist, params)
-        losses = loss(Z)
-    losses = np.asarray(losses, dtype=float)
+    X = sample_inputs(config.n, dist, config.seed)
+    Z, logw = (X, np.zeros(config.n)) if params is None else _weighted_stretch(X, dist, params)
+    losses = np.asarray(loss(Z), dtype=float)
     if not np.all(np.isfinite(losses)):
         bad = int(np.count_nonzero(~np.isfinite(losses)))
         raise BadLossError(f"the loss returned {bad} non-finite values out of {losses.size}")

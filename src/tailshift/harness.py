@@ -4,8 +4,7 @@ Every replication derives its own seed from (base_seed, beta index, method,
 replication index) through numpy's SeedSequence, so tables are reproducible
 bit for bit, independent of worker count and of which subset of levels is
 run.  Failed replications are recorded with a status tag instead of
-aborting the table; a level with more than half of its replications failed
-is flagged.
+aborting the table.
 """
 
 from __future__ import annotations
@@ -13,14 +12,14 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
 from .errors import BadLossError, DomainError, EstimationError, FeasibilityError
 from .estimators import ISConfig, estimate
 from .losses import LossModel
-from .transform import extrapolation_factor
+from .transform import _check_beta, extrapolation_factor
 
 __all__ = [
     "FixedH",
@@ -43,9 +42,6 @@ __all__ = [
 
 _METHOD_CODES = {"is": 0, "naive": 1}
 
-REPLICATION_COLUMNS = (
-    "method", "beta", "h", "n", "rep", "seed", "var_hat", "cvar_hat", "cvar_se", "status",
-)
 SUMMARY_COLUMNS = (
     "method", "beta", "h", "n", "reps", "rel_rmse_var", "rel_rmse_cvar", "mean_cvar",
 )
@@ -112,20 +108,22 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        betas = tuple(float(b) for b in np.atleast_1d(np.asarray(self.betas, dtype=float)))
+        betas = tuple(_check_beta(b) for b in np.atleast_1d(np.asarray(self.betas, dtype=float)))
         if not betas:
             raise DomainError("at least one beta level is required")
         if len(set(betas)) != len(betas):
             raise DomainError(f"beta levels must be distinct, got {betas}")
         object.__setattr__(self, "betas", betas)
-        for name in ("n", "reps", "threads"):
-            value = int(getattr(self, name))
-            if value < 1:
-                raise DomainError(f"{name} must be positive, got {value}")
+        for name, low in (("n", 1), ("reps", 1), ("threads", 1), ("base_seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer))
+                    or isinstance(value, float) and value.is_integer()):
+                raise DomainError(f"{name} must be a whole number, got {value!r}")
+            value = int(value)
+            if value < low:
+                raise DomainError(
+                    f"{name} must be {'positive' if low else 'nonnegative'}, got {value}")
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "base_seed", int(self.base_seed))
-        if self.base_seed < 0:
-            raise DomainError(f"base_seed must be nonnegative, got {self.base_seed}")
 
 
 def derive_seed(base_seed, beta_index, method, rep):
@@ -149,6 +147,9 @@ class ReplicationRow:
     status: str
 
 
+REPLICATION_COLUMNS = tuple(f.name for f in fields(ReplicationRow))
+
+
 @dataclass
 class ReplicationTable:
     """Rows of replication results in deterministic (beta, rep) order."""
@@ -168,21 +169,8 @@ class ReplicationTable:
         rows = [r for r in self.rows_for(beta, method) if r.status == "ok"]
         return np.array([getattr(r, field) for r in rows], dtype=float)
 
-    def failure_fraction(self, beta, method=None):
-        rows = self.rows_for(beta, method)
-        if not rows:
-            raise DomainError(f"no rows at beta = {beta!r}")
-        return sum(r.status != "ok" for r in rows) / len(rows)
-
-    def flagged(self, beta, method=None):
-        """True when more than half of the replications at this level failed."""
-        return self.failure_fraction(beta, method) > 0.5
-
     def write_csv(self, path):
-        write_rows_csv(path, REPLICATION_COLUMNS, [
-            (r.method, r.beta, r.h, r.n, r.rep, r.seed, r.var_hat, r.cvar_hat, r.cvar_se, r.status)
-            for r in self.rows
-        ])
+        write_rows_csv(path, REPLICATION_COLUMNS, [astuple(r) for r in self.rows])
 
 
 def _format_cell(value):

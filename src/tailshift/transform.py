@@ -13,7 +13,9 @@ roughly like r itself.
 ``log_likelihood_ratio`` returns the log importance weight that makes
 averages over stretched samples unbiased for the original distribution:
 log density at the image, minus log density at the source, plus the log
-Jacobian determinant of the map.  Everything is computed in log space.
+Jacobian determinant of the map.  One log-space pass over x yields the
+image, the log Jacobian and the log weight; ``extrapolate``,
+``log_jacobian`` and ``log_likelihood_ratio`` are its projections.
 """
 
 from __future__ import annotations
@@ -110,10 +112,22 @@ def stretch_exponents(x, rho):
     return (logs / M) / rho
 
 
+def _stretch(x, params):
+    """(extrapolate(x), log_jacobian(x)), taking log1p|x| and its row max once."""
+    x, logs, M = _log1p_abs(x)
+    z = x * params.r ** ((logs / M) / params.rho)
+    logr = math.log(params.r)
+    c = logr / (params.rho * M)
+    g = np.abs(x) / (1.0 + np.abs(x))
+    log_diag = np.log1p(c * g)
+    esum = np.sum(logs, axis=-1) / (params.rho * M[..., 0])
+    log_jac = np.sum(log_diag, axis=-1) + esum * logr - np.max(log_diag, axis=-1)
+    return z, (float(log_jac) if log_jac.ndim == 0 else log_jac)
+
+
 def extrapolate(x, params):
     """Apply the stretch: x * r**e(x) componentwise."""
-    e = stretch_exponents(x, params.rho)
-    return np.asarray(x, dtype=float) * params.r ** e
+    return _stretch(x, params)[0]
 
 
 def log_jacobian(x, params):
@@ -130,14 +144,13 @@ def log_jacobian(x, params):
     a float for shape (d,), an (n,) array for shape (n, d); exactly 0.0 when
     r = 1 and exactly log(r) in one dimension with rho = 1.
     """
-    x, logs, M = _log1p_abs(x)
-    logr = math.log(params.r)
-    c = logr / (params.rho * M)
-    g = np.abs(x) / (1.0 + np.abs(x))
-    log_diag = np.log1p(c * g)
-    esum = np.sum(logs, axis=-1) / (params.rho * M[..., 0])
-    out = np.sum(log_diag, axis=-1) + esum * logr - np.max(log_diag, axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return _stretch(x, params)[1]
+
+
+def _weighted_stretch(x, dist, params):
+    """(extrapolate(x), log_likelihood_ratio(x)) from one stretch pass."""
+    z, log_jac = _stretch(x, params)
+    return z, joint_log_density(z, dist) - joint_log_density(x, dist) + log_jac
 
 
 def log_likelihood_ratio(x, dist, params):
@@ -146,5 +159,4 @@ def log_likelihood_ratio(x, dist, params):
     log f(extrapolate(x)) - log f(x) + log_jacobian(x), with f the joint
     input density.  Exactly 0.0 for r = 1.  Accepts (d,) or (n, d).
     """
-    z = extrapolate(x, params)
-    return joint_log_density(z, dist) - joint_log_density(x, dist) + log_jacobian(x, params)
+    return _weighted_stretch(x, dist, params)[1]

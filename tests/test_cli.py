@@ -295,6 +295,13 @@ class TestEstimateCommand:
         assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert f"config field '{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["reps", "seed", "threads"])
+    def test_fractional_count_exits_1(self, tmp_path, capsys, field):
+        cfg = write_config(tmp_path, dict(MINIMAL, **{field: 2.5}))
+        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "must be a whole number, got 2.5" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "estimates.csv").exists()
+
     def test_negative_seed_override_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL)
         code = main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o"),

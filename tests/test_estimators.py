@@ -1,6 +1,7 @@
 """Weighted tail CDF, value-at-risk, cvar, standard errors, estimate()."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from tailshift import (
     BadLossError,
+    CorrelationMatrix,
     DistributionSpec,
     DomainError,
     EstimateReport,
@@ -23,6 +25,7 @@ from tailshift import (
     cvar_standard_error,
     estimate,
     extrapolate,
+    extrapolation_factor,
     log_likelihood_ratio,
     naive_var_cvar,
     sample_inputs,
@@ -306,6 +309,62 @@ class TestEstimate:
         dist = DistributionSpec.from_alphas([alpha])
         with pytest.raises(TailMassError, match="no sampled loss lies above var"):
             estimate(dist, linear, ISConfig(beta=beta, n=1000, seed=7, h=2.6))
+
+    def test_one_stretch_pass_per_estimate(self, portfolio_dist, linear, monkeypatch):
+        import tailshift.distributions as dz
+        import tailshift.estimators as ez
+        import tailshift.transform as tz
+
+        calls = {"log1p": 0, "sample": 0}
+        real_log1p, real_sample = tz._log1p_abs, dz.sample_inputs
+
+        def counted_log1p(x):
+            calls["log1p"] += 1
+            return real_log1p(x)
+
+        def counted_sample(*args, **kw):
+            calls["sample"] += 1
+            return real_sample(*args, **kw)
+
+        monkeypatch.setattr(tz, "_log1p_abs", counted_log1p)
+        monkeypatch.setattr(ez, "sample_inputs", counted_sample)
+        estimate(portfolio_dist, linear, ISConfig(beta=1e-6, n=500, seed=3, h=2.6))
+        assert calls == {"log1p": 1, "sample": 1}
+
+    def test_weighted_losses_compose_from_public_functions(self, portfolio_dist, linear,
+                                                           monkeypatch):
+        import tailshift.estimators as ez
+
+        seen = []
+        real_var = ez.value_at_risk
+
+        def recording_var(samples, beta):
+            seen.append(samples)
+            return real_var(samples, beta)
+
+        monkeypatch.setattr(ez, "value_at_risk", recording_var)
+        beta, n, seed, h = 1e-6, 800, 11, 2.6
+        estimate(portfolio_dist, linear, ISConfig(beta=beta, n=n, seed=seed, h=h))
+        (losses, logw), = seen
+        params = TransformParams(r=extrapolation_factor(beta, h), rho=linear.rho)
+        X = sample_inputs(n, portfolio_dist, seed)
+        want_losses = np.asarray(linear(extrapolate(X, params)), dtype=float)
+        want_logw = log_likelihood_ratio(X, portfolio_dist, params)
+        assert losses.tobytes() == want_losses.tobytes()
+        assert logw.tobytes() == want_logw.tobytes()
+
+    def test_tail_mass_message_names_mean_weight(self, linear):
+        # d = 200: the stretch carries the whole sample far past beta, so the
+        # mean weight is about exp(-43.7), far below beta
+        dist = DistributionSpec.from_alphas([0.8] * 200, CorrelationMatrix.tridiagonal(200, 0.3))
+        with pytest.raises(TailMassError) as info:
+            estimate(dist, linear, ISConfig(beta=1e-6, n=1000, seed=1, h=2.6))
+        msg = str(info.value)
+        found = re.search(r"mean weight (\S+) = exp\((\S+)\) <= beta = 1e-06", msg)
+        assert msg.startswith("beta too large for sampled tail mass") and found
+        assert math.isclose(float(found.group(2)), -43.71, abs_tol=0.05)
+        assert math.isclose(float(found.group(1)), math.exp(float(found.group(2))), rel_tol=0.01)
+        assert "h is too large for this model (try a smaller h)" in msg
 
     def test_dimension_mismatch_surfaces(self, linear):
         dist2 = DistributionSpec.from_alphas([1.0, 1.0])

@@ -146,7 +146,7 @@ class TestRunReplications:
         bad = table.rows_for(0.05)
         assert all(r.status == "infeasible" for r in bad)
         assert all(math.isnan(r.var_hat) for r in bad)
-        assert table.flagged(0.05) and not table.flagged(0.1)
+        assert table.values("var_hat", 0.05).size == 0
 
     def test_naive_rows_have_no_h(self, onedim_dist, linear):
         table = run_replications(small_config(onedim_dist, linear, reps=2), "naive")
@@ -168,8 +168,7 @@ class TestRunReplications:
         table = run_replications(small_config(onedim_dist, linear, reps=4), "is")
         statuses = [r.status for r in table.rows]
         assert statuses == ["ok", "tail-mass", "ok", "tail-mass"]
-        assert table.failure_fraction(0.1) == 0.5
-        assert not table.flagged(0.1)
+        assert table.values("cvar_hat", 0.1).size == 2
 
     def test_non_finite_loss_rows_are_tagged_bad_loss(self, onedim_dist, linear):
         # the loss is called once per row, rep by rep: nan for a few rows of rep 1
@@ -331,3 +330,18 @@ class TestExperimentConfig:
         with pytest.raises(DomainError):
             ExperimentConfig(dist=onedim_dist, loss=linear, betas=(0.1,),
                              n=10, h_rule=FixedH(2.0), reps=0)
+
+    @pytest.mark.parametrize("field", ["n", "reps", "threads", "base_seed"])
+    def test_rejects_fractional_counts(self, onedim_dist, linear, field):
+        # truncating would quietly run fewer replications (or samples) than asked
+        kw = dict(dist=onedim_dist, loss=linear, betas=(0.1,), n=10, h_rule=FixedH(2.0))
+        with pytest.raises(DomainError, match=f"{field} must be a whole number"):
+            ExperimentConfig(**{**kw, field: 2.5})
+        assert getattr(ExperimentConfig(**{**kw, field: 3.0}), field) == 3
+
+    @pytest.mark.parametrize("beta", [2.0, 1.0, 0.0, -1e-3, float("nan")])
+    def test_rejects_levels_outside_unit_interval(self, onedim_dist, linear, beta):
+        # caught here, such a level cannot abort a whole run_replications table
+        with pytest.raises(DomainError, match="beta must lie in"):
+            ExperimentConfig(dist=onedim_dist, loss=linear, betas=(0.1, beta),
+                             n=10, h_rule=FixedH(2.0))
