@@ -305,7 +305,7 @@ def cmd_crossval(spec, out_dir):
     if not isinstance(exp.h_rule, GridH):
         raise ConfigError("crossval needs an h grid ({'grid': [...]})", field="h")
     beta = min(exp.betas)
-    result = cross_validate_h(exp, exp.h_rule, beta)
+    result = cross_validate_h(exp, exp.h_rule, beta, reps_cv=exp.reps)
     rows = [(e.h, e.cv, e.n_ok, e.status, int(e.h == result.selected_h)) for e in result.entries]
     out = out_dir / "crossval.csv"
     write_rows_csv(out, CROSSVAL_COLUMNS, rows)

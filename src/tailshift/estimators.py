@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .distributions import sample_inputs
+from .distributions import joint_log_density, sample_inputs
 from .errors import BadLossError, DomainError, FeasibilityError, TailMassError
 from .losses import LossModel
 from .transform import TransformParams, _check_beta, _weighted_stretch, extrapolation_factor
@@ -173,9 +173,12 @@ class ISConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", _check_beta(self.beta))
-        if not (isinstance(self.n, (int, np.integer)) and int(self.n) >= 1):
+        # bool is an int subclass, but True is no sample count or seed
+        if isinstance(self.n, bool) or not (
+                isinstance(self.n, (int, np.integer)) and int(self.n) >= 1):
             raise DomainError(f"n must be a positive integer, got {self.n!r}")
-        if not isinstance(self.seed, (int, np.integer)) or int(self.seed) < 0:
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or int(self.seed) < 0):
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "seed", int(self.seed))
@@ -223,6 +226,16 @@ def estimate(dist, loss, config, method="is"):
         no sampled loss lies strictly above the estimated var (an empty
         tail, whose cvar and standard error would say nothing).
     """
+    return _estimate(dist, loss, config, method)
+
+
+def _estimate(dist, loss, config, method, draws=None):
+    """estimate(), taking its draw from the memo draws (seed -> draw) when given.
+
+    A memo may only be shared by importance runs of one dist and n, so that
+    the seed alone fixes the draw.  Each seed is written once, by the first
+    run that needs it; a later run with another h only weighs it again.
+    """
     if method not in ("is", "naive"):
         raise DomainError(f"method must be 'is' or 'naive', got {method!r}")
     if not isinstance(loss, LossModel):
@@ -239,21 +252,39 @@ def estimate(dist, loss, config, method="is"):
         raise DomainError("the importance method needs h")
     else:
         params = TransformParams(r=extrapolation_factor(config.beta, h), rho=loss.rho)
+    if draws is None:
+        draw = _draw(dist, config, params)
+    else:
+        draw = draws.get(config.seed)
+        if draw is None:
+            draw = draws[config.seed] = _draw(dist, config, params)
+    v, c, se = _weigh(dist, loss, config.beta, params, *draw)
+    return EstimateReport(
+        method=method, beta=config.beta, h=h, n=config.n, seed=config.seed,
+        var_hat=v, cvar_hat=c, cvar_se=se,
+    )
+
+
+def _draw(dist, config, params):
+    """(X, log f(X)) for config's seed; the naive method (params None) gets no log f(X)."""
     X = sample_inputs(config.n, dist, config.seed)
-    Z, logw = (X, np.zeros(config.n)) if params is None else _weighted_stretch(X, dist, params)
+    return X, (None if params is None else joint_log_density(X, dist))
+
+
+def _weigh(dist, loss, beta, params, X, log_fx):
+    """(var, cvar, se) at beta of one draw, stretched and weighed by params (None: naive)."""
+    if params is None:
+        Z, logw = X, np.zeros(len(X))
+    else:
+        Z, logw = _weighted_stretch(X, log_fx, dist, params)
     losses = np.asarray(loss(Z), dtype=float)
     if not np.all(np.isfinite(losses)):
         bad = int(np.count_nonzero(~np.isfinite(losses)))
         raise BadLossError(f"the loss returned {bad} non-finite values out of {losses.size}")
     pair = (losses, logw)
-    v = value_at_risk(pair, config.beta)
+    v = value_at_risk(pair, beta)
     if not np.any(losses > v):
         raise TailMassError(
-            f"no sampled loss lies above var = {v:g} at beta = {config.beta:g}; the tail is empty"
+            f"no sampled loss lies above var = {v:g} at beta = {beta:g}; the tail is empty"
         )
-    c = cvar(pair, config.beta, v)
-    se = cvar_standard_error(pair, config.beta, v)
-    return EstimateReport(
-        method=method, beta=config.beta, h=h, n=config.n, seed=config.seed,
-        var_hat=v, cvar_hat=c, cvar_se=se,
-    )
+    return v, cvar(pair, beta, v), cvar_standard_error(pair, beta, v)

@@ -17,7 +17,7 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from .errors import BadLossError, DomainError, EstimationError, FeasibilityError
-from .estimators import ISConfig, estimate
+from .estimators import ISConfig, _estimate, estimate
 from .losses import LossModel
 from .transform import _check_beta, extrapolation_factor
 
@@ -116,7 +116,9 @@ class ExperimentConfig:
         object.__setattr__(self, "betas", betas)
         for name, low in (("n", 1), ("reps", 1), ("threads", 1), ("base_seed", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer))
+            # bool is an int subclass, but True is no count
+            if isinstance(value, bool) or not (
+                    isinstance(value, (int, np.integer))
                     or isinstance(value, float) and value.is_integer()):
                 raise DomainError(f"{name} must be a whole number, got {value!r}")
             value = int(value)
@@ -201,9 +203,13 @@ def _status_of(exc):
     return "tail-mass"
 
 
-def _one_replication(dist, loss, method, beta, h, n, rep, seed):
+def _one_replication(dist, loss, method, beta, h, n, rep, seed, draws):
+    config = ISConfig(beta=beta, n=n, seed=seed, h=h)
     try:
-        report = estimate(dist, loss, ISConfig(beta=beta, n=n, seed=seed, h=h), method=method)
+        if draws is None:   # through the public entry point, where wrappers of estimate see it
+            report = estimate(dist, loss, config, method=method)
+        else:
+            report = _estimate(dist, loss, config, method, draws)
     except EstimationError as exc:
         nan = float("nan")
         return ReplicationRow(method, beta, h, n, rep, seed, nan, nan, nan, _status_of(exc))
@@ -211,7 +217,7 @@ def _one_replication(dist, loss, method, beta, h, n, rep, seed):
                           report.var_hat, report.cvar_hat, report.cvar_se, "ok")
 
 
-def run_replications(config, method):
+def run_replications(config, method, *, _draws=None):
     """Run reps independent estimations at every beta level.
 
     The naive method is attempted only where n * beta >= 5; infeasible
@@ -220,6 +226,10 @@ def run_replications(config, method):
     replication are recorded the same way rather than aborting: "tail-mass"
     (too little weighted mass, or no sample above var) and "bad-loss" (the
     loss raised or returned a non-finite value).
+
+    _draws is cross_validate_h's memo of importance draws by seed, shared
+    by its per-h calls.  The seeds of one call are distinct, so the workers
+    of a pool never write the same entry.
     """
     if method not in _METHOD_CODES:
         raise DomainError(f"method must be one of {sorted(_METHOD_CODES)}, got {method!r}")
@@ -228,7 +238,7 @@ def run_replications(config, method):
         h = config.h_rule.h_for(beta) if method == "is" else None
         for rep in range(config.reps):
             seed = derive_seed(config.base_seed, bi, method, rep)
-            tasks.append((config.dist, config.loss, method, beta, h, config.n, rep, seed))
+            tasks.append((config.dist, config.loss, method, beta, h, config.n, rep, seed, _draws))
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             rows = list(pool.map(lambda t: _one_replication(*t), tasks))
@@ -325,11 +335,15 @@ def cross_validate_h(config, grid, beta, reps_cv=20):
 
     Each grid point runs reps_cv importance replications at the one level
     beta, reusing the same derived seeds (common random numbers), and
-    scores the spread of the cvar estimates.  Grid points whose stretch
-    factor would not push outward are skipped; if every point fails, an
-    EstimationError is raised.
+    scores the spread of the cvar estimates.  Each replication's inputs X
+    and their log density log f(X) are drawn once, on the first grid point
+    that runs, and reused at every later h; only the stretch, the image
+    density, the loss and the tail estimates are redone per h.  Grid points
+    whose stretch factor would not push outward are skipped; if every point
+    fails, an EstimationError is raised.
     """
     values = (grid if isinstance(grid, GridH) else GridH(tuple(grid))).values
+    draws = {}          # seed -> (X, log f(X)), local to this call
     entries = []
     for h in values:
         try:
@@ -338,7 +352,7 @@ def cross_validate_h(config, grid, beta, reps_cv=20):
             entries.append(CrossValEntry(h=h, cv=float("nan"), status="skipped: no outward extrapolation"))
             continue
         sub = replace(config, betas=(beta,), h_rule=FixedH(h), reps=reps_cv)
-        table = run_replications(sub, "is")
+        table = run_replications(sub, "is", _draws=draws)
         vals = table.values("cvar_hat", beta, "is")
         cv = _spread(vals)
         entries.append(CrossValEntry(h=h, cv=cv, status="failed" if math.isnan(cv) else "ok",

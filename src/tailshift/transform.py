@@ -147,10 +147,15 @@ def log_jacobian(x, params):
     return _stretch(x, params)[1]
 
 
-def _weighted_stretch(x, dist, params):
-    """(extrapolate(x), log_likelihood_ratio(x)) from one stretch pass."""
+def _weighted_stretch(x, log_fx, dist, params):
+    """(extrapolate(x), log_likelihood_ratio(x)) from one stretch pass.
+
+    log_fx is the source log density joint_log_density(x, dist); it does not
+    depend on params, so a caller stretching the same x more than once
+    computes it once.
+    """
     z, log_jac = _stretch(x, params)
-    return z, joint_log_density(z, dist) - joint_log_density(x, dist) + log_jac
+    return z, joint_log_density(z, dist) - log_fx + log_jac
 
 
 def log_likelihood_ratio(x, dist, params):
@@ -159,4 +164,4 @@ def log_likelihood_ratio(x, dist, params):
     log f(extrapolate(x)) - log f(x) + log_jacobian(x), with f the joint
     input density.  Exactly 0.0 for r = 1.  Accepts (d,) or (n, d).
     """
-    return _weighted_stretch(x, dist, params)[1]
+    return _weighted_stretch(x, joint_log_density(x, dist), dist, params)[1]

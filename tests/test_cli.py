@@ -297,10 +297,11 @@ class TestEstimateCommand:
 
     @pytest.mark.parametrize("field", ["reps", "seed", "threads"])
     def test_fractional_count_exits_1(self, tmp_path, capsys, field):
-        cfg = write_config(tmp_path, dict(MINIMAL, **{field: 2.5}))
-        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-        assert "must be a whole number, got 2.5" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "estimates.csv").exists()
+        for bad in (2.5, True):
+            cfg = write_config(tmp_path, dict(MINIMAL, **{field: bad}))
+            assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+            assert f"must be a whole number, got {bad!r}" in capsys.readouterr().err
+            assert not (tmp_path / "o" / "estimates.csv").exists()
 
     def test_negative_seed_override_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL)
@@ -345,6 +346,23 @@ class TestCrossvalCommand:
         by_h = {r[0]: r for r in rows[1:]}
         assert by_h["0.2"][3].startswith("skipped")
         assert sum(int(r[-1]) for r in rows[1:]) == 1
+
+    def test_runs_the_configured_reps(self, tmp_path):
+        cfg = write_config(tmp_path, dict(MINIMAL, betas=[1e-4], n=300,
+                                          h={"grid": [2.0, 3.0]}, reps=3))
+        out = tmp_path / "out"
+        assert main(["crossval", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_csv(out / "crossval.csv")
+        assert [r[2] for r in rows[1:]] == ["3", "3"]
+        assert json.loads((out / "manifest.json").read_text())["resolved_config"]["reps"] == 3
+
+    def test_deterministic_across_thread_counts(self, tmp_path):
+        # the pool workers of each per-h table share the draws memo
+        cfg = self.config(tmp_path, [0.2, 2.0, 2.6, 3.0])
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["crossval", "--config", str(cfg), "--out", str(a), "--threads", "1"]) == 0
+        assert main(["crossval", "--config", str(cfg), "--out", str(b), "--threads", "2"]) == 0
+        assert (a / "crossval.csv").read_bytes() == (b / "crossval.csv").read_bytes()
 
     def test_all_points_failing_exits_2(self, tmp_path, capsys):
         cfg = self.config(tmp_path, [0.1, 0.2])

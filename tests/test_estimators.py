@@ -237,6 +237,13 @@ class TestInputValidation:
         with pytest.raises(DomainError):
             value_at_risk([], 0.3)
 
+    @pytest.mark.parametrize("field", ["n", "seed"])
+    def test_config_rejects_bool_counts(self, field):
+        # bool is an int subclass: n=True would quietly draw one sample
+        for bad in (True, False):
+            with pytest.raises(DomainError, match=f"{field} must be"):
+                ISConfig(**{**dict(beta=0.1, n=10, seed=0), field: bad})
+
 
 class TestEstimate:
     def test_deterministic(self, onedim_dist, linear):
@@ -330,6 +337,24 @@ class TestEstimate:
         monkeypatch.setattr(ez, "sample_inputs", counted_sample)
         estimate(portfolio_dist, linear, ISConfig(beta=1e-6, n=500, seed=3, h=2.6))
         assert calls == {"log1p": 1, "sample": 1}
+
+    def test_naive_method_computes_no_density(self, portfolio_dist, linear, monkeypatch):
+        import tailshift.estimators as ez
+        import tailshift.transform as tz
+
+        calls = []
+        real = ez.joint_log_density
+
+        def counted(x, dist):
+            calls.append(np.shape(x))
+            return real(x, dist)
+
+        monkeypatch.setattr(ez, "joint_log_density", counted)
+        monkeypatch.setattr(tz, "joint_log_density", counted)
+        estimate(portfolio_dist, linear, ISConfig(beta=0.05, n=200, seed=3), method="naive")
+        assert calls == []
+        estimate(portfolio_dist, linear, ISConfig(beta=1e-6, n=200, seed=3, h=2.6))
+        assert calls == [(200, 10), (200, 10)]     # source and image, once each
 
     def test_weighted_losses_compose_from_public_functions(self, portfolio_dist, linear,
                                                            monkeypatch):

@@ -3,6 +3,7 @@
 import csv
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -281,6 +282,62 @@ class TestCrossValidation:
         b = cross_validate_h(cfg, (2.0, 3.0), 1e-4, reps_cv=4)
         assert a == b
 
+    def test_draws_once_per_replication_and_matches_per_h_tables(
+            self, portfolio_dist, linear, monkeypatch):
+        import tailshift.estimators as ez
+
+        cfg = ExperimentConfig(dist=portfolio_dist, loss=linear, betas=(1e-4,), n=300,
+                               h_rule=FixedH(2.6), reps=50, base_seed=7)
+        beta, grid, reps_cv = 1e-4, (0.3, 2.0, 3.0), 5      # h = 0.3 gives r < 1: skipped
+        calls = {"sample": 0}
+        real_sample = ez.sample_inputs
+
+        def counted_sample(*args, **kw):
+            calls["sample"] += 1
+            return real_sample(*args, **kw)
+
+        monkeypatch.setattr(ez, "sample_inputs", counted_sample)
+        result = cross_validate_h(cfg, grid, beta, reps_cv=reps_cv)
+        assert calls["sample"] == reps_cv          # one draw per replication, not per h
+
+        # reference path: one memo-free replication table per live h
+        for entry, h in zip(result.entries, grid):
+            assert entry.h == h
+            if h == 0.3:
+                assert entry.status.startswith("skipped") and entry.n_ok == 0
+                continue
+            sub = ExperimentConfig(dist=portfolio_dist, loss=linear, betas=(beta,), n=300,
+                                   h_rule=FixedH(h), reps=reps_cv, base_seed=7)
+            vals = run_replications(sub, "is").values("cvar_hat")
+            assert (entry.status, entry.n_ok) == ("ok", reps_cv) and vals.size == reps_cv
+            assert np.float64(entry.cv).tobytes() == np.float64(relative_rmse(vals)).tobytes()
+
+    def test_threaded_draws_match_serial(self, portfolio_dist, linear, monkeypatch):
+        # more workers than cores and frequent switches: the pool workers of
+        # each per-h table share the draws memo, and still draw each seed once
+        import sys
+        import tailshift.estimators as ez
+
+        drawn = []
+        real_sample = ez.sample_inputs
+
+        def counted_sample(n, dist, seed):
+            drawn.append(seed)
+            return real_sample(n, dist, seed)
+
+        cfg = ExperimentConfig(dist=portfolio_dist, loss=linear, betas=(1e-4,), n=200,
+                               h_rule=FixedH(2.6), reps=50, base_seed=3)
+        serial = cross_validate_h(cfg, (2.0, 2.6, 3.0), 1e-4, reps_cv=8)
+        monkeypatch.setattr(ez, "sample_inputs", counted_sample)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = cross_validate_h(replace(cfg, threads=8), (2.0, 2.6, 3.0), 1e-4, reps_cv=8)
+        finally:
+            sys.setswitchinterval(old)
+        assert threaded == serial
+        assert len(drawn) == len(set(drawn)) == 8
+
     def test_all_points_skipped_raises(self, onedim_dist, linear):
         cfg = small_config(onedim_dist, linear, betas=(1e-4,), n=400)
         with pytest.raises(EstimationError, match="every h grid point"):
@@ -334,9 +391,11 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("field", ["n", "reps", "threads", "base_seed"])
     def test_rejects_fractional_counts(self, onedim_dist, linear, field):
         # truncating would quietly run fewer replications (or samples) than asked
+        # and bool is an int subclass: "reps": true would quietly run one
         kw = dict(dist=onedim_dist, loss=linear, betas=(0.1,), n=10, h_rule=FixedH(2.0))
-        with pytest.raises(DomainError, match=f"{field} must be a whole number"):
-            ExperimentConfig(**{**kw, field: 2.5})
+        for bad in (2.5, True, False):
+            with pytest.raises(DomainError, match=f"{field} must be a whole number, got {bad!r}"):
+                ExperimentConfig(**{**kw, field: bad})
         assert getattr(ExperimentConfig(**{**kw, field: 3.0}), field) == 3
 
     @pytest.mark.parametrize("beta", [2.0, 1.0, 0.0, -1e-3, float("nan")])
