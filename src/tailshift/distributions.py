@@ -258,19 +258,42 @@ def joint_log_density(x, dist):
     return float(out) if out.ndim == 0 else out
 
 
-def sample_inputs(n, dist, seed):
-    """Draw n joint samples, shape (n, d).
+def _sample_with_log_density(n, dist, seed, with_density=True):
+    """(X, log f(X)) for n joint samples; log f(X) is None without with_density.
 
     Correlated normals V = W chol' are mapped through the marginal
-    quantiles as X = (-log Phi(-V))**(1/alpha), which is the exact inverse
-    of the score map used by ``joint_log_density`` and never rounds the
-    copula coordinate to 0 or 1.  Reproducible: a fresh generator is seeded
-    on every call.
+    quantiles as X = t**(1/alpha) with t = -log Phi(-V), which is the exact
+    inverse of the score map used by ``joint_log_density`` and never rounds
+    the copula coordinate to 0 or 1.  The normal scores of X are V itself
+    and chol^-1 V = W, so the density needs neither the score map nor a
+    triangular solve: with log x = log(t)/alpha and x**alpha = t,
+
+        log f(X) = sum_i (log alpha_i + (alpha_i - 1)/alpha_i * log t_i - t_i)
+                   - (log det R + |W|**2 - |V|**2) / 2.
+
+    A fresh generator is seeded on every call.
     """
     n = int(n)
     if n < 1:
         raise DomainError(f"n must be at least 1, got {n}")
+    a = dist.alphas
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((n, dist.dim))
     V = W @ dist.correlation.chol.T
-    return (-log_ndtr(-V)) ** (1.0 / dist.alphas)
+    t = -log_ndtr(-V)
+    X = t ** (1.0 / a)
+    if not with_density:
+        return X, None
+    quad = np.einsum("ij,ij->i", W, W) - np.einsum("ij,ij->i", V, V)
+    log_fx = (np.log(t) @ ((a - 1.0) / a) - t.sum(axis=-1) - 0.5 * quad
+              + (float(np.sum(np.log(a))) - 0.5 * dist.correlation.log_det))
+    return X, log_fx
+
+
+def sample_inputs(n, dist, seed):
+    """Draw n joint samples, shape (n, d), reproducibly from seed.
+
+    X = (-log Phi(-V))**(1/alpha) for correlated normals V; see
+    ``_sample_with_log_density``, which draws the same X with its density.
+    """
+    return _sample_with_log_density(n, dist, seed, with_density=False)[0]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .distributions import joint_log_density, sample_inputs
+from .distributions import _sample_with_log_density
 from .errors import BadLossError, DomainError, FeasibilityError, TailMassError
 from .losses import LossModel
 from .transform import TransformParams, _check_beta, _weighted_stretch, extrapolation_factor
@@ -104,14 +104,15 @@ def value_at_risk(samples, beta):
         )
     m = float(logw.max())
     scaled = np.exp(logw - m)          # in (0, 1], so suffix sums stay bounded by n
-    order = np.argsort(losses, kind="stable")
-    uniq, start = np.unique(losses[order], return_index=True)
-    mass = np.add.reduceat(scaled[order], start)
-    above = np.cumsum(mass[::-1])[::-1]
-    above = np.concatenate([above[1:], [0.0]])   # scaled mass strictly above uniq[j]
+    order = np.argsort(losses)
+    above = np.cumsum(scaled[order][::-1])[::-1]
+    above = np.concatenate([above[1:], [0.0]])   # scaled mass after each sorted position
     with np.errstate(over="ignore"):
         threshold = beta * n * np.exp(-m)        # compare in linear space for exact ties
-    return float(uniq[int(np.argmax(above <= threshold))])
+    # above never rises along the order and, at the last member of a tie
+    # group, is the mass strictly above that loss: so the first position that
+    # qualifies holds the smallest qualifying loss, and ties need no grouping
+    return float(losses[order[int(np.argmax(above <= threshold))]])
 
 
 def _weighted_excess(samples, beta, var):
@@ -267,8 +268,7 @@ def _estimate(dist, loss, config, method, draws=None):
 
 def _draw(dist, config, params):
     """(X, log f(X)) for config's seed; the naive method (params None) gets no log f(X)."""
-    X = sample_inputs(config.n, dist, config.seed)
-    return X, (None if params is None else joint_log_density(X, dist))
+    return _sample_with_log_density(config.n, dist, config.seed, with_density=params is not None)
 
 
 def _weigh(dist, loss, beta, params, X, log_fx):

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import log_ndtr
 
 from tailshift import (
     CorrelationMatrix,
@@ -18,7 +19,7 @@ from tailshift import (
     sample_inputs,
     std_normal_quantile,
 )
-from tailshift.distributions import _normal_scores
+from tailshift.distributions import _normal_scores, _sample_with_log_density
 
 # Reference values for the normal quantile were produced with mpmath at 60
 # decimal digits (root of log(ncdf(x)) = log(p), seeded from the classic
@@ -310,3 +311,36 @@ class TestSampling:
         top = np.sort(X[:, 0])[-5:]
         vals = joint_log_density(top[:, None], onedim_dist)
         assert np.all(np.isfinite(vals))
+
+
+def _correlation(kind, dim, c):
+    """R of the given kind; c in [-0.15, 0.45] keeps both families positive definite."""
+    if kind == "identity" or dim == 1:
+        return CorrelationMatrix.identity(dim)
+    return getattr(CorrelationMatrix, kind)(dim, c)
+
+
+class TestClosedFormDraw:
+    @given(
+        st.integers(1, 6).flatmap(lambda d: st.tuples(
+            st.lists(st.floats(0.2, 3.0), min_size=d, max_size=d),
+            st.sampled_from(["identity", "equicorrelated", "tridiagonal"]),
+            st.floats(-0.15, 0.45),
+        )),
+        st.integers(1, 40),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(([0.2, 3.0, 1.0, 0.5, 2.0, 0.2], "equicorrelated", 0.45), 1, 0)
+    @example(([0.7], "identity", 0.0), 1, 5)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sampler_and_joint_density(self, model, n, seed):
+        alphas, kind, c = model
+        dist = DistributionSpec.from_alphas(alphas, _correlation(kind, len(alphas), c))
+        X, log_fx = _sample_with_log_density(n, dist, seed)
+        assert X.tobytes() == sample_inputs(n, dist, seed).tobytes()
+        # the sampler as first written: normals, Cholesky, normal cdf, quantile
+        W = np.random.default_rng(seed).standard_normal((n, len(alphas)))
+        want = (-log_ndtr(-(W @ dist.correlation.chol.T))) ** (1.0 / dist.alphas)
+        assert X.tobytes() == want.tobytes()
+        assert log_fx.shape == (n,)
+        np.testing.assert_allclose(log_fx, joint_log_density(X, dist), rtol=0.0, atol=1e-13)

@@ -26,12 +26,15 @@ from tailshift import (
     estimate,
     extrapolate,
     extrapolation_factor,
+    joint_log_density,
+    log_jacobian,
     log_likelihood_ratio,
     naive_var_cvar,
     sample_inputs,
     tail_probability,
     value_at_risk,
 )
+from tailshift.distributions import _sample_with_log_density
 
 THREE = [
     WeightedLossSample(5.0, math.log(0.12)),
@@ -126,6 +129,37 @@ class TestValueAtRisk:
             assert value_at_risk((losses, logw), beta) == want
             checked += 1
         assert checked > 150  # the guard branch should stay the minority
+
+    def test_brute_force_scan_with_tied_losses(self):
+        # few distinct losses, so most tie groups hold several samples of
+        # different weights, in whatever order the unstable sort leaves them
+        rng = np.random.default_rng(1)
+        checked = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 41))
+            losses = rng.integers(0, 5, size=n).astype(float)
+            logw = rng.normal(scale=1.0, size=n)
+            beta = float(rng.uniform(0.01, 0.6))
+            w = np.exp(logw)
+            if w.mean() <= beta:
+                continue
+            candidates = np.unique(losses)
+            tails = np.array([(w * (losses > u)).mean() for u in candidates])
+            assert value_at_risk((losses, logw), beta) == candidates[tails <= beta].min()
+            checked += 1
+        assert checked > 200
+
+    def test_unit_weight_ties_resolve_exactly(self):
+        # n a power of two, so beta * n is exactly the integer k: a candidate
+        # with exactly k losses above it meets the level with equality
+        rng = np.random.default_rng(2)
+        for n in (8, 16, 32, 64):
+            for _ in range(25):
+                losses = rng.integers(0, 6, size=n).astype(float)
+                k = int(rng.integers(1, n))
+                candidates = np.unique(losses)
+                above = np.array([np.count_nonzero(losses > u) for u in candidates])
+                assert value_at_risk((losses, np.zeros(n)), k / n) == candidates[above <= k].min()
 
     def test_extreme_log_weights(self):
         s = (np.array([1.0, 2.0, 3.0]), np.array([-1000.0, 0.0, 800.0]))
@@ -318,12 +352,11 @@ class TestEstimate:
             estimate(dist, linear, ISConfig(beta=beta, n=1000, seed=7, h=2.6))
 
     def test_one_stretch_pass_per_estimate(self, portfolio_dist, linear, monkeypatch):
-        import tailshift.distributions as dz
         import tailshift.estimators as ez
         import tailshift.transform as tz
 
         calls = {"log1p": 0, "sample": 0}
-        real_log1p, real_sample = tz._log1p_abs, dz.sample_inputs
+        real_log1p, real_sample = tz._log1p_abs, ez._sample_with_log_density
 
         def counted_log1p(x):
             calls["log1p"] += 1
@@ -334,27 +367,27 @@ class TestEstimate:
             return real_sample(*args, **kw)
 
         monkeypatch.setattr(tz, "_log1p_abs", counted_log1p)
-        monkeypatch.setattr(ez, "sample_inputs", counted_sample)
+        monkeypatch.setattr(ez, "_sample_with_log_density", counted_sample)
         estimate(portfolio_dist, linear, ISConfig(beta=1e-6, n=500, seed=3, h=2.6))
         assert calls == {"log1p": 1, "sample": 1}
 
     def test_naive_method_computes_no_density(self, portfolio_dist, linear, monkeypatch):
-        import tailshift.estimators as ez
+        import tailshift.distributions as dz
         import tailshift.transform as tz
 
         calls = []
-        real = ez.joint_log_density
+        real = dz.joint_log_density
 
         def counted(x, dist):
             calls.append(np.shape(x))
             return real(x, dist)
 
-        monkeypatch.setattr(ez, "joint_log_density", counted)
+        monkeypatch.setattr(dz, "joint_log_density", counted)
         monkeypatch.setattr(tz, "joint_log_density", counted)
         estimate(portfolio_dist, linear, ISConfig(beta=0.05, n=200, seed=3), method="naive")
         assert calls == []
         estimate(portfolio_dist, linear, ISConfig(beta=1e-6, n=200, seed=3, h=2.6))
-        assert calls == [(200, 10), (200, 10)]     # source and image, once each
+        assert calls == [(200, 10)]     # the image only: the source density comes with the draw
 
     def test_weighted_losses_compose_from_public_functions(self, portfolio_dist, linear,
                                                            monkeypatch):
@@ -372,9 +405,11 @@ class TestEstimate:
         estimate(portfolio_dist, linear, ISConfig(beta=beta, n=n, seed=seed, h=h))
         (losses, logw), = seen
         params = TransformParams(r=extrapolation_factor(beta, h), rho=linear.rho)
-        X = sample_inputs(n, portfolio_dist, seed)
-        want_losses = np.asarray(linear(extrapolate(X, params)), dtype=float)
-        want_logw = log_likelihood_ratio(X, portfolio_dist, params)
+        X, log_fx = _sample_with_log_density(n, portfolio_dist, seed)
+        assert X.tobytes() == sample_inputs(n, portfolio_dist, seed).tobytes()
+        Z = extrapolate(X, params)
+        want_losses = np.asarray(linear(Z), dtype=float)
+        want_logw = joint_log_density(Z, portfolio_dist) - log_fx + log_jacobian(X, params)
         assert losses.tobytes() == want_losses.tobytes()
         assert logw.tobytes() == want_logw.tobytes()
 

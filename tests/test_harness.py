@@ -290,13 +290,13 @@ class TestCrossValidation:
                                h_rule=FixedH(2.6), reps=50, base_seed=7)
         beta, grid, reps_cv = 1e-4, (0.3, 2.0, 3.0), 5      # h = 0.3 gives r < 1: skipped
         calls = {"sample": 0}
-        real_sample = ez.sample_inputs
+        real_sample = ez._sample_with_log_density
 
         def counted_sample(*args, **kw):
             calls["sample"] += 1
             return real_sample(*args, **kw)
 
-        monkeypatch.setattr(ez, "sample_inputs", counted_sample)
+        monkeypatch.setattr(ez, "_sample_with_log_density", counted_sample)
         result = cross_validate_h(cfg, grid, beta, reps_cv=reps_cv)
         assert calls["sample"] == reps_cv          # one draw per replication, not per h
 
@@ -319,16 +319,16 @@ class TestCrossValidation:
         import tailshift.estimators as ez
 
         drawn = []
-        real_sample = ez.sample_inputs
+        real_sample = ez._sample_with_log_density
 
-        def counted_sample(n, dist, seed):
+        def counted_sample(n, dist, seed, **kw):
             drawn.append(seed)
-            return real_sample(n, dist, seed)
+            return real_sample(n, dist, seed, **kw)
 
         cfg = ExperimentConfig(dist=portfolio_dist, loss=linear, betas=(1e-4,), n=200,
                                h_rule=FixedH(2.6), reps=50, base_seed=3)
         serial = cross_validate_h(cfg, (2.0, 2.6, 3.0), 1e-4, reps_cv=8)
-        monkeypatch.setattr(ez, "sample_inputs", counted_sample)
+        monkeypatch.setattr(ez, "_sample_with_log_density", counted_sample)
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
