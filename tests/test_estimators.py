@@ -108,46 +108,35 @@ class TestValueAtRisk:
         assert all(a >= b for a, b in zip(vars_, vars_[1:]))
         assert all(a >= b for a, b in zip(cvars, cvars[1:]))
 
-    def test_brute_force_scan_equivalence(self):
-        # direct scan of the weighted tail step function over every sample
-        # point, across many small random instances
-        rng = np.random.default_rng(0)
-        checked = 0
-        for _ in range(200):
-            n = int(rng.integers(1, 21))
-            losses = np.round(rng.exponential(size=n), 3)
-            logw = rng.normal(scale=1.0, size=n)
-            beta = float(rng.uniform(0.01, 0.6))
-            w = np.exp(logw)
-            if w.mean() <= beta:
-                with pytest.raises(TailMassError):
-                    value_at_risk((losses, logw), beta)
-                continue
-            candidates = np.unique(losses)
-            tails = np.array([(w * (losses > u)).mean() for u in candidates])
-            want = candidates[tails <= beta].min()
-            assert value_at_risk((losses, logw), beta) == want
-            checked += 1
-        assert checked > 150  # the guard branch should stay the minority
-
-    def test_brute_force_scan_with_tied_losses(self):
+    LOSS_DRAWS = (
+        lambda rng, n: np.round(rng.exponential(size=n), 3),
         # few distinct losses, so most tie groups hold several samples of
         # different weights, in whatever order the unstable sort leaves them
-        rng = np.random.default_rng(1)
-        checked = 0
-        for _ in range(300):
-            n = int(rng.integers(1, 41))
-            losses = rng.integers(0, 5, size=n).astype(float)
-            logw = rng.normal(scale=1.0, size=n)
-            beta = float(rng.uniform(0.01, 0.6))
-            w = np.exp(logw)
-            if w.mean() <= beta:
-                continue
-            candidates = np.unique(losses)
-            tails = np.array([(w * (losses > u)).mean() for u in candidates])
-            assert value_at_risk((losses, logw), beta) == candidates[tails <= beta].min()
-            checked += 1
-        assert checked > 200
+        lambda rng, n: rng.integers(0, 5, size=n).astype(float),
+    )
+
+    def test_brute_force_scan_equivalence(self):
+        # direct scan of the weighted tail step function over every sample
+        # point, across many small random instances of each loss draw
+        for draw_losses in self.LOSS_DRAWS:
+            rng = np.random.default_rng(0)
+            checked = 0
+            for _ in range(200):
+                n = int(rng.integers(1, 21))
+                losses = draw_losses(rng, n)
+                logw = rng.normal(scale=1.0, size=n)
+                beta = float(rng.uniform(0.01, 0.6))
+                w = np.exp(logw)
+                if w.mean() <= beta:
+                    with pytest.raises(TailMassError):
+                        value_at_risk((losses, logw), beta)
+                    continue
+                candidates = np.unique(losses)
+                tails = np.array([(w * (losses > u)).mean() for u in candidates])
+                want = candidates[tails <= beta].min()
+                assert value_at_risk((losses, logw), beta) == want
+                checked += 1
+            assert checked > 150  # the guard branch should stay the minority
 
     def test_unit_weight_ties_resolve_exactly(self):
         # n a power of two, so beta * n is exactly the integer k: a candidate
@@ -373,21 +362,28 @@ class TestEstimate:
 
     def test_naive_method_computes_no_density(self, portfolio_dist, linear, monkeypatch):
         import tailshift.distributions as dz
+        import tailshift.estimators as ez
         import tailshift.transform as tz
 
-        calls = []
-        real = dz.joint_log_density
+        calls, draws = [], []
+        real, real_draw = dz.joint_log_density, ez._sample_with_log_density
 
         def counted(x, dist):
             calls.append(np.shape(x))
             return real(x, dist)
 
+        def counted_draw(*args, **kw):
+            draws.append(kw.get("with_density", True))
+            return real_draw(*args, **kw)
+
         monkeypatch.setattr(dz, "joint_log_density", counted)
         monkeypatch.setattr(tz, "joint_log_density", counted)
+        monkeypatch.setattr(ez, "_sample_with_log_density", counted_draw)
         estimate(portfolio_dist, linear, ISConfig(beta=0.05, n=200, seed=3), method="naive")
-        assert calls == []
+        assert calls == [] and draws == [False]
         estimate(portfolio_dist, linear, ISConfig(beta=1e-6, n=200, seed=3, h=2.6))
         assert calls == [(200, 10)]     # the image only: the source density comes with the draw
+        assert draws == [False, True]
 
     def test_weighted_losses_compose_from_public_functions(self, portfolio_dist, linear,
                                                            monkeypatch):
