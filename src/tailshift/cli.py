@@ -284,7 +284,7 @@ def _reject_grid(spec, methods=None):
 
 
 def cmd_estimate(spec, out_dir):
-    """One estimation per (method, beta); rows flagged on failure."""
+    """One estimation per (method, beta); a failed row carries its status tag."""
     _reject_grid(spec)
     single = replace(spec.experiment, reps=1)
     rows = [r for method in spec.methods for r in run_replications(single, method).rows]

@@ -93,47 +93,12 @@ def value_at_risk(samples, beta):
     every threshold would qualify; failing that raises TailMassError
     ("beta too large for sampled tail mass"), naming the mean weight.
     """
-    losses, logw = _as_arrays(samples)
-    beta = _check_beta(beta)
-    n = losses.size
-    log_mean = logsumexp(logw) - math.log(n)
-    if log_mean <= math.log(beta):
-        raise TailMassError(
-            f"beta too large for sampled tail mass: mean weight {math.exp(log_mean):.3g} = "
-            f"exp({log_mean:.4g}) <= beta = {beta:g}; h is too large for this model (try a smaller h)"
-        )
-    m = float(logw.max())
-    scaled = np.exp(logw - m)          # in (0, 1], so suffix sums stay bounded by n
-    order = np.argsort(losses)
-    above = np.cumsum(scaled[order][::-1])[::-1]
-    above = np.concatenate([above[1:], [0.0]])   # scaled mass after each sorted position
-    with np.errstate(over="ignore"):
-        threshold = beta * n * np.exp(-m)        # compare in linear space for exact ties
-    # above never rises along the order and, at the last member of a tie
-    # group, is the mass strictly above that loss: so the first position that
-    # qualifies holds the smallest qualifying loss, and ties need no grouping
-    return float(losses[order[int(np.argmax(above <= threshold))]])
-
-
-def _weighted_excess(samples, beta, var):
-    """(n, checked beta, m, exp(logw - m), (loss - var)+), m the largest log weight."""
-    losses, logw = _as_arrays(samples)
-    beta = _check_beta(beta)
-    m = float(logw.max())
-    if m == -np.inf:
-        m = 0.0                        # every weight is zero: scaled weights are exact zeros
-    return losses.size, beta, m, np.exp(logw - m), np.maximum(losses - var, 0.0)
+    return _tail(samples, beta)[0]
 
 
 def cvar(samples, beta, var):
     """Tail average var + mean(weight * (loss - var)+) / beta."""
-    n, beta, m, scaled, excess = _weighted_excess(samples, beta, var)
-    shifted = float(scaled @ excess)
-    if shifted == 0.0:
-        # nothing above var: exp(m) may be inf here and inf * 0 is nan
-        return float(var)
-    with np.errstate(over="ignore"):
-        return float(var + np.exp(m) * shifted / (n * beta))
+    return _tail(samples, beta, var)[1]
 
 
 def cvar_standard_error(samples, beta, var):
@@ -142,22 +107,70 @@ def cvar_standard_error(samples, beta, var):
     sqrt(sample variance of weight * (loss - var)+ over n) / beta, with the
     n - 1 divisor.  A single sample has no variance estimate, so n >= 2.
     """
-    n, beta, m, scaled, excess = _weighted_excess(samples, beta, var)
-    if n < 2:
+    se = _tail(samples, beta, var)[2]
+    if math.isnan(se):
         raise DomainError("standard error needs at least two samples")
-    spread = math.sqrt(np.var(scaled * excess, ddof=1) / n)
-    if spread == 0.0:
-        return 0.0
-    with np.errstate(over="ignore"):
-        return float(np.exp(m) * spread / beta)
+    return se
 
 
 def naive_var_cvar(losses, beta):
     """Plain empirical (value at risk, cvar) at level beta: unit weights."""
     losses = np.asarray(losses, dtype=float)
-    pair = (losses, np.zeros(losses.shape))
-    v = value_at_risk(pair, beta)
-    return v, cvar(pair, beta, v)
+    return _tail((losses, np.zeros(losses.shape)), beta)[:2]
+
+
+def _tail(samples, beta, var=None):
+    """(var, cvar, se) at beta of weighted samples; var is estimated when None.
+
+    Everything is read off one validated, scaled weight vector
+    exp(log w - m), m the largest log weight.  se is nan for one sample.
+    """
+    losses, logw = _as_arrays(samples)
+    beta = _check_beta(beta)
+    n = losses.size
+    m = float(logw.max())
+    if m == -np.inf:
+        m = 0.0                        # every weight is zero: scaled weights are exact zeros
+    scaled = np.exp(logw - m)          # in [0, 1], so suffix sums stay bounded by n
+    if var is None:
+        order = np.argsort(losses)
+        above = np.cumsum(scaled[order][::-1])[::-1]
+        with np.errstate(over="ignore"):
+            threshold = beta * n * np.exp(-m)    # compare in linear space for exact ties
+        if above[0] <= threshold:                # the total mass: every threshold qualifies
+            log_mean = m + math.log(above[0] / n) if above[0] > 0.0 else -math.inf
+            raise TailMassError(
+                f"beta too large for sampled tail mass: mean weight {math.exp(log_mean):.3g} = "
+                f"exp({log_mean:.4g}) <= beta = {beta:g}; h is too large for this model "
+                f"(try a smaller h)"
+            )
+        above = np.concatenate([above[1:], [0.0]])   # scaled mass after each sorted position
+        # above never rises along the order and, at the last member of a tie
+        # group, is the mass strictly above that loss: so the first position that
+        # qualifies holds the smallest qualifying loss, and ties need no grouping
+        var = losses[order[int(np.argmax(above <= threshold))]]
+    var = float(var)
+    excess = np.maximum(losses - var, 0.0)
+    shifted = float(scaled @ excess)
+    spread = math.sqrt(np.var(scaled * excess, ddof=1) / n) if n > 1 else math.nan
+    with np.errstate(over="ignore"):
+        # exp(m) may be inf where nothing lies above var, and inf * 0 is nan
+        c = var if shifted == 0.0 else float(var + np.exp(m) * shifted / (n * beta))
+        se = float(np.exp(m) * spread / beta) if spread > 0.0 else spread
+    return var, c, se
+
+
+def _count(name, value, low):
+    """value as an int, checked to be a whole number (not a bool) of at least low (0 or 1)."""
+    # bool is an int subclass, but True is no count
+    if isinstance(value, bool) or not (
+            isinstance(value, (int, np.integer))
+            or isinstance(value, float) and value.is_integer()):
+        raise DomainError(f"{name} must be a whole number, got {value!r}")
+    value = int(value)
+    if value < low:
+        raise DomainError(f"{name} must be {'positive' if low else 'nonnegative'}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -174,15 +187,8 @@ class ISConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", _check_beta(self.beta))
-        # bool is an int subclass, but True is no sample count or seed
-        if isinstance(self.n, bool) or not (
-                isinstance(self.n, (int, np.integer)) and int(self.n) >= 1):
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
-                or int(self.seed) < 0):
-            raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "n", _count("n", self.n, 1))
+        object.__setattr__(self, "seed", _count("seed", self.seed, 0))
         if self.h is not None:
             object.__setattr__(self, "h", float(self.h))
 
@@ -281,10 +287,9 @@ def _weigh(dist, loss, beta, params, X, log_fx):
     if not np.all(np.isfinite(losses)):
         bad = int(np.count_nonzero(~np.isfinite(losses)))
         raise BadLossError(f"the loss returned {bad} non-finite values out of {losses.size}")
-    pair = (losses, logw)
-    v = value_at_risk(pair, beta)
+    v, c, se = _tail((losses, logw), beta)
     if not np.any(losses > v):
         raise TailMassError(
             f"no sampled loss lies above var = {v:g} at beta = {beta:g}; the tail is empty"
         )
-    return v, cvar(pair, beta, v), cvar_standard_error(pair, beta, v)
+    return v, c, se

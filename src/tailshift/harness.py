@@ -17,7 +17,7 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from .errors import BadLossError, DomainError, EstimationError, FeasibilityError
-from .estimators import ISConfig, _estimate, estimate
+from .estimators import ISConfig, _count, _estimate, estimate
 from .losses import LossModel
 from .transform import _check_beta, extrapolation_factor
 
@@ -115,17 +115,7 @@ class ExperimentConfig:
             raise DomainError(f"beta levels must be distinct, got {betas}")
         object.__setattr__(self, "betas", betas)
         for name, low in (("n", 1), ("reps", 1), ("threads", 1), ("base_seed", 0)):
-            value = getattr(self, name)
-            # bool is an int subclass, but True is no count
-            if isinstance(value, bool) or not (
-                    isinstance(value, (int, np.integer))
-                    or isinstance(value, float) and value.is_integer()):
-                raise DomainError(f"{name} must be a whole number, got {value!r}")
-            value = int(value)
-            if value < low:
-                raise DomainError(
-                    f"{name} must be {'positive' if low else 'nonnegative'}, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _count(name, getattr(self, name), low))
 
 
 def derive_seed(base_seed, beta_index, method, rep):
@@ -221,11 +211,11 @@ def run_replications(config, method, *, _draws=None):
     """Run reps independent estimations at every beta level.
 
     The naive method is attempted only where n * beta >= 5; infeasible
-    levels still get their rows, tagged "infeasible", so downstream
-    summaries can flag them.  Other estimation failures inside a
-    replication are recorded the same way rather than aborting: "tail-mass"
-    (too little weighted mass, or no sample above var) and "bad-loss" (the
-    loss raised or returned a non-finite value).
+    levels still get their rows, carrying the status tag "infeasible".
+    Other estimation failures inside a replication are recorded the same
+    way rather than aborting: "tail-mass" (too little weighted mass, or no
+    sample above var) and "bad-loss" (the loss raised or returned a
+    non-finite value).
 
     _draws is cross_validate_h's memo of importance draws by seed, shared
     by its per-h calls.  The seeds of one call are distinct, so the workers

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,17 @@ class TestValueAtRisk:
                 candidates = np.unique(losses)
                 above = np.array([np.count_nonzero(losses > u) for u in candidates])
                 assert value_at_risk((losses, np.zeros(n)), k / n) == candidates[above <= k].min()
+
+    def test_all_zero_weights(self):
+        # every log weight -inf: the largest is taken as 0, so the scaled
+        # weights are exact zeros and nothing warns
+        s = (np.array([1.0, 2.0, 3.0]), np.full(3, -np.inf))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TailMassError, match=re.escape("mean weight 0 = exp(-inf)")):
+                value_at_risk(s, 0.1)
+            assert cvar(s, 0.1, 2.0) == 2.0
+            assert cvar_standard_error(s, 0.1, 2.0) == 0.0
 
     def test_extreme_log_weights(self):
         s = (np.array([1.0, 2.0, 3.0]), np.array([-1000.0, 0.0, 800.0]))
@@ -344,8 +356,9 @@ class TestEstimate:
         import tailshift.estimators as ez
         import tailshift.transform as tz
 
-        calls = {"log1p": 0, "sample": 0}
+        calls = {"log1p": 0, "sample": 0, "as_arrays": 0}
         real_log1p, real_sample = tz._log1p_abs, ez._sample_with_log_density
+        real_as_arrays = ez._as_arrays
 
         def counted_log1p(x):
             calls["log1p"] += 1
@@ -355,10 +368,16 @@ class TestEstimate:
             calls["sample"] += 1
             return real_sample(*args, **kw)
 
+        def counted_as_arrays(samples):
+            calls["as_arrays"] += 1
+            return real_as_arrays(samples)
+
         monkeypatch.setattr(tz, "_log1p_abs", counted_log1p)
         monkeypatch.setattr(ez, "_sample_with_log_density", counted_sample)
+        monkeypatch.setattr(ez, "_as_arrays", counted_as_arrays)
         estimate(portfolio_dist, linear, ISConfig(beta=1e-6, n=500, seed=3, h=2.6))
-        assert calls == {"log1p": 1, "sample": 1}
+        # var, cvar and se come from one validated pass over the weighted losses
+        assert calls == {"log1p": 1, "sample": 1, "as_arrays": 1}
 
     def test_naive_method_computes_no_density(self, portfolio_dist, linear, monkeypatch):
         import tailshift.distributions as dz
@@ -390,13 +409,13 @@ class TestEstimate:
         import tailshift.estimators as ez
 
         seen = []
-        real_var = ez.value_at_risk
+        real_tail = ez._tail
 
-        def recording_var(samples, beta):
+        def recording_tail(samples, beta, var=None):
             seen.append(samples)
-            return real_var(samples, beta)
+            return real_tail(samples, beta, var)
 
-        monkeypatch.setattr(ez, "value_at_risk", recording_var)
+        monkeypatch.setattr(ez, "_tail", recording_tail)
         beta, n, seed, h = 1e-6, 800, 11, 2.6
         estimate(portfolio_dist, linear, ISConfig(beta=beta, n=n, seed=seed, h=h))
         (losses, logw), = seen
