@@ -127,12 +127,21 @@ def _parse_loss(spec, base_dir):
         raise ConfigError(f"bad network weights: {exc}", field="loss") from None
 
 
+def _finite(value, field):
+    """value unchanged if finite; a ConfigError naming field if it is nan or infinite."""
+    if not math.isfinite(value):
+        raise ConfigError(f"must be finite, got {value!r}", field=field)
+    return value
+
+
 def _parse_h_rule(spec):
+    # json reads NaN and Infinity, and --h arrives here as a number
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return FixedH(float(spec)), {"fixed": float(spec)}
+        h = _finite(_convert(spec, float, "h"), "h")
+        return FixedH(h), {"fixed": h}
     if isinstance(spec, dict):
         if "fixed" in spec:
-            h = _convert(spec["fixed"], float, "h.fixed")
+            h = _finite(_convert(spec["fixed"], float, "h.fixed"), "h.fixed")
             return FixedH(h), {"fixed": h}
         if "grid" in spec:
             try:
@@ -150,6 +159,8 @@ def _parse_h_rule(spec):
                     rule = AffineH(float(a), float(b))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad affine h rule: {exc}", field="h.affine") from None
+            for coefficient in (rule.intercept, rule.slope):
+                _finite(coefficient, "h.affine")
             return rule, {"affine": {"intercept": rule.intercept, "slope": rule.slope}}
     raise ConfigError("must be a number, {'fixed': v}, {'grid': [...]} or "
                       "{'affine': {'intercept': a, 'slope': b}}", field="h")

@@ -9,6 +9,12 @@ Log densities are evaluated from the normal scores directly rather than by
 composing CDF and quantile calls.  Far out in the tail the CDF rounds to 1.0
 in double precision, which would destroy the copula term exactly where the
 stretched samples live; working with exp(-x**alpha) in log form avoids that.
+
+The kernels work on samples held component-major: a C-contiguous (d, n)
+array in which each component's n values sit next to each other.  numpy
+reduces a short trailing axis slowly (a row max over a (1e5, 10) array takes
+about 12 times as long as the same max over the (10, 1e5) layout), and every
+density and the stretch reduce over the d components.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve
+from scipy.linalg.blas import dgemm
 from scipy.special import log_ndtr, ndtri, ndtri_exp
 
 from .errors import DomainError
@@ -94,6 +101,11 @@ class MarginalSpec:
 class CorrelationMatrix:
     """A validated correlation matrix with its Cholesky factor cached.
 
+    Beside the factor ``chol`` it caches R^-1 - I, the matrix of the copula
+    quadratic form s'(R^-1 - I)s, so a copula density is one product with a
+    (d, d) matrix and no triangular solve.  R^-1 - I is exactly zero when R
+    is the identity.
+
     Parameters
     ----------
     matrix : array_like, shape (d, d)
@@ -102,7 +114,7 @@ class CorrelationMatrix:
 
     def __init__(self, matrix):
         try:
-            R = np.array(matrix, dtype=float)
+            R = np.array(matrix, dtype=float, order="C")
         except (TypeError, ValueError):
             raise DomainError("correlation matrix entries must be numbers") from None
         if R.ndim != 2 or R.shape[0] != R.shape[1]:
@@ -117,10 +129,13 @@ class CorrelationMatrix:
             chol = np.linalg.cholesky(R)
         except np.linalg.LinAlgError:
             raise DomainError("correlation matrix is not positive definite") from None
-        R.setflags(write=False)
-        chol.setflags(write=False)
+        eye = np.eye(R.shape[0])
+        inv_minus_identity = np.ascontiguousarray(cho_solve((chol, True), eye) - eye)
+        for arr in (R, chol, inv_minus_identity):
+            arr.setflags(write=False)
         self.matrix = R
         self.chol = chol
+        self._inv_minus_identity = inv_minus_identity
         self.dim = R.shape[0]
         self.log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
 
@@ -205,21 +220,49 @@ def _validate_vectors(x, dim, name="x"):
     return x
 
 
-def _normal_scores(x, alphas):
-    """Normal scores z with Phi(z) = 1 - exp(-x**alpha), componentwise.
+def _component_major(x):
+    """A vector (d,) or batch (n, d) as the kernels' C-contiguous (d, n) layout.
 
-    The tail probability exp(-x**alpha) goes to ndtri_exp in log form, so
-    the score stays accurate even when the CDF is within one ulp of 1;
-    ndtri_exp switches to its own near-zero form for small x**alpha.
+    A vector becomes one column (d, 1).  The kernels hand batches around as
+    F-ordered (n, d) views of (d, n) arrays, which pass through without a
+    copy; a C-ordered batch from a caller is copied once.
     """
-    return -ndtri_exp(-(x ** alphas))
+    return np.ascontiguousarray(np.atleast_2d(x).T)
 
 
-def _copula_log_density_from_scores(z, correlation):
-    y = solve_triangular(correlation.chol, np.moveaxis(np.atleast_2d(z), -1, 0), lower=True)
-    quad = np.sum(y * y, axis=0) - np.sum(np.atleast_2d(z) ** 2, axis=-1)
-    out = -0.5 * (correlation.log_det + quad)
-    return out.reshape(np.asarray(z).shape[:-1])
+def _sum_components(a):
+    """Sum over the d components of a (d, n) array, in index order.
+
+    np.sum(a, axis=0) adds the rows in order only while n > 1; a single
+    column is summed pairwise.  The fixed order keeps a sample's value
+    independent of the size of the batch it comes in.
+    """
+    out = a[0].copy()
+    for row in a[1:]:
+        out += row
+    return out
+
+
+def _normal_scores(p):
+    """Normal scores z with Phi(z) = 1 - exp(-p) of the powers p = x**alpha, componentwise.
+
+    The tail probability exp(-p) goes to ndtri_exp in log form, so the score
+    stays accurate even when the CDF is within one ulp of 1; ndtri_exp
+    switches to its own near-zero form for small p.
+    """
+    return -ndtri_exp(-p)
+
+
+def _copula_log_density_from_scores(s, correlation):
+    """Copula log density -(log det R + s'(R^-1 - I)s)/2 at scores s, shape (d, n).
+
+    The quadratic form is one product with the cached R^-1 - I.  It goes
+    through BLAS dgemm even for a single column, where numpy's matmul would
+    switch to a matrix-vector kernel that rounds differently, so a sample's
+    density does not depend on its batch.  Returns shape (n,).
+    """
+    q = dgemm(1.0, s.T, correlation._inv_minus_identity.T).T
+    return -0.5 * (correlation.log_det + _sum_components(s * q))
 
 
 def copula_log_density(u, correlation):
@@ -238,7 +281,8 @@ def copula_log_density(u, correlation):
         of u.  Exactly 0 when R is the identity.
     """
     u = _validate_vectors(u, correlation.dim, name="u")
-    out = _copula_log_density_from_scores(std_normal_quantile(u), correlation)
+    scores = _component_major(std_normal_quantile(u))
+    out = _copula_log_density_from_scores(scores, correlation).reshape(u.shape[:-1])
     return float(out) if out.ndim == 0 else out
 
 
@@ -251,10 +295,12 @@ def joint_log_density(x, dist):
     x = _validate_vectors(x, dist.dim)
     if np.any(x <= 0.0) or np.any(~np.isfinite(x)):
         raise DomainError("x components must be strictly positive and finite")
-    a = dist.alphas
-    marg = np.sum(np.log(a) + (a - 1.0) * np.log(x) - x ** a, axis=-1)
-    cop = _copula_log_density_from_scores(_normal_scores(x, a), dist.correlation)
-    out = marg + cop
+    xc = _component_major(x)
+    a = dist.alphas[:, None]
+    p = xc ** a
+    marg = _sum_components(np.log(a) + (a - 1.0) * np.log(xc) - p)
+    cop = _copula_log_density_from_scores(_normal_scores(p), dist.correlation)
+    out = (marg + cop).reshape(x.shape[:-1])
     return float(out) if out.ndim == 0 else out
 
 
@@ -271,7 +317,10 @@ def _sample_with_log_density(n, dist, seed, with_density=True):
         log f(X) = sum_i (log alpha_i + (alpha_i - 1)/alpha_i * log t_i - t_i)
                    - (log det R + |W|**2 - |V|**2) / 2.
 
-    A fresh generator is seeded on every call.
+    V is formed row-major: the product's rounding, and so X for a given
+    seed, depends on the operand layout.  From -V on the work runs
+    component-major, and X comes back as an F-ordered (n, d) view.  A fresh
+    generator is seeded on every call.
     """
     n = int(n)
     if n < 1:
@@ -280,12 +329,13 @@ def _sample_with_log_density(n, dist, seed, with_density=True):
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((n, dist.dim))
     V = W @ dist.correlation.chol.T
-    t = -log_ndtr(-V)
-    X = t ** (1.0 / a)
+    neg_v = np.negative(V.T, order="C")
+    t = -log_ndtr(neg_v)
+    X = (t ** (1.0 / a[:, None])).T
     if not with_density:
         return X, None
-    quad = np.einsum("ij,ij->i", W, W) - np.einsum("ij,ij->i", V, V)
-    log_fx = (np.log(t) @ ((a - 1.0) / a) - t.sum(axis=-1) - 0.5 * quad
+    quad = np.einsum("ij,ij->i", W, W) - np.einsum("ij,ij->j", neg_v, neg_v)
+    log_fx = (((a - 1.0) / a) @ np.log(t) - _sum_components(t) - 0.5 * quad
               + (float(np.sum(np.log(a))) - 0.5 * dist.correlation.log_det))
     return X, log_fx
 

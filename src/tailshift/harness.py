@@ -83,6 +83,8 @@ class GridH:
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise DomainError("h grid must not be empty")
+        if not all(math.isfinite(v) for v in vals):
+            raise DomainError(f"h grid values must be finite, got {list(vals)}")
         object.__setattr__(self, "values", vals)
 
     def h_for(self, beta):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _validate_vectors
+from .distributions import _component_major, _sum_components, _validate_vectors
 from .errors import BadLossError, DomainError, WeightsDimensionError, WeightsFormatError
 
 __all__ = [
@@ -51,7 +51,7 @@ def linear_loss(x):
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] == 0:
         raise DomainError(f"linear_loss expects a nonempty vector or batch, got shape {x.shape}")
-    out = np.sum(x, axis=-1)
+    out = _sum_components(_component_major(x)).reshape(x.shape[:-1])
     return float(out) if out.ndim == 0 else out
 
 
@@ -242,6 +242,8 @@ class LossModel:
         try:
             if x.ndim == 1:
                 return float(self.func(x))
-            return np.array([float(self.func(row)) for row in x])
+            # built-in losses take the kernel's F-ordered batches as they are; a
+            # callable gets C-contiguous rows, as it would from its own arrays
+            return np.array([float(self.func(row)) for row in np.ascontiguousarray(x)])
         except Exception as exc:    # the user's code: any failure is a bad loss
             raise BadLossError(f"the external loss raised {type(exc).__name__}: {exc}") from exc

@@ -15,7 +15,9 @@ averages over stretched samples unbiased for the original distribution:
 log density at the image, minus log density at the source, plus the log
 Jacobian determinant of the map.  One log-space pass over x yields the
 image, the log Jacobian and the log weight; ``extrapolate``,
-``log_jacobian`` and ``log_likelihood_ratio`` are its projections.
+``log_jacobian`` and ``log_likelihood_ratio`` are its projections.  The
+pass runs on the component-major (d, n) layout of ``distributions``; a
+batch image comes back as an F-ordered (n, d) view of it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import joint_log_density
+from .distributions import _component_major, _sum_components, joint_log_density
 from .errors import DomainError
 
 __all__ = [
@@ -47,10 +49,12 @@ def _check_beta(beta):
 def extrapolation_factor(beta, h):
     """Stretch factor r = h * log log(1/beta) for tail level beta.
 
-    Requires beta < 1/e (otherwise the iterated logarithm is not positive)
-    and a resulting r > 1 (otherwise nothing is pushed outward).
+    Requires a finite h, beta < 1/e (otherwise the iterated logarithm is
+    not positive) and a resulting r > 1 (otherwise nothing is pushed outward).
     """
     _check_beta(beta)
+    if not math.isfinite(h):
+        raise DomainError(f"h must be finite, got {h!r}")
     if beta >= 1.0 / math.e:
         raise DomainError(
             f"extrapolation undefined for beta >= 1/e (got beta = {beta:g}); "
@@ -87,16 +91,19 @@ class TransformParams:
 
 
 def _log1p_abs(x):
+    """x, |x| and log1p|x| as component-major (d, n) arrays, and the (n,) max of log1p|x|."""
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] == 0:
         raise DomainError(f"x must be a nonempty vector or batch of vectors, got shape {np.shape(x)}")
     if np.any(~np.isfinite(x)):
         raise DomainError("x components must be finite")
-    logs = np.log1p(np.abs(x))
-    M = np.max(logs, axis=-1, keepdims=True)
+    xc = _component_major(x)
+    ax = np.abs(xc)
+    logs = np.log1p(ax)
+    M = np.max(logs, axis=0)
     if np.any(M == 0.0):
         raise DomainError("x must have at least one nonzero component")
-    return x, logs, M
+    return xc, ax, logs, M
 
 
 def stretch_exponents(x, rho):
@@ -108,21 +115,22 @@ def stretch_exponents(x, rho):
     """
     if not rho > 0:
         raise DomainError(f"rho must be positive, got {rho!r}")
-    _, logs, M = _log1p_abs(x)
-    return (logs / M) / rho
+    _, _, logs, M = _log1p_abs(x)
+    return ((logs / M) / rho).T.reshape(np.shape(x))
 
 
 def _stretch(x, params):
-    """(extrapolate(x), log_jacobian(x)), taking log1p|x| and its row max once."""
-    x, logs, M = _log1p_abs(x)
-    z = x * params.r ** ((logs / M) / params.rho)
+    """(extrapolate(x), log_jacobian(x)), taking log1p|x| and its max over components once."""
+    xc, ax, logs, M = _log1p_abs(x)
+    z = xc * params.r ** ((logs / M) / params.rho)
     logr = math.log(params.r)
     c = logr / (params.rho * M)
-    g = np.abs(x) / (1.0 + np.abs(x))
-    log_diag = np.log1p(c * g)
-    esum = np.sum(logs, axis=-1) / (params.rho * M[..., 0])
-    log_jac = np.sum(log_diag, axis=-1) + esum * logr - np.max(log_diag, axis=-1)
-    return z, (float(log_jac) if log_jac.ndim == 0 else log_jac)
+    log_diag = np.log1p(c * (ax / (1.0 + ax)))
+    esum = _sum_components(logs) / (params.rho * M)
+    log_jac = _sum_components(log_diag) + esum * logr - np.max(log_diag, axis=0)
+    shape = np.shape(x)
+    log_jac = log_jac.reshape(shape[:-1])
+    return z.T.reshape(shape), (float(log_jac) if log_jac.ndim == 0 else log_jac)
 
 
 def extrapolate(x, params):

@@ -316,6 +316,23 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert "rho must be positive" in err and "bad network weights" not in err
 
+    @pytest.mark.parametrize("command, field, h, argv", [
+        ("estimate", "h", math.nan, []),
+        ("estimate", "h", 10**400, []),     # past the float range
+        ("estimate", "h.fixed", {"fixed": math.inf}, []),
+        ("estimate", "h.affine", {"affine": {"intercept": 2.0, "slope": math.nan}}, []),
+        ("estimate", "h", 2.6, ["--h", "nan"]),
+        ("crossval", "h.grid", {"grid": [math.nan, 2.0]}, []),
+    ])
+    def test_non_finite_h_exits_1_naming_the_field(self, tmp_path, capsys, command, field, h,
+                                                   argv):
+        # json.dumps writes NaN and Infinity, which the config reader accepts
+        cfg = write_config(tmp_path, dict(MINIMAL, betas=[1e-4], n=300, reps=4, h=h))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out), *argv]) == 1
+        assert f"config field '{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_h_rejected_outside_crossval(self, tmp_path, capsys):
         doc = dict(MINIMAL, h={"grid": [2.0, 3.0]})
         cfg = write_config(tmp_path, doc)

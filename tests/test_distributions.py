@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.linalg import solve_triangular
 from scipy.special import log_ndtr
 
 from tailshift import (
@@ -95,7 +96,7 @@ class TestNormalScores:
     def test_oracle_points(self):
         t = np.array(list(SCORE_ORACLE))
         want = np.array(list(SCORE_ORACLE.values()))
-        got = _normal_scores(t[:, None], np.array([1.0]))[:, 0]
+        got = _normal_scores(t)
         np.testing.assert_allclose(got, want, rtol=0, atol=4e-15)
 
     @pytest.mark.parametrize("model", ["portfolio", "pert", "alpha 0.02"])
@@ -107,7 +108,7 @@ class TestNormalScores:
         n, seed = 2000, 31
         X = sample_inputs(n, dist, seed)
         V = np.random.default_rng(seed).standard_normal((n, dist.dim)) @ dist.correlation.chol.T
-        np.testing.assert_allclose(_normal_scores(X, dist.alphas), V, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(_normal_scores(X ** dist.alphas), V, rtol=0, atol=1e-13)
 
 
 class TestMarginal:
@@ -224,6 +225,35 @@ class TestCopula:
         with pytest.raises(DomainError):
             copula_log_density(np.array([0.5, 1.0]), R)
 
+    @given(
+        st.integers(1, 12).flatmap(lambda d: st.tuples(
+            st.just(d),
+            st.sampled_from(["identity", "equicorrelated", "tridiagonal"]),
+            st.floats(-0.08, 0.45),     # equicorrelated needs c > -1/(d - 1)
+        )),
+        st.integers(1, 30),
+        st.integers(0, 2**32 - 1),
+    )
+    @example((12, "equicorrelated", 0.45), 30, 0)
+    @example((7, "identity", 0.0), 1, 5)
+    @settings(max_examples=150, deadline=None)
+    def test_quadratic_form_matches_triangular_solve(self, model, n, seed):
+        # the copula term is -(log det R + s'(R^-1 - I)s)/2; the reference
+        # takes s'R^-1 s as |L^-1 s|^2 with one triangular solve per batch
+        d, kind, c = model
+        R = _correlation(kind, d, c)
+        u = np.random.default_rng(seed).uniform(1e-12, 1.0 - 1e-12, (n, d))
+        s = std_normal_quantile(u)
+        y = solve_triangular(R.chol, s.T, lower=True)
+        want = -0.5 * (R.log_det + np.sum(y * y, axis=0) - np.sum(s * s, axis=1))
+        got = copula_log_density(u, R)
+        # the reference subtracts terms of size |s|^2, so its own rounding
+        # error scales with them
+        scale = abs(R.log_det) + np.sum(s * s, axis=1)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), scale))
+        if kind == "identity" or d == 1:
+            assert np.all(got == 0.0)
+
     def test_symmetric_in_exchangeable_case(self):
         R = CorrelationMatrix.equicorrelated(2, 0.35)
         a = copula_log_density(np.array([0.2, 0.7]), R)
@@ -243,6 +273,15 @@ class TestJointDensity:
         X = rng.uniform(0.1, 4.0, size=(8, 7))
         batch = joint_log_density(X, pert_dist)
         single = np.array([joint_log_density(row, pert_dist) for row in X])
+        np.testing.assert_array_equal(batch, single)
+
+    def test_batch_rows_match_single_calls_past_eight_components(self, portfolio_dist):
+        # a single row takes other numpy and BLAS paths than a batch (pairwise
+        # sums from eight contiguous values on, matrix-vector kernels); the
+        # densities keep one order of operations for both
+        X = sample_inputs(5, portfolio_dist, seed=8)
+        batch = joint_log_density(X, portfolio_dist)
+        single = np.array([joint_log_density(row, portfolio_dist) for row in X])
         np.testing.assert_array_equal(batch, single)
 
     def test_density_integrates_to_one(self):

@@ -56,6 +56,11 @@ class TestHRules:
         with pytest.raises(DomainError):
             GridH(())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_grid_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            GridH((2.0, bad))
+
     def test_pert_rule_endpoints(self):
         assert pert_h_rule.h_for(1.0) == 2.0
         assert math.isclose(pert_h_rule.h_for(math.exp(-5.0)), 5.0, rel_tol=1e-14)

@@ -11,14 +11,19 @@ from hypothesis import strategies as st
 from tailshift import (
     BadLossError,
     DomainError,
+    ExperimentConfig,
+    FixedH,
+    ISConfig,
     LossModel,
     ReluNetParams,
     WeightsDimensionError,
     WeightsFormatError,
+    estimate,
     linear_loss,
     load_relu_params,
     pert_completion_time,
     relu_net_loss,
+    run_replications,
     save_relu_params,
     synthetic_relu_params,
 )
@@ -228,6 +233,24 @@ class TestLossModel:
         np.testing.assert_array_equal(L(X), [5.0, 3.0])
         assert len(calls) == 2
         assert L.rho == 2.0
+
+    def test_external_rows_are_c_contiguous(self, portfolio_dist):
+        # the kernel hands losses F-ordered batches; a callable still gets
+        # contiguous row vectors, through one estimate and a replication table
+        seen = []
+
+        def total(x):
+            seen.append(x.flags.c_contiguous)
+            return float(np.sum(x))
+
+        loss = LossModel.external(total, rho=1.0)
+        for method in ("is", "naive"):
+            estimate(portfolio_dist, loss, ISConfig(beta=0.05, n=200, seed=5, h=2.6), method)
+        cfg = ExperimentConfig(dist=portfolio_dist, loss=loss, betas=(0.05,), n=200,
+                               h_rule=FixedH(2.6), reps=2, base_seed=9)
+        for method in ("is", "naive"):
+            assert all(r.status == "ok" for r in run_replications(cfg, method).rows)
+        assert len(seen) == 6 * 200 and all(seen)
 
     def test_external_failures_become_bad_loss(self):
         def diverges(x):

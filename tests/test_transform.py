@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailshift import (
+    CorrelationMatrix,
     DistributionSpec,
     DomainError,
     TransformParams,
+    copula_log_density,
     extrapolate,
     extrapolation_factor,
+    joint_log_density,
     log_jacobian,
     log_likelihood_ratio,
     sample_inputs,
@@ -46,6 +49,11 @@ class TestExtrapolationFactor:
             extrapolation_factor(0.0, 2.0)
         with pytest.raises(DomainError):
             extrapolation_factor(1e-6, 0.0)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_h(self, h):
+        with pytest.raises(DomainError, match="h must be finite"):
+            extrapolation_factor(1e-6, h)
 
 
 class TestTransformParams:
@@ -204,3 +212,45 @@ class TestLogLikelihoodRatio:
         plain = in_box(sample_inputs(n, portfolio_dist, seed=77))
         se = math.sqrt(np.var(lhs, ddof=1) / n + np.var(plain, ddof=1) / n)
         assert abs(lhs.mean() - plain.mean()) < 3 * se
+
+
+_LAYOUT_ALPHAS = [0.5, 0.9, 1.1, 1.4] * 3
+_LAYOUT_R = CorrelationMatrix.equicorrelated(12, 0.2)
+_LAYOUT_DIST = DistributionSpec.from_alphas(_LAYOUT_ALPHAS, _LAYOUT_R)
+_LAYOUT_PARAMS = TransformParams(r=3.0, rho=1.5)
+_LAYOUT_CASES = {
+    # name: (input built from a seeded generator, function of that input)
+    "sample_inputs": (
+        lambda rng: _LAYOUT_R.matrix,
+        lambda R: sample_inputs(37, DistributionSpec.from_alphas(
+            _LAYOUT_ALPHAS, CorrelationMatrix(R)), seed=3)),
+    "joint_log_density": (
+        lambda rng: rng.uniform(0.05, 40.0, (37, 12)),
+        lambda x: joint_log_density(x, _LAYOUT_DIST)),
+    "copula_log_density": (
+        lambda rng: rng.uniform(1e-9, 1.0 - 1e-9, (37, 12)),
+        lambda u: copula_log_density(u, _LAYOUT_R)),
+    "extrapolate": (
+        lambda rng: rng.uniform(-5.0, 40.0, (37, 12)),
+        lambda x: extrapolate(x, _LAYOUT_PARAMS)),
+    "log_jacobian": (
+        lambda rng: rng.uniform(-5.0, 40.0, (37, 12)),
+        lambda x: log_jacobian(x, _LAYOUT_PARAMS)),
+    "log_likelihood_ratio": (
+        lambda rng: rng.uniform(0.05, 40.0, (37, 12)),
+        lambda x: log_likelihood_ratio(x, _LAYOUT_DIST, _LAYOUT_PARAMS)),
+    "stretch_exponents": (
+        lambda rng: rng.uniform(-5.0, 40.0, (37, 12)),
+        lambda x: stretch_exponents(x, 1.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LAYOUT_CASES))
+def test_output_does_not_depend_on_input_memory_order(name):
+    # the kernels work component-major; a C- and an F-ordered copy of the
+    # same input must give the same bits
+    make, func = _LAYOUT_CASES[name]
+    a = make(np.random.default_rng(17))
+    c_out, f_out = func(np.ascontiguousarray(a)), func(np.asfortranarray(a))
+    assert c_out.shape == f_out.shape
+    assert c_out.tobytes() == f_out.tobytes()
