@@ -15,6 +15,10 @@ array in which each component's n values sit next to each other.  numpy
 reduces a short trailing axis slowly (a row max over a (1e5, 10) array takes
 about 12 times as long as the same max over the (10, 1e5) layout), and every
 density and the stretch reduce over the d components.
+
+The per-sample stages run over fixed blocks of columns (``_over_columns``):
+samples are independent until the tail sort, so a block is computed on its
+own and a large batch never holds more than one block's temporaries.
 """
 
 from __future__ import annotations
@@ -230,6 +234,57 @@ def _component_major(x):
     return np.ascontiguousarray(np.atleast_2d(x).T)
 
 
+_BLOCK = 8192   # columns per block: a (10, 8192) float temporary is 640 KB
+
+
+def _over_columns(kernel, columns, *args):
+    """kernel(*columns, *args) over blocks of _BLOCK columns, joined on the last axis.
+
+    columns are (..., n) arrays, sliced alike; kernel returns a tuple of
+    arrays over its block's columns, or None in place of one.  Up to
+    _BLOCK columns this is one call on the whole arrays.  Past that the
+    blocks run one after another, so their temporaries stay small, and
+    their results are copied into outputs of n columns.  Samples are
+    independent until the tail sort, and the bounds depend on n alone.
+    """
+    n = columns[0].shape[-1]
+    if n <= _BLOCK:
+        return kernel(*columns, *args)
+    outs = None
+    for lo in range(0, n, _BLOCK):
+        parts = kernel(*(c[..., lo:lo + _BLOCK] for c in columns), *args)
+        if outs is None:
+            outs = tuple(None if p is None else np.empty(p.shape[:-1] + (n,)) for p in parts)
+        for out, part in zip(outs, parts):
+            if out is not None:
+                out[..., lo:lo + _BLOCK] = part
+    return outs
+
+
+_POW_SPECIAL = frozenset((-1.0, 0.0, 0.5, 1.0, 2.0))   # numpy's scalar pow fast path
+
+
+def _powers(base, exponents):
+    """base ** exponents[:, None] for a (d, m) base, by one pow path at every m.
+
+    numpy's pow has a fast path (sqrt for the exponent 0.5, square for 2,
+    a division for -1) for an exponent it sees as one scalar, and a (d, 1)
+    exponent column looks like one only in wide batches, so a sample's bits
+    would depend on the width of its batch.  The powers here equal the
+    row-major formula, an (m, d) batch to the power of the (d,) exponents,
+    at every width.  The formula takes the general pow for d > 1, and so
+    does a column of exponents that the fast path does not special-case;
+    when one is special-cased, the exponents are spelled out in full.  For
+    d = 1 the formula's exponent is one scalar.
+    """
+    if len(exponents) == 1:
+        return np.power(base, exponents[0])
+    e = exponents[:, None]
+    if not _POW_SPECIAL.isdisjoint(exponents.tolist()):
+        e = np.repeat(e, base.shape[1], axis=1)
+    return base ** e
+
+
 def _sum_components(a):
     """Sum over the d components of a (d, n) array, in index order.
 
@@ -295,13 +350,18 @@ def joint_log_density(x, dist):
     x = _validate_vectors(x, dist.dim)
     if np.any(x <= 0.0) or np.any(~np.isfinite(x)):
         raise DomainError("x components must be strictly positive and finite")
-    xc = _component_major(x)
+    (out,) = _over_columns(_log_density_columns, (_component_major(x),), dist)
+    out = out.reshape(x.shape[:-1])
+    return float(out) if out.ndim == 0 else out
+
+
+def _log_density_columns(xc, dist):
+    """(joint log density,) of a component-major (d, m) block of valid x."""
     a = dist.alphas[:, None]
-    p = xc ** a
+    p = _powers(xc, dist.alphas)
     marg = _sum_components(np.log(a) + (a - 1.0) * np.log(xc) - p)
     cop = _copula_log_density_from_scores(_normal_scores(p), dist.correlation)
-    out = (marg + cop).reshape(x.shape[:-1])
-    return float(out) if out.ndim == 0 else out
+    return (marg + cop,)
 
 
 def _sample_with_log_density(n, dist, seed, with_density=True):
@@ -317,24 +377,30 @@ def _sample_with_log_density(n, dist, seed, with_density=True):
         log f(X) = sum_i (log alpha_i + (alpha_i - 1)/alpha_i * log t_i - t_i)
                    - (log det R + |W|**2 - |V|**2) / 2.
 
-    V is formed row-major: the product's rounding, and so X for a given
-    seed, depends on the operand layout.  From -V on the work runs
-    component-major, and X comes back as an F-ordered (n, d) view.  A fresh
-    generator is seeded on every call.
+    V is formed whole and row-major: the product's rounding, and so X for a
+    given seed, depends on the operand layout.  From -V on the work runs
+    component-major over column blocks, and X comes back as an F-ordered
+    (n, d) view.  A fresh generator is seeded on every call.
     """
     n = int(n)
     if n < 1:
         raise DomainError(f"n must be at least 1, got {n}")
-    a = dist.alphas
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((n, dist.dim))
     V = W @ dist.correlation.chol.T
-    neg_v = np.negative(V.T, order="C")
+    X, log_fx = _over_columns(_draw_columns, (W.T, V.T), dist, with_density)
+    return X.T, log_fx
+
+
+def _draw_columns(wt, vt, dist, with_density):
+    """(X, log f(X)) of the draw, component-major, from (d, m) blocks of W' and V'."""
+    a = dist.alphas
+    neg_v = np.negative(vt, order="C")
     t = -log_ndtr(neg_v)
-    X = (t ** (1.0 / a[:, None])).T
+    X = _powers(t, 1.0 / a)
     if not with_density:
         return X, None
-    quad = np.einsum("ij,ij->i", W, W) - np.einsum("ij,ij->j", neg_v, neg_v)
+    quad = np.einsum("ij,ij->i", wt.T, wt.T) - np.einsum("ij,ij->j", neg_v, neg_v)
     log_fx = (((a - 1.0) / a) @ np.log(t) - _sum_components(t) - 0.5 * quad
               + (float(np.sum(np.log(a))) - 0.5 * dist.correlation.log_det))
     return X, log_fx

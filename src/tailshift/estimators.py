@@ -160,8 +160,14 @@ def _tail(samples, beta, var=None):
     return var, c, se
 
 
-def _count(name, value, low):
-    """value as an int, checked to be a whole number (not a bool) of at least low (0 or 1)."""
+_MAX_INDEX = int(np.iinfo(np.intp).max)   # numpy's largest array size
+
+
+def _count(name, value, low, high=None):
+    """value as an int, checked to be a whole number (not a bool) of at least low (0 or 1).
+
+    high, if given, is the largest value allowed.
+    """
     # bool is an int subclass, but True is no count
     if isinstance(value, bool) or not (
             isinstance(value, (int, np.integer))
@@ -170,6 +176,8 @@ def _count(name, value, low):
     value = int(value)
     if value < low:
         raise DomainError(f"{name} must be {'positive' if low else 'nonnegative'}, got {value}")
+    if high is not None and value > high:
+        raise DomainError(f"{name} must be at most {high}")
     return value
 
 
@@ -187,7 +195,8 @@ class ISConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", _check_beta(self.beta))
-        object.__setattr__(self, "n", _count("n", self.n, 1))
+        # the (n, d) draw must fit numpy's index range; d >= 1 is not known here
+        object.__setattr__(self, "n", _count("n", self.n, 1, _MAX_INDEX))
         object.__setattr__(self, "seed", _count("seed", self.seed, 0))
         if self.h is not None:
             object.__setattr__(self, "h", float(self.h))

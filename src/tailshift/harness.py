@@ -17,7 +17,7 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from .errors import BadLossError, DomainError, EstimationError, FeasibilityError
-from .estimators import ISConfig, _count, _estimate, estimate
+from .estimators import _MAX_INDEX, ISConfig, _count, _estimate, estimate
 from .losses import LossModel
 from .transform import _check_beta, extrapolation_factor
 
@@ -116,7 +116,9 @@ class ExperimentConfig:
         if len(set(betas)) != len(betas):
             raise DomainError(f"beta levels must be distinct, got {betas}")
         object.__setattr__(self, "betas", betas)
-        for name, low in (("n", 1), ("reps", 1), ("threads", 1), ("base_seed", 0)):
+        # the (n, d) draw must fit numpy's index range
+        object.__setattr__(self, "n", _count("n", self.n, 1, _MAX_INDEX // self.dist.dim))
+        for name, low in (("reps", 1), ("threads", 1), ("base_seed", 0)):
             object.__setattr__(self, name, _count(name, getattr(self, name), low))
 
 

@@ -16,8 +16,8 @@ log density at the image, minus log density at the source, plus the log
 Jacobian determinant of the map.  One log-space pass over x yields the
 image, the log Jacobian and the log weight; ``extrapolate``,
 ``log_jacobian`` and ``log_likelihood_ratio`` are its projections.  The
-pass runs on the component-major (d, n) layout of ``distributions``; a
-batch image comes back as an F-ordered (n, d) view of it.
+pass runs on the component-major (d, n) layout of ``distributions``, over
+its column blocks; a batch image comes back as an F-ordered (n, d) view.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _component_major, _sum_components, joint_log_density
+from .distributions import _component_major, _over_columns, _sum_components, joint_log_density
 from .errors import DomainError
 
 __all__ = [
@@ -90,20 +90,24 @@ class TransformParams:
         object.__setattr__(self, "rho", float(self.rho))
 
 
-def _log1p_abs(x):
-    """x, |x| and log1p|x| as component-major (d, n) arrays, and the (n,) max of log1p|x|."""
+def _checked(x):
+    """x as a validated component-major (d, n) array: nonempty vectors, finite."""
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] == 0:
         raise DomainError(f"x must be a nonempty vector or batch of vectors, got shape {np.shape(x)}")
     if np.any(~np.isfinite(x)):
         raise DomainError("x components must be finite")
-    xc = _component_major(x)
+    return _component_major(x)
+
+
+def _log1p_abs(xc):
+    """|x| and log1p|x| of a (d, m) block, and the (m,) max of log1p|x|, checked nonzero."""
     ax = np.abs(xc)
     logs = np.log1p(ax)
     M = np.max(logs, axis=0)
     if np.any(M == 0.0):
         raise DomainError("x must have at least one nonzero component")
-    return xc, ax, logs, M
+    return ax, logs, M
 
 
 def stretch_exponents(x, rho):
@@ -115,22 +119,31 @@ def stretch_exponents(x, rho):
     """
     if not rho > 0:
         raise DomainError(f"rho must be positive, got {rho!r}")
-    _, _, logs, M = _log1p_abs(x)
+    _, logs, M = _log1p_abs(_checked(x))
     return ((logs / M) / rho).T.reshape(np.shape(x))
 
 
 def _stretch(x, params):
-    """(extrapolate(x), log_jacobian(x)), taking log1p|x| and its max over components once."""
-    xc, ax, logs, M = _log1p_abs(x)
+    """(extrapolate(x), log_jacobian(x)), taking log1p|x| and its max over components once.
+
+    x is checked finite whole; the stretch runs over column blocks.
+    """
+    z, log_jac = _over_columns(_stretch_columns, (_checked(x),), params)
+    shape = np.shape(x)
+    log_jac = log_jac.reshape(shape[:-1])
+    return z.T.reshape(shape), (float(log_jac) if log_jac.ndim == 0 else log_jac)
+
+
+def _stretch_columns(xc, params):
+    """(image, log Jacobian) of a component-major (d, m) block of finite x."""
+    ax, logs, M = _log1p_abs(xc)
     z = xc * params.r ** ((logs / M) / params.rho)
     logr = math.log(params.r)
     c = logr / (params.rho * M)
     log_diag = np.log1p(c * (ax / (1.0 + ax)))
     esum = _sum_components(logs) / (params.rho * M)
     log_jac = _sum_components(log_diag) + esum * logr - np.max(log_diag, axis=0)
-    shape = np.shape(x)
-    log_jac = log_jac.reshape(shape[:-1])
-    return z.T.reshape(shape), (float(log_jac) if log_jac.ndim == 0 else log_jac)
+    return z, log_jac
 
 
 def extrapolate(x, params):

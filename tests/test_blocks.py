@@ -1,0 +1,134 @@
+"""The per-sample kernel over fixed column blocks."""
+
+import warnings
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from scipy.special import log_ndtr
+
+import tailshift.distributions as dz
+from tailshift import (
+    DomainError,
+    ExperimentConfig,
+    FixedH,
+    ISConfig,
+    LossModel,
+    TransformParams,
+    estimate,
+    extrapolate,
+    joint_log_density,
+    log_jacobian,
+    pert_h_rule,
+    run_replications,
+    sample_inputs,
+)
+from tailshift.distributions import _BLOCK, _sample_with_log_density
+
+N = 3 * _BLOCK + 17                      # three full blocks and a short fourth
+EDGES = [0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, 3 * _BLOCK, N - 1]
+ROWS = sorted(set(EDGES) | set(range(0, N, 101)))   # the block edges and a spread
+
+
+@pytest.fixture(params=["portfolio", "pert"])
+def model(request, portfolio_dist, pert_dist):
+    if request.param == "portfolio":
+        return portfolio_dist, LossModel.linear(), 2.6
+    return pert_dist, LossModel.pert7(), pert_h_rule.h_for(1e-6)
+
+
+def _outputs(dist, loss, h):
+    X = sample_inputs(N, dist, seed=21)
+    report = estimate(dist, loss, ISConfig(beta=1e-6, n=N, seed=21, h=h))
+    return X.tobytes(), joint_log_density(X * 1.5, dist).tobytes(), report
+
+
+class TestOverColumns:
+    def test_one_block_is_one_call_on_the_whole_arrays(self):
+        a, calls = np.ones((3, _BLOCK)), []
+
+        def kernel(c, k):
+            calls.append((c, k))
+            return c * k, None
+
+        out = dz._over_columns(kernel, (a,), 2.0)
+        assert len(calls) == 1 and calls[0][0] is a and calls[0][1] == 2.0
+        assert out[0].tobytes() == (2.0 * a).tobytes() and out[1] is None
+
+    def test_blocks_are_joined_in_order(self):
+        widths = []
+
+        def kernel(c, r):
+            widths.append(c.shape[-1])
+            return c + 1.0, r[0], None
+
+        c, r = np.arange(2.0 * N).reshape(2, N), np.arange(3.0 * N).reshape(3, N)
+        got = dz._over_columns(kernel, (c, r))
+        assert widths == [_BLOCK, _BLOCK, _BLOCK, 17]
+        assert got[0].tobytes() == (c + 1.0).tobytes()
+        assert got[1].tobytes() == r[0].tobytes()
+        assert got[2] is None
+
+    def test_blocks_give_the_bits_of_one_pass(self, model, monkeypatch):
+        blocked = _outputs(*model)
+        monkeypatch.setattr(dz, "_BLOCK", 10 * N)
+        assert _outputs(*model) == blocked
+
+
+class TestBlockedRows:
+    def test_rows_match_single_calls(self, model):
+        dist, loss, _ = model
+        X = sample_inputs(N, dist, seed=4) * 1.5
+        params = TransformParams(r=3.0, rho=loss.rho)
+        dens = joint_log_density(X, dist)
+        Z, jac = extrapolate(X, params), log_jacobian(X, params)
+        for i in ROWS:
+            assert dens[i] == joint_log_density(X[i], dist)
+            assert Z[i].tobytes() == extrapolate(X[i], params).tobytes()
+            assert jac[i] == log_jacobian(X[i], params)
+
+    @pytest.mark.parametrize("n", [_BLOCK, _BLOCK + 1, N])
+    def test_draw_matches_the_sampler_as_first_written(self, model, n):
+        dist = model[0]
+        X, log_fx = _sample_with_log_density(n, dist, seed=9)
+        W = np.random.default_rng(9).standard_normal((n, dist.dim))
+        want = (-log_ndtr(-(W @ dist.correlation.chol.T))) ** (1.0 / dist.alphas)
+        assert X.tobytes() == want.tobytes()
+        assert X.tobytes() == sample_inputs(n, dist, seed=9).tobytes()
+        np.testing.assert_allclose(log_fx, joint_log_density(X, dist), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [_BLOCK, _BLOCK + 1])
+    def test_estimates_at_the_block_edge(self, model, n):
+        dist, loss, h = model
+        report = estimate(dist, loss, ISConfig(beta=1e-6, n=n, seed=2, h=h))
+        assert np.isfinite([report.var_hat, report.cvar_hat, report.cvar_se]).all()
+        assert report.cvar_hat > report.var_hat > 0
+
+
+class TestValidation:
+    def test_bad_input_in_the_third_block(self, portfolio_dist):
+        X = np.array(sample_inputs(N, portfolio_dist, seed=5))
+        params = TransformParams(r=3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad, call, message in [
+                    (np.nan, lambda x: joint_log_density(x, portfolio_dist), "strictly positive"),
+                    (np.inf, lambda x: extrapolate(x, params), "must be finite"),
+                    (np.nan, lambda x: log_jacobian(x, params), "must be finite")]:
+                Y = X.copy()
+                Y[2 * _BLOCK + 5, 3] = bad
+                with pytest.raises(DomainError, match=message):
+                    call(Y)
+            Y = X.copy()
+            Y[2 * _BLOCK + 5] = 0.0
+            with pytest.raises(DomainError, match="at least one nonzero component"):
+                extrapolate(Y, params)
+
+
+def test_thread_counts_agree_on_blocked_replications(portfolio_dist, linear):
+    config = ExperimentConfig(dist=portfolio_dist, loss=linear, betas=(1e-6,), n=20_000,
+                              h_rule=FixedH(2.6), reps=3, base_seed=8)
+    one = run_replications(config, "is")
+    two = run_replications(replace(config, threads=2), "is")
+    assert one.rows == two.rows
+    assert all(row.status == "ok" for row in one.rows)

@@ -303,6 +303,14 @@ class TestEstimateCommand:
             assert f"must be a whole number, got {bad!r}" in capsys.readouterr().err
             assert not (tmp_path / "o" / "estimates.csv").exists()
 
+    def test_n_past_the_array_index_range_exits_1(self, tmp_path, capsys):
+        for n in (10**400, np.iinfo(np.intp).max // 3 + 1):
+            cfg = write_config(tmp_path, dict(MINIMAL, n=n,
+                                              dist={"alphas": [1.0] * 3, "correlation": "identity"}))
+            assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+            assert "n must be at most" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
+
     def test_negative_seed_override_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL)
         code = main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o"),

@@ -284,6 +284,15 @@ class TestJointDensity:
         single = np.array([joint_log_density(row, portfolio_dist) for row in X])
         np.testing.assert_array_equal(batch, single)
 
+    def test_wide_batch_rows_match_single_calls(self, pert_dist):
+        # alpha = 0.5: numpy's pow takes a sqrt fast path for a scalar
+        # exponent, which a (d, 1) exponent column hit only in wide batches
+        X = sample_inputs(9000, pert_dist, seed=6) * 1.3
+        batch = joint_log_density(X, pert_dist)
+        rows = range(0, 9000, 9)
+        single = np.array([joint_log_density(X[i], pert_dist) for i in rows])
+        np.testing.assert_array_equal(batch[rows], single)
+
     def test_density_integrates_to_one(self):
         # smooth-ish marginals keep the quadrature honest; alpha<1 has an
         # integrable singularity at the origin.  Tensor-product Gauss-Legendre
@@ -318,6 +327,11 @@ class TestSampling:
         np.testing.assert_array_equal(a, b)
         c = sample_inputs(100, pert_dist, seed=43)
         assert not np.array_equal(a, c)
+
+    def test_rows_do_not_depend_on_batch_width(self, pert_dist):
+        # the draw's x = t**2 takes one pow path at every width (see above)
+        wide = sample_inputs(9000, pert_dist, seed=3)
+        assert wide[:1000].tobytes() == sample_inputs(1000, pert_dist, seed=3).tobytes()
 
     def test_marginals_pass_ks(self):
         # KS against the closed-form cdf, column by column.  1.628/sqrt(n)

@@ -16,6 +16,7 @@ from tailshift import (
     ExperimentConfig,
     FixedH,
     GridH,
+    ISConfig,
     LossModel,
     REPLICATION_COLUMNS,
     SUMMARY_COLUMNS,
@@ -402,6 +403,18 @@ class TestExperimentConfig:
             with pytest.raises(DomainError, match=f"{field} must be a whole number, got {bad!r}"):
                 ExperimentConfig(**{**kw, field: bad})
         assert getattr(ExperimentConfig(**{**kw, field: 3.0}), field) == 3
+
+    def test_rejects_a_draw_numpy_cannot_index(self, portfolio_dist, linear):
+        # the (n, d) draw would end in numpy's "Maximum allowed dimension exceeded"
+        most = np.iinfo(np.intp).max
+        kw = dict(dist=portfolio_dist, loss=linear, betas=(0.1,), h_rule=FixedH(2.0))
+        for n in (10**400, most // portfolio_dist.dim + 1):
+            with pytest.raises(DomainError, match="n must be at most"):
+                ExperimentConfig(**kw, n=n)
+        assert ExperimentConfig(**kw, n=most // portfolio_dist.dim).n == most // portfolio_dist.dim
+        with pytest.raises(DomainError, match="n must be at most"):
+            ISConfig(beta=0.1, n=10**400, seed=1)
+        assert ISConfig(beta=0.1, n=most, seed=1).n == most
 
     @pytest.mark.parametrize("beta", [2.0, 1.0, 0.0, -1e-3, float("nan")])
     def test_rejects_levels_outside_unit_interval(self, onedim_dist, linear, beta):
