@@ -152,11 +152,7 @@ def _parse_h_rule(spec):
         if "affine" in spec:
             aff = spec["affine"]
             try:
-                if isinstance(aff, dict):
-                    rule = AffineH(float(aff["intercept"]), float(aff["slope"]))
-                else:
-                    a, b = aff
-                    rule = AffineH(float(a), float(b))
+                rule = AffineH(float(aff["intercept"]), float(aff["slope"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad affine h rule: {exc}", field="h.affine") from None
             for coefficient in (rule.intercept, rule.slope):

@@ -44,6 +44,34 @@ __all__ = [
 ]
 
 
+_MAX_INDEX = int(np.iinfo(np.intp).max)   # numpy's largest array size
+
+
+def _count(name, value, low, high=None):
+    """value as an int, checked to be a whole number (not a bool) of at least low (0 or 1).
+
+    high, if given, is the largest value allowed.
+    """
+    # bool is an int subclass, but True is no count
+    if isinstance(value, bool) or not (
+            isinstance(value, (int, np.integer))
+            or isinstance(value, float) and value.is_integer()):
+        raise DomainError(f"{name} must be a whole number, got {value!r}")
+    value = int(value)
+    if value < low:
+        raise DomainError(f"{name} must be {'positive' if low else 'nonnegative'}, got {value}")
+    if high is not None and value > high:
+        raise DomainError(f"{name} must be at most {high}")
+    return value
+
+
+def _positive_finite(name, value):
+    """value as a float, checked to be a positive finite int or float."""
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
 def std_normal_quantile(p):
     """Standard normal quantile function.
 
@@ -72,9 +100,7 @@ class MarginalSpec:
     alpha: float
 
     def __post_init__(self):
-        if not (isinstance(self.alpha, (int, float)) and math.isfinite(self.alpha) and self.alpha > 0):
-            raise DomainError(f"alpha must be a positive finite number, got {self.alpha!r}")
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", _positive_finite("alpha", self.alpha))
 
     def quantile(self, u):
         """Inverse CDF: (-log(1 - u))**(1/alpha) for u in [0, 1)."""
@@ -382,10 +408,8 @@ def _sample_with_log_density(n, dist, seed, with_density=True):
     component-major over column blocks, and X comes back as an F-ordered
     (n, d) view.  A fresh generator is seeded on every call.
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"n must be at least 1, got {n}")
-    rng = np.random.default_rng(seed)
+    n = _count("n", n, 1, _MAX_INDEX // dist.dim)   # the (n, d) draw must fit numpy's index range
+    rng = np.random.default_rng(_count("seed", seed, 0))
     W = rng.standard_normal((n, dist.dim))
     V = W @ dist.correlation.chol.T
     X, log_fx = _over_columns(_draw_columns, (W.T, V.T), dist, with_density)

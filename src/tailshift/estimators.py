@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .distributions import _sample_with_log_density
+from .distributions import _MAX_INDEX, _count, _sample_with_log_density
 from .errors import BadLossError, DomainError, FeasibilityError, TailMassError
 from .losses import LossModel
 from .transform import TransformParams, _check_beta, _weighted_stretch, extrapolation_factor
@@ -160,27 +160,6 @@ def _tail(samples, beta, var=None):
     return var, c, se
 
 
-_MAX_INDEX = int(np.iinfo(np.intp).max)   # numpy's largest array size
-
-
-def _count(name, value, low, high=None):
-    """value as an int, checked to be a whole number (not a bool) of at least low (0 or 1).
-
-    high, if given, is the largest value allowed.
-    """
-    # bool is an int subclass, but True is no count
-    if isinstance(value, bool) or not (
-            isinstance(value, (int, np.integer))
-            or isinstance(value, float) and value.is_integer()):
-        raise DomainError(f"{name} must be a whole number, got {value!r}")
-    value = int(value)
-    if value < low:
-        raise DomainError(f"{name} must be {'positive' if low else 'nonnegative'}, got {value}")
-    if high is not None and value > high:
-        raise DomainError(f"{name} must be at most {high}")
-    return value
-
-
 @dataclass(frozen=True)
 class ISConfig:
     """Parameters of one estimation run.
@@ -195,7 +174,7 @@ class ISConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", _check_beta(self.beta))
-        # the (n, d) draw must fit numpy's index range; d >= 1 is not known here
+        # n must fit numpy's index range; d is not known here, so the draw checks (n, d)
         object.__setattr__(self, "n", _count("n", self.n, 1, _MAX_INDEX))
         object.__setattr__(self, "seed", _count("seed", self.seed, 0))
         if self.h is not None:
@@ -216,7 +195,7 @@ class EstimateReport:
     cvar_se: float
 
 
-def estimate(dist, loss, config, method="is"):
+def estimate(dist, loss, config, method="is", *, _draws=None):
     """Run one estimation and report (value at risk, cvar, standard error).
 
     Parameters
@@ -230,6 +209,11 @@ def estimate(dist, loss, config, method="is"):
         the loss on the raw samples with unit weights and refuses to run
         when n * beta < 5 (the empirical tail would hold fewer than five
         samples, giving meaningless quantiles).
+    _draws : dict, optional
+        cross_validate_h's private memo of draws, seed -> (X, log f(X)).  It
+        may only be shared by importance runs of one dist and n, so that the
+        seed alone fixes the draw.  Each seed is written once, by the first
+        run that needs it; a later run with another h only weighs it again.
 
     Raises
     ------
@@ -238,19 +222,10 @@ def estimate(dist, loss, config, method="is"):
     BadLossError
         The loss raised, or returned a value that is not a finite number.
     TailMassError
-        The weighted sample carries too little mass for the level beta, or
-        no sampled loss lies strictly above the estimated var (an empty
-        tail, whose cvar and standard error would say nothing).
-    """
-    return _estimate(dist, loss, config, method)
-
-
-def _estimate(dist, loss, config, method, draws=None):
-    """estimate(), taking its draw from the memo draws (seed -> draw) when given.
-
-    A memo may only be shared by importance runs of one dist and n, so that
-    the seed alone fixes the draw.  Each seed is written once, by the first
-    run that needs it; a later run with another h only weighs it again.
+        The weighted sample carries too little mass for the level beta, no
+        sampled loss lies strictly above the estimated var (an empty tail,
+        whose cvar and standard error would say nothing), or the stretch
+        sends samples past the float range.
     """
     if method not in ("is", "naive"):
         raise DomainError(f"method must be 'is' or 'naive', got {method!r}")
@@ -268,22 +243,16 @@ def _estimate(dist, loss, config, method, draws=None):
         raise DomainError("the importance method needs h")
     else:
         params = TransformParams(r=extrapolation_factor(config.beta, h), rho=loss.rho)
-    if draws is None:
-        draw = _draw(dist, config, params)
-    else:
-        draw = draws.get(config.seed)
-        if draw is None:
-            draw = draws[config.seed] = _draw(dist, config, params)
+    draws = {} if _draws is None else _draws
+    draw = draws.get(config.seed)
+    if draw is None:    # the naive method (params None) draws no log f(X)
+        draw = draws[config.seed] = _sample_with_log_density(
+            config.n, dist, config.seed, with_density=params is not None)
     v, c, se = _weigh(dist, loss, config.beta, params, *draw)
     return EstimateReport(
         method=method, beta=config.beta, h=h, n=config.n, seed=config.seed,
         var_hat=v, cvar_hat=c, cvar_se=se,
     )
-
-
-def _draw(dist, config, params):
-    """(X, log f(X)) for config's seed; the naive method (params None) gets no log f(X)."""
-    return _sample_with_log_density(config.n, dist, config.seed, with_density=params is not None)
 
 
 def _weigh(dist, loss, beta, params, X, log_fx):

@@ -17,7 +17,8 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from .errors import BadLossError, DomainError, EstimationError, FeasibilityError
-from .estimators import _MAX_INDEX, ISConfig, _count, _estimate, estimate
+from .distributions import _MAX_INDEX, _count
+from .estimators import ISConfig, estimate
 from .losses import LossModel
 from .transform import _check_beta, extrapolation_factor
 
@@ -200,10 +201,7 @@ def _status_of(exc):
 def _one_replication(dist, loss, method, beta, h, n, rep, seed, draws):
     config = ISConfig(beta=beta, n=n, seed=seed, h=h)
     try:
-        if draws is None:   # through the public entry point, where wrappers of estimate see it
-            report = estimate(dist, loss, config, method=method)
-        else:
-            report = _estimate(dist, loss, config, method, draws)
+        report = estimate(dist, loss, config, method, _draws=draws)
     except EstimationError as exc:
         nan = float("nan")
         return ReplicationRow(method, beta, h, n, rep, seed, nan, nan, nan, _status_of(exc))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _component_major, _sum_components, _validate_vectors
+from .distributions import _component_major, _positive_finite, _sum_components, _validate_vectors
 from .errors import BadLossError, DomainError, WeightsDimensionError, WeightsFormatError
 
 __all__ = [
@@ -203,13 +203,11 @@ class LossModel:
     def __post_init__(self):
         if self.kind not in ("pert7", "linear", "relu_net", "external"):
             raise DomainError(f"unknown loss kind {self.kind!r}")
-        if not (isinstance(self.rho, (int, float)) and math.isfinite(self.rho) and self.rho > 0):
-            raise DomainError(f"rho must be positive and finite, got {self.rho!r}")
+        object.__setattr__(self, "rho", _positive_finite("rho", self.rho))
         if self.kind == "relu_net" and not isinstance(self.relu, ReluNetParams):
             raise DomainError("relu_net losses need ReluNetParams")
         if self.kind == "external" and not callable(self.func):
             raise DomainError("external losses need a callable")
-        object.__setattr__(self, "rho", float(self.rho))
 
     @classmethod
     def pert7(cls, rho=1.0):

@@ -27,8 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _component_major, _over_columns, _sum_components, joint_log_density
-from .errors import DomainError
+from .distributions import (
+    _component_major, _over_columns, _positive_finite, _sum_components, joint_log_density,
+)
+from .errors import DomainError, TailMassError
 
 __all__ = [
     "TransformParams",
@@ -84,10 +86,8 @@ class TransformParams:
     def __post_init__(self):
         if not (isinstance(self.r, (int, float)) and math.isfinite(self.r) and self.r >= 1.0):
             raise DomainError(f"r must be finite and >= 1, got {self.r!r}")
-        if not (isinstance(self.rho, (int, float)) and math.isfinite(self.rho) and self.rho > 0.0):
-            raise DomainError(f"rho must be positive and finite, got {self.rho!r}")
         object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "rho", float(self.rho))
+        object.__setattr__(self, "rho", _positive_finite("rho", self.rho))
 
 
 def _checked(x):
@@ -117,8 +117,7 @@ def stretch_exponents(x, rho):
     gets the full stretch.  Ties in the maximum take the smallest index,
     which does not change the value.  Accepts shape (d,) or (n, d).
     """
-    if not rho > 0:
-        raise DomainError(f"rho must be positive, got {rho!r}")
+    rho = _positive_finite("rho", rho)
     _, logs, M = _log1p_abs(_checked(x))
     return ((logs / M) / rho).T.reshape(np.shape(x))
 
@@ -173,10 +172,19 @@ def _weighted_stretch(x, log_fx, dist, params):
 
     log_fx is the source log density joint_log_density(x, dist); it does not
     depend on params, so a caller stretching the same x more than once
-    computes it once.
+    computes it once.  A stretch that carries samples past the float range
+    raises TailMassError: an image that overflows, or one so far out that
+    its density overflows into a nan or +inf log weight.
     """
-    z, log_jac = _stretch(x, params)
-    return z, joint_log_density(z, dist) - log_fx + log_jac
+    with np.errstate(over="ignore", invalid="ignore"):    # reported below
+        z, log_jac = _stretch(x, params)
+        logw = joint_log_density(z, dist) - log_fx + log_jac if np.isfinite(z).all() else None
+    if logw is None or not np.max(logw) < np.inf:          # np.max propagates a nan
+        raise TailMassError(
+            f"the stretch by up to r**(1/rho) = {params.r:.4g}**{1.0 / params.rho:.4g} carries "
+            "samples past the float range; use a smaller h or a larger rho"
+        )
+    return z, logw
 
 
 def log_likelihood_ratio(x, dist, params):

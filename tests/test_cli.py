@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -287,6 +288,7 @@ class TestEstimateCommand:
         ("dist.alphas", dict(MINIMAL, dist={"alphas": ["a"], "correlation": "identity"})),
         ("loss.rho", dict(MINIMAL, loss={"kind": "linear", "rho": "x"})),
         ("h.fixed", dict(MINIMAL, h={"fixed": "x"})),
+        ("h.affine", dict(MINIMAL, h={"affine": [2.0, 0.6]})),    # only the object form is read
         ("dist.correlation", dict(MINIMAL, dist={"alphas": [1.0],
                                                  "correlation": {"matrix": [["a"]]}})),
     ])
@@ -317,6 +319,16 @@ class TestEstimateCommand:
                      "--seed", "-1"])
         assert code == 1
         assert "base_seed must be nonnegative" in capsys.readouterr().err
+
+    def test_overflowing_stretch_writes_its_rows_and_exits_2(self, tmp_path):
+        doc = dict(MINIMAL, dist={"alphas": [0.9] * 5 + [1.1] * 5,
+                                  "correlation": {"pattern": "equicorrelated", "c": 0.1}},
+                   loss={"kind": "linear", "rho": 0.0026}, betas=[1e-3, 1e-6], n=1000, h=2.6)
+        cfg, out = write_config(tmp_path, doc), tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert [r[-1] for r in read_csv(out / "estimates.csv")[1:]] == ["tail-mass"] * 2
 
     def test_negative_rho_is_not_a_weights_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(MINIMAL, loss={"kind": "pert7", "rho": -1}))

@@ -328,6 +328,16 @@ class TestSampling:
         c = sample_inputs(100, pert_dist, seed=43)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("n, seed, message", [
+        (2.5, 0, "n must be a whole number"),     # would draw 2 rows
+        (True, 0, "n must be a whole number"),    # would draw 1 row
+        (5, -1, "seed must be nonnegative"),
+        (5, 1.5, "seed must be a whole number"),
+    ], ids=["n-fraction", "n-bool", "seed-negative", "seed-fraction"])
+    def test_rejects_a_count_it_cannot_draw(self, pert_dist, n, seed, message):
+        with pytest.raises(DomainError, match=message):
+            sample_inputs(n, pert_dist, seed)
+
     def test_rows_do_not_depend_on_batch_width(self, pert_dist):
         # the draw's x = t**2 takes one pow path at every width (see above)
         wide = sample_inputs(9000, pert_dist, seed=3)

@@ -3,6 +3,7 @@
 import csv
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -23,9 +24,11 @@ from tailshift import (
     TailMassError,
     cross_validate_h,
     derive_seed,
+    estimate,
     pert_h_rule,
     relative_rmse,
     run_replications,
+    sample_inputs,
     summarize,
     variance_ratio_study,
 )
@@ -214,6 +217,23 @@ class TestRunReplications:
                            betas=(1e-6,), n=1000, h_rule=FixedH(2.6), reps=3)
         table = run_replications(cfg, "is")
         assert [r.status for r in table.rows] == ["tail-mass"] * 3
+
+    @pytest.mark.parametrize("rho", [0.0026, 0.0028], ids=["image", "image-density"])
+    def test_overflowing_stretch_rows_are_tagged_tail_mass(self, portfolio_dist, rho):
+        # at 1e-6 the stretch leaves the float range (at rho 0.0026 the image
+        # overflows, at 0.0028 its density): those rows fail alone, warning-free
+        loss = LossModel.linear(rho=rho)
+        cfg = small_config(portfolio_dist, loss, betas=(1e-3, 1e-6), n=1000,
+                           h_rule=FixedH(2.6), reps=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = run_replications(cfg, "is")
+            alone = run_replications(replace(cfg, betas=(1e-3,)), "is")
+            with pytest.raises(TailMassError, match="smaller h or a larger rho"):
+                estimate(portfolio_dist, loss, ISConfig(beta=1e-6, n=1000, seed=1, h=2.6))
+        # repr, since nan != nan
+        assert [repr(r) for r in table.rows_for(1e-3)] == [repr(r) for r in alone.rows]
+        assert [r.status for r in table.rows_for(1e-6)] == ["tail-mass"] * 3
 
     def test_rejects_unknown_method(self, onedim_dist, linear):
         with pytest.raises(DomainError):
@@ -411,10 +431,16 @@ class TestExperimentConfig:
         for n in (10**400, most // portfolio_dist.dim + 1):
             with pytest.raises(DomainError, match="n must be at most"):
                 ExperimentConfig(**kw, n=n)
+            with pytest.raises(DomainError, match="n must be at most"):
+                sample_inputs(n, portfolio_dist, 0)
         assert ExperimentConfig(**kw, n=most // portfolio_dist.dim).n == most // portfolio_dist.dim
         with pytest.raises(DomainError, match="n must be at most"):
             ISConfig(beta=0.1, n=10**400, seed=1)
         assert ISConfig(beta=0.1, n=most, seed=1).n == most
+        # ISConfig does not know d: the draw checks n against the (n, d) shape
+        with pytest.raises(DomainError, match="n must be at most"):
+            estimate(portfolio_dist, linear,
+                     ISConfig(beta=0.1, n=most // portfolio_dist.dim + 1, seed=1, h=2.0))
 
     @pytest.mark.parametrize("beta", [2.0, 1.0, 0.0, -1e-3, float("nan")])
     def test_rejects_levels_outside_unit_interval(self, onedim_dist, linear, beta):

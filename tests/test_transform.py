@@ -98,6 +98,12 @@ class TestStretchExponents:
         with pytest.raises(DomainError):
             stretch_exponents(np.zeros(3), rho=1.0)
 
+    @pytest.mark.parametrize("rho", [math.inf, math.nan])
+    def test_rejects_a_rho_that_is_not_finite(self, rho):
+        # rho = inf would give all-zero exponents
+        with pytest.raises(DomainError, match="rho must be positive and finite"):
+            stretch_exponents(np.array([1.0, 2.0]), rho=rho)
+
 
 class TestExtrapolate:
     def test_one_dim(self):
