@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .distributions import CorrelationMatrix, DistributionSpec
+from .distributions import CorrelationMatrix, DistributionSpec, _count, _real
 from .errors import ConfigError, DomainError, EstimationError, WeightsFileError
 from .harness import (  # noqa: F401  (REPLICATION_COLUMNS is re-exported)
     AffineH, ExperimentConfig, FixedH, GridH, REPLICATION_COLUMNS, SUMMARY_COLUMNS,
@@ -33,6 +33,7 @@ from .harness import (  # noqa: F401  (REPLICATION_COLUMNS is re-exported)
     variance_ratio_study, write_rows_csv,
 )
 from .losses import LossModel, _params_from_dict, _params_to_dict, load_relu_params
+from .transform import extrapolation_factor
 
 _LOSS_KINDS = ("pert7", "linear", "relu_net")
 _PATTERNS = ("tridiagonal", "equicorrelated", "identity")
@@ -67,12 +68,12 @@ def _require(doc, field, types, where=""):
     return value
 
 
-def _convert(value, kind, field):
-    """kind(value) for kind int or float; a ConfigError naming field if that fails."""
+def _number(value, field):
+    """value as a float if it is a finite JSON number; a ConfigError naming field if not."""
     try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"expected a number, got {value!r}", field=field) from None
+        return _real(field, value)
+    except DomainError:
+        raise ConfigError(f"expected a finite number, got {value!r}", field=field) from None
 
 
 def _parse_correlation(spec, dim):
@@ -90,7 +91,7 @@ def _parse_correlation(spec, dim):
                               field="dist.correlation.pattern")
         if pattern == "identity":
             return CorrelationMatrix.identity(dim)
-        c = float(_require(spec, "c", (int, float), where="dist.correlation"))
+        c = _require(spec, "c", None, where="dist.correlation")
         if pattern == "tridiagonal":
             return CorrelationMatrix.tridiagonal(dim, c)
         return CorrelationMatrix.equicorrelated(dim, c)
@@ -104,7 +105,7 @@ def _parse_loss(spec, base_dir):
     kind = _require(spec, "kind", str, where="loss")
     if kind not in _LOSS_KINDS:
         raise ConfigError(f"unknown kind {kind!r}, expected one of {_LOSS_KINDS}", field="loss.kind")
-    rho = _convert(spec.get("rho", 1.0), float, "loss.rho")
+    rho = _number(spec.get("rho", 1.0), "loss.rho")
     resolved = {"kind": kind, "rho": rho}
     try:
         if kind == "pert7":
@@ -127,39 +128,28 @@ def _parse_loss(spec, base_dir):
         raise ConfigError(f"bad network weights: {exc}", field="loss") from None
 
 
-def _finite(value, field):
-    """value unchanged if finite; a ConfigError naming field if it is nan or infinite."""
-    if not math.isfinite(value):
-        raise ConfigError(f"must be finite, got {value!r}", field=field)
-    return value
-
-
 def _parse_h_rule(spec):
     # json reads NaN and Infinity, and --h arrives here as a number
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        h = _finite(_convert(spec, float, "h"), "h")
+    if not isinstance(spec, dict):
+        h = _number(spec, "h")
         return FixedH(h), {"fixed": h}
-    if isinstance(spec, dict):
-        if "fixed" in spec:
-            h = _finite(_convert(spec["fixed"], float, "h.fixed"), "h.fixed")
-            return FixedH(h), {"fixed": h}
-        if "grid" in spec:
-            try:
-                grid = GridH(tuple(spec["grid"]))
-            except (TypeError, ValueError, DomainError) as exc:
-                raise ConfigError(f"bad h grid: {exc}", field="h.grid") from None
-            return grid, {"grid": list(grid.values)}
-        if "affine" in spec:
-            aff = spec["affine"]
-            try:
-                rule = AffineH(float(aff["intercept"]), float(aff["slope"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"bad affine h rule: {exc}", field="h.affine") from None
-            for coefficient in (rule.intercept, rule.slope):
-                _finite(coefficient, "h.affine")
-            return rule, {"affine": {"intercept": rule.intercept, "slope": rule.slope}}
-    raise ConfigError("must be a number, {'fixed': v}, {'grid': [...]} or "
-                      "{'affine': {'intercept': a, 'slope': b}}", field="h")
+    if "fixed" in spec:
+        h = _number(spec["fixed"], "h.fixed")
+        return FixedH(h), {"fixed": h}
+    if "grid" in spec:
+        try:
+            grid = GridH(tuple(spec["grid"]))
+        except (TypeError, DomainError) as exc:
+            raise ConfigError(f"bad h grid: {exc}", field="h.grid") from None
+        return grid, {"grid": list(grid.values)}
+    if "affine" in spec:
+        aff = spec["affine"]
+        try:
+            rule = AffineH(*(_number(aff[k], "h.affine") for k in ("intercept", "slope")))
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"bad affine h rule: {exc}", field="h.affine") from None
+        return rule, {"affine": {"intercept": rule.intercept, "slope": rule.slope}}
+    raise ConfigError("must be a number or hold 'fixed', 'grid' or 'affine'", field="h")
 
 
 _TOP_KEYS = {"dist", "loss", "betas", "n", "reps", "h", "seed", "method", "threads"}
@@ -200,13 +190,10 @@ def parse_config(path, overrides=None):
     alphas_spec = _require(dist_doc, "alphas", (list, dict), where="dist")
     if isinstance(alphas_spec, dict):
         try:
-            alphas = [float(alphas_spec["value"])] * int(alphas_spec["dim"])
-        except (KeyError, TypeError, ValueError) as exc:
+            alphas_spec = [alphas_spec["value"]] * _count("dim", alphas_spec["dim"], 0)
+        except (KeyError, DomainError) as exc:
             raise ConfigError(f"bad alphas object: {exc}", field="dist.alphas") from None
-    else:
-        alphas = [_convert(a, float, "dist.alphas") for a in alphas_spec]
-    if not alphas:
-        raise ConfigError("needs at least one entry", field="dist.alphas")
+    alphas = [_number(a, "dist.alphas") for a in alphas_spec]
     correlation = _parse_correlation(
         _require(dist_doc, "correlation", None, where="dist"), len(alphas))
     try:
@@ -216,8 +203,8 @@ def parse_config(path, overrides=None):
 
     loss, loss_resolved = _parse_loss(_require(doc, "loss", dict), path.parent)
 
-    betas_spec = _require(doc, "betas", (list, int, float))
-    betas = [_convert(b, float, "betas")
+    betas_spec = _require(doc, "betas", None)
+    betas = [_number(b, "betas")
              for b in (betas_spec if isinstance(betas_spec, list) else [betas_spec])]
 
     method = doc.get("method", "is")
@@ -232,8 +219,6 @@ def parse_config(path, overrides=None):
     h_rule, h_resolved = _parse_h_rule(doc["h"]) if "h" in doc else (None, None)
     if h_rule is None and method != "naive":
         raise ConfigError("required for the importance method", field="h")
-    if h_rule is None:
-        h_rule = FixedH(float("nan"))    # never consulted on the naive path
 
     n = _require(doc, "n", (int, float))
     reps, seed, threads = (_require({key: default, **doc}, key, (int, float))
@@ -283,16 +268,29 @@ def _write_manifest(out_dir, command, config_path, spec, outputs, wall_seconds):
     return path
 
 
-def _reject_grid(spec, methods=None):
-    """Refuse an h grid where the importance method runs (all but crossval)."""
-    if "is" in (methods or spec.methods) and isinstance(spec.experiment.h_rule, GridH):
-        raise ConfigError(
-            "an h grid only works with the crossval command; fix h (or pass --h)", field="h")
+def _check_h_rule(command, spec):
+    """Refuse, before any output, an h rule that the command's importance runs cannot use.
+
+    Outside crossval, which needs a grid and skips its unusable points, a rule must stretch
+    outward at every level.  varratio runs the importance method whatever the config's method.
+    """
+    rule = spec.experiment.h_rule
+    if command == "crossval":
+        if not isinstance(rule, GridH):
+            raise ConfigError("crossval needs an h grid ({'grid': [...]})", field="h")
+    elif command == "varratio" or "is" in spec.methods:
+        if rule is None or isinstance(rule, GridH):
+            raise ConfigError(f"{command} runs the importance method, which needs a fixed or "
+                              "affine h (or --h); an h grid only works with crossval", field="h")
+        for beta in spec.experiment.betas:
+            try:
+                extrapolation_factor(beta, rule.h_for(beta))
+            except DomainError as exc:
+                raise ConfigError(str(exc), field="h") from None
 
 
 def cmd_estimate(spec, out_dir):
     """One estimation per (method, beta); a failed row carries its status tag."""
-    _reject_grid(spec)
     single = replace(spec.experiment, reps=1)
     rows = [r for method in spec.methods for r in run_replications(single, method).rows]
     for r in rows:
@@ -309,8 +307,6 @@ def cmd_estimate(spec, out_dir):
 def cmd_crossval(spec, out_dir):
     """Cross-validate h on the grid at the smallest configured beta."""
     exp = spec.experiment
-    if not isinstance(exp.h_rule, GridH):
-        raise ConfigError("crossval needs an h grid ({'grid': [...]})", field="h")
     beta = min(exp.betas)
     result = cross_validate_h(exp, exp.h_rule, beta, reps_cv=exp.reps)
     rows = [(e.h, e.cv, e.n_ok, e.status, int(e.h == result.selected_h)) for e in result.entries]
@@ -325,7 +321,6 @@ def cmd_crossval(spec, out_dir):
 
 def cmd_benchmark(spec, out_dir):
     """Error-vs-beta tables for both methods plus the naive matching size."""
-    _reject_grid(spec)
     exp = spec.experiment
     tables = [run_replications(exp, m) for m in spec.methods]
     rep_path = out_dir / "replications.csv"
@@ -387,7 +382,6 @@ def _naive_matching_n(spec, summary_rows):
 
 def cmd_varratio(spec, out_dir):
     """Replication cv of both methods at every beta."""
-    _reject_grid(spec, methods=("is",))   # this command always runs the importance path
     rows = variance_ratio_study(spec.experiment)
     out = out_dir / "varratio.csv"
     write_rows_csv(out, VARRATIO_COLUMNS,
@@ -441,6 +435,7 @@ def main(argv=None):
     }
     try:
         spec = parse_config(args.config, overrides)
+        _check_h_rule(args.command, spec)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()

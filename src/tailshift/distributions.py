@@ -65,11 +65,32 @@ def _count(name, value, low, high=None):
     return value
 
 
+_REALS = (float, int, np.floating, np.integer)   # a bool is an int, refused apart
+
+
+def _real(name, value, ok=None, rule="be finite"):
+    """value as a float: a finite int, float or numpy integer or floating scalar, no bool.
+
+    ok, if given, tests the float; rule words the whole check as "{name} must {rule}".
+    """
+    try:
+        x = float(value) if isinstance(value, _REALS) and not isinstance(value, bool) else math.nan
+    except OverflowError:                  # an int past the float range
+        x = math.inf
+    if not (math.isfinite(x) and (ok is None or ok(x))):
+        raise DomainError(f"{name} must {rule}, got {value!r}")
+    return x
+
+
 def _positive_finite(name, value):
-    """value as a float, checked to be a positive finite int or float."""
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
-    return float(value)
+    """value as a float, checked to be a positive finite real number."""
+    return _real(name, value, lambda x: x > 0.0, "be positive and finite")
+
+
+def _draw_size(n, dim):
+    """n as an int, checked to be a count of (n, dim) float64 draws numpy can hold."""
+    # numpy refuses an array whose size in bytes passes its index range
+    return _count("n", n, 1, _MAX_INDEX // (8 * dim))
 
 
 def std_normal_quantile(p):
@@ -178,14 +199,13 @@ class CorrelationMatrix:
         """Unit diagonal with c on the first off-diagonals, zero elsewhere."""
         R = np.eye(dim)
         idx = np.arange(dim - 1)
-        R[idx, idx + 1] = c
-        R[idx + 1, idx] = c
+        R[idx, idx + 1] = R[idx + 1, idx] = _real("c", c)
         return cls(R)
 
     @classmethod
     def equicorrelated(cls, dim, c):
         """Unit diagonal with the constant c everywhere off the diagonal."""
-        R = np.full((dim, dim), float(c))
+        R = np.full((dim, dim), _real("c", c))
         np.fill_diagonal(R, 1.0)
         return cls(R)
 
@@ -224,7 +244,8 @@ class DistributionSpec:
     @classmethod
     def from_alphas(cls, alphas, correlation=None):
         """Build from a list of tail exponents; identity correlation by default."""
-        marginals = tuple(MarginalSpec(a) for a in np.atleast_1d(alphas))
+        # object dtype keeps each entry's own type: a bool beside floats stays a bool
+        marginals = tuple(MarginalSpec(a) for a in np.atleast_1d(np.array(alphas, dtype=object)))
         if correlation is None:
             correlation = CorrelationMatrix.identity(len(marginals))
         return cls(marginals, correlation)
@@ -408,7 +429,7 @@ def _sample_with_log_density(n, dist, seed, with_density=True):
     component-major over column blocks, and X comes back as an F-ordered
     (n, d) view.  A fresh generator is seeded on every call.
     """
-    n = _count("n", n, 1, _MAX_INDEX // dist.dim)   # the (n, d) draw must fit numpy's index range
+    n = _draw_size(n, dist.dim)
     rng = np.random.default_rng(_count("seed", seed, 0))
     W = rng.standard_normal((n, dist.dim))
     V = W @ dist.correlation.chol.T

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .distributions import _MAX_INDEX, _count, _sample_with_log_density
+from .distributions import _MAX_INDEX, _count, _real, _sample_with_log_density
 from .errors import BadLossError, DomainError, FeasibilityError, TailMassError
 from .losses import LossModel
 from .transform import TransformParams, _check_beta, _weighted_stretch, extrapolation_factor
@@ -178,7 +178,7 @@ class ISConfig:
         object.__setattr__(self, "n", _count("n", self.n, 1, _MAX_INDEX))
         object.__setattr__(self, "seed", _count("seed", self.seed, 0))
         if self.h is not None:
-            object.__setattr__(self, "h", float(self.h))
+            object.__setattr__(self, "h", _real("h", self.h))
 
 
 @dataclass(frozen=True)

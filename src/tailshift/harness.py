@@ -17,7 +17,7 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from .errors import BadLossError, DomainError, EstimationError, FeasibilityError
-from .distributions import _MAX_INDEX, _count
+from .distributions import _count, _draw_size, _real
 from .estimators import ISConfig, estimate
 from .losses import LossModel
 from .transform import _check_beta, extrapolation_factor
@@ -69,8 +69,7 @@ class AffineH:
     slope: float
 
     def h_for(self, beta):
-        if not 0.0 < beta <= 1.0:
-            raise DomainError(f"beta must lie in (0, 1], got {beta!r}")
+        beta = _real("beta", beta, lambda b: 0.0 < b <= 1.0, "lie in (0, 1]")
         return self.intercept + self.slope * math.log(1.0 / beta)
 
 
@@ -81,11 +80,9 @@ class GridH:
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(_real("h grid values", v) for v in self.values)
         if not vals:
             raise DomainError("h grid must not be empty")
-        if not all(math.isfinite(v) for v in vals):
-            raise DomainError(f"h grid values must be finite, got {list(vals)}")
         object.__setattr__(self, "values", vals)
 
     def h_for(self, beta):
@@ -111,14 +108,14 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        betas = tuple(_check_beta(b) for b in np.atleast_1d(np.asarray(self.betas, dtype=float)))
+        # object dtype keeps each level's own type, for _check_beta to judge
+        betas = tuple(_check_beta(b) for b in np.atleast_1d(np.array(self.betas, dtype=object)))
         if not betas:
             raise DomainError("at least one beta level is required")
         if len(set(betas)) != len(betas):
             raise DomainError(f"beta levels must be distinct, got {betas}")
         object.__setattr__(self, "betas", betas)
-        # the (n, d) draw must fit numpy's index range
-        object.__setattr__(self, "n", _count("n", self.n, 1, _MAX_INDEX // self.dist.dim))
+        object.__setattr__(self, "n", _draw_size(self.n, self.dist.dim))
         for name, low in (("reps", 1), ("threads", 1), ("base_seed", 0)):
             object.__setattr__(self, name, _count(name, getattr(self, name), low))
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    _component_major, _over_columns, _positive_finite, _sum_components, joint_log_density,
+    _component_major, _over_columns, _positive_finite, _real, _sum_components, joint_log_density,
 )
 from .errors import DomainError, TailMassError
 
@@ -43,9 +43,7 @@ __all__ = [
 
 
 def _check_beta(beta):
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and 0.0 < beta < 1.0):
-        raise DomainError(f"beta must lie in (0, 1), got {beta!r}")
-    return float(beta)
+    return _real("beta", beta, lambda b: 0.0 < b < 1.0, "lie in (0, 1)")
 
 
 def extrapolation_factor(beta, h):
@@ -54,9 +52,7 @@ def extrapolation_factor(beta, h):
     Requires a finite h, beta < 1/e (otherwise the iterated logarithm is
     not positive) and a resulting r > 1 (otherwise nothing is pushed outward).
     """
-    _check_beta(beta)
-    if not math.isfinite(h):
-        raise DomainError(f"h must be finite, got {h!r}")
+    beta, h = _check_beta(beta), _real("h", h)
     if beta >= 1.0 / math.e:
         raise DomainError(
             f"extrapolation undefined for beta >= 1/e (got beta = {beta:g}); "
@@ -84,9 +80,7 @@ class TransformParams:
     rho: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.r, (int, float)) and math.isfinite(self.r) and self.r >= 1.0):
-            raise DomainError(f"r must be finite and >= 1, got {self.r!r}")
-        object.__setattr__(self, "r", float(self.r))
+        object.__setattr__(self, "r", _real("r", self.r, lambda r: r >= 1.0, "be finite and >= 1"))
         object.__setattr__(self, "rho", _positive_finite("rho", self.rho))
 
 

@@ -291,6 +291,15 @@ class TestEstimateCommand:
         ("h.affine", dict(MINIMAL, h={"affine": [2.0, 0.6]})),    # only the object form is read
         ("dist.correlation", dict(MINIMAL, dist={"alphas": [1.0],
                                                  "correlation": {"matrix": [["a"]]}})),
+        # a config number is a JSON number: no bool, no string, and a whole dim
+        ("dist.alphas", dict(MINIMAL, dist={"alphas": {"value": 0.5, "dim": 7.9},
+                                            "correlation": "identity"})),
+        ("dist.alphas", dict(MINIMAL, dist={"alphas": {"value": 0.5, "dim": True},
+                                            "correlation": "identity"})),
+        ("dist.alphas", dict(MINIMAL, dist={"alphas": [True], "correlation": "identity"})),
+        ("dist.alphas", dict(MINIMAL, dist={"alphas": ["1.0"], "correlation": "identity"})),
+        ("loss.rho", dict(MINIMAL, loss={"kind": "linear", "rho": True})),
+        ("betas", dict(MINIMAL, betas=["1e-6"])),
     ])
     def test_non_numeric_values_exit_1_naming_the_field(self, tmp_path, capsys, field, doc):
         cfg = write_config(tmp_path, doc)
@@ -359,6 +368,18 @@ class TestEstimateCommand:
         code = main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "crossval" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "benchmark", "varratio"])
+    @pytest.mark.parametrize("h", [1.0, {"affine": {"intercept": 1.0, "slope": 0.0}}])
+    def test_h_that_cannot_stretch_a_level_exits_1(self, tmp_path, capsys, command, h):
+        # r = h log log(1/beta) is 0.83 at 0.1 and 2.6 at 1e-6: the run cannot stretch 0.1
+        cfg = write_config(tmp_path, dict(MINIMAL, betas=[1e-6, 0.1], n=100, reps=2, h=h))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config field 'h'" in err and "no outward extrapolation" in err
+        assert not out.exists()
 
 
 class TestCrossvalCommand:
@@ -412,6 +433,7 @@ class TestCrossvalCommand:
         code = main(["crossval", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "needs an h grid" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestBenchmarkCommand:
@@ -461,6 +483,15 @@ class TestVarratioCommand:
         doc = dict(MINIMAL, h={"grid": [2.0, 3.0]})
         cfg = write_config(tmp_path, doc)
         assert main(["varratio", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+    def test_naive_config_without_h_exits_1(self, tmp_path, capsys):
+        # varratio runs the importance method whatever the configured method
+        doc = {k: v for k, v in dict(MINIMAL, method="naive", n=100).items() if k != "h"}
+        cfg, out = write_config(tmp_path, doc), tmp_path / "o"
+        assert main(["varratio", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config field 'h'" in err and "varratio runs the importance method" in err
+        assert not out.exists()
 
 
 class TestUsage:

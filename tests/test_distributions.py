@@ -14,11 +14,19 @@ from tailshift import (
     CorrelationMatrix,
     DistributionSpec,
     DomainError,
+    ExperimentConfig,
+    FixedH,
+    GridH,
+    ISConfig,
+    LossModel,
     MarginalSpec,
+    TransformParams,
     copula_log_density,
+    extrapolation_factor,
     joint_log_density,
     sample_inputs,
     std_normal_quantile,
+    value_at_risk,
 )
 from tailshift.distributions import _normal_scores, _sample_with_log_density
 
@@ -313,6 +321,48 @@ class TestJointDensity:
     def test_rejects_wrong_dimension(self, pert_dist):
         with pytest.raises(DomainError):
             joint_log_density(np.ones(6), pert_dist)
+
+
+def _study(betas):
+    return ExperimentConfig(dist=DistributionSpec.from_alphas([1.0]), loss=LossModel.linear(),
+                            betas=betas, n=10, h_rule=FixedH(2.0))
+
+
+class TestRealArguments:
+    """Every real-valued argument takes a finite int, float or numpy scalar, and nothing else."""
+
+    @pytest.mark.parametrize("call, want", [
+        (lambda: DistributionSpec.from_alphas([1, 2]).alphas.tolist(), [1.0, 2.0]),
+        (lambda: DistributionSpec.from_alphas(np.array([0.5, 2.0], np.float32)).alphas.tolist(),
+         [0.5, 2.0]),
+        (lambda: LossModel.linear(rho=np.int64(2)).rho, 2.0),
+        (lambda: TransformParams(r=np.int64(2)).r, 2.0),
+        (lambda: ISConfig(beta=np.float32(1e-3), n=10, seed=0).beta, float(np.float32(1e-3))),
+        (lambda: value_at_risk((np.arange(4.0), np.zeros(4)), np.float32(0.5)), 1.0),
+    ], ids=["int alphas", "float32 alphas", "int64 rho", "int64 r", "float32 beta",
+            "float32 var level"])
+    def test_accepts_numpy_and_int_scalars(self, call, want):
+        assert call() == want
+
+    @pytest.mark.parametrize("call", [
+        lambda: MarginalSpec(True),
+        lambda: DistributionSpec.from_alphas([True, 1.5]),
+        lambda: LossModel.linear(rho=True),
+        lambda: ISConfig(beta=0.1, n=10, seed=0, h=True),
+        lambda: extrapolation_factor(1e-6, True),
+        lambda: ISConfig(beta=0.1, n=10, seed=0, h="2.6"),
+        lambda: GridH(["2.0"]),
+        lambda: _study(["1e-3"]),
+        lambda: CorrelationMatrix.tridiagonal(3, "0.1"),
+        lambda: LossModel.linear(rho=10**400),
+        lambda: extrapolation_factor(1e-6, 10**400),
+    ], ids=["bool alpha", "bool among alphas", "bool rho", "bool h", "bool h factor",
+            "string h", "string grid value", "string beta", "string c", "huge rho",
+            "huge h factor"])
+    def test_refuses_bools_strings_and_huge_ints(self, call):
+        # a DomainError, not numpy's or Python's own OverflowError, TypeError or ValueError
+        with pytest.raises(DomainError, match="must"):
+            call()
 
 
 class TestSampling:

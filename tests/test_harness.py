@@ -425,15 +425,16 @@ class TestExperimentConfig:
         assert getattr(ExperimentConfig(**{**kw, field: 3.0}), field) == 3
 
     def test_rejects_a_draw_numpy_cannot_index(self, portfolio_dist, linear):
-        # the (n, d) draw would end in numpy's "Maximum allowed dimension exceeded"
-        most = np.iinfo(np.intp).max
+        # the (n, d) draw would end in numpy's "Maximum allowed dimension exceeded",
+        # or, past most // (8 d) rows of 8-byte floats, in its "array is too big"
+        most, d = np.iinfo(np.intp).max, portfolio_dist.dim
         kw = dict(dist=portfolio_dist, loss=linear, betas=(0.1,), h_rule=FixedH(2.0))
-        for n in (10**400, most // portfolio_dist.dim + 1):
+        for n in (10**400, most // d + 1, most // d, most // (8 * d) + 1):
             with pytest.raises(DomainError, match="n must be at most"):
                 ExperimentConfig(**kw, n=n)
             with pytest.raises(DomainError, match="n must be at most"):
                 sample_inputs(n, portfolio_dist, 0)
-        assert ExperimentConfig(**kw, n=most // portfolio_dist.dim).n == most // portfolio_dist.dim
+        assert ExperimentConfig(**kw, n=most // (8 * d)).n == most // (8 * d)
         with pytest.raises(DomainError, match="n must be at most"):
             ISConfig(beta=0.1, n=10**400, seed=1)
         assert ISConfig(beta=0.1, n=most, seed=1).n == most
