@@ -29,7 +29,7 @@ from .distributions import CorrelationMatrix, DistributionSpec, _count, _real
 from .errors import ConfigError, DomainError, EstimationError, WeightsFileError
 from .harness import (  # noqa: F401  (REPLICATION_COLUMNS is re-exported)
     AffineH, ExperimentConfig, FixedH, GridH, REPLICATION_COLUMNS, SUMMARY_COLUMNS,
-    ReplicationTable, _spread, cross_validate_h, run_replications, summarize,
+    ReplicationTable, cross_validate_h, run_replications, summarize,
     variance_ratio_study, write_rows_csv,
 )
 from .losses import LossModel, _params_from_dict, _params_to_dict, load_relu_params
@@ -155,6 +155,14 @@ def _parse_h_rule(spec):
 _TOP_KEYS = {"dist", "loss", "betas", "n", "reps", "h", "seed", "method", "threads"}
 
 
+def _check_levels(betas):
+    """Refuse a level at which the importance method cannot stretch outward (beta >= 1/e)."""
+    for b in betas:
+        if b >= 1.0 / math.e:
+            raise ConfigError(f"beta must be < 1/e for importance sampling, got {b:g}",
+                              field="betas")
+
+
 def parse_config(path, overrides=None):
     """Read and validate a run configuration (or a manifest) from JSON.
 
@@ -211,10 +219,7 @@ def parse_config(path, overrides=None):
     if method not in ("is", "naive", "both"):
         raise ConfigError(f"must be 'is', 'naive' or 'both', got {method!r}", field="method")
     if method != "naive":
-        for b in betas:
-            if b >= 1.0 / math.e:
-                raise ConfigError(
-                    f"beta must be < 1/e for importance sampling, got {b:g}", field="betas")
+        _check_levels(betas)
 
     h_rule, h_resolved = _parse_h_rule(doc["h"]) if "h" in doc else (None, None)
     if h_rule is None and method != "naive":
@@ -272,10 +277,12 @@ def _check_h_rule(command, spec):
     """Refuse, before any output, an h rule that the command's importance runs cannot use.
 
     Outside crossval, which needs a grid and skips its unusable points, a rule must stretch
-    outward at every level.  varratio runs the importance method whatever the config's method.
+    outward at every level.  crossval and varratio run the importance method whatever the
+    config's method.
     """
     rule = spec.experiment.h_rule
     if command == "crossval":
+        _check_levels(spec.experiment.betas)
         if not isinstance(rule, GridH):
             raise ConfigError("crossval needs an h grid ({'grid': [...]})", field="h")
     elif command == "varratio" or "is" in spec.methods:
@@ -325,15 +332,13 @@ def cmd_benchmark(spec, out_dir):
     tables = [run_replications(exp, m) for m in spec.methods]
     rep_path = out_dir / "replications.csv"
     ReplicationTable(rows=[r for t in tables for r in t.rows]).write_csv(rep_path)
-    summary_rows = []
-    for table in tables:
-        summary_rows.extend(summarize(table))
+    summary_rows = [row for table in tables for row in summarize(table)]
 
-    match_info = None
-    if "is" in spec.methods and "naive" in spec.methods:
-        match_info = _naive_matching_n(spec, summary_rows)
-        if match_info is not None:
-            summary_rows.append(match_info["row"])
+    match = None
+    if spec.method == "both":
+        match = _naive_matching_n(spec, summary_rows)
+        if match is not None:
+            summary_rows.append(match[1])
 
     sum_path = out_dir / "summary.csv"
     write_rows_csv(sum_path, SUMMARY_COLUMNS,
@@ -341,43 +346,35 @@ def cmd_benchmark(spec, out_dir):
     for row in summary_rows:
         print(f"{row['method']:>5}  beta={row['beta']:<12g} n={row['n']:<8d} "
               f"rel_rmse_cvar={row['rel_rmse_cvar']:<10.4g} mean_cvar={row['mean_cvar']:.6g}")
-    if match_info is not None:
-        if match_info["matched"]:
-            print(f"naive matches the importance error at beta={match_info['beta']:g} "
-                  f"with n = {match_info['n']}")
+    if match is not None:
+        matched, row = match
+        if matched:
+            print(f"naive matches the importance error at beta={row['beta']:g} "
+                  f"with n = {row['n']}")
         else:
-            print(f"naive match budget exhausted at beta={match_info['beta']:g}: "
-                  f"n = {match_info['n']} still above the importance error")
+            print(f"naive match budget exhausted at beta={row['beta']:g}: "
+                  f"n = {row['n']} still above the importance error")
     return 0, [rep_path, sum_path]
 
 
 def _naive_matching_n(spec, summary_rows):
     """Double the naive n at the largest beta until its cv matches the
-    importance cv (or the budget runs out); returns a summary row."""
+    importance cv (or the budget runs out); returns (matched, summary row)."""
     exp = spec.experiment
     beta = max(exp.betas)
     target = next((r["rel_rmse_cvar"] for r in summary_rows
                    if r["method"] == "is" and r["beta"] == beta), float("nan"))
     if not math.isfinite(target):
         return None
-    reps = min(exp.reps, 20)
+    sub = replace(exp, betas=(beta,), reps=min(exp.reps, 20))
     budget = max(_MATCH_MAX_FACTOR * exp.n, _MATCH_HARD_CAP)
-    n = exp.n
     while True:
         # below n * beta = 5 every row is tagged infeasible: no values, cv nan
-        sub = replace(exp, betas=(beta,), n=n, reps=reps)
-        vals = run_replications(sub, "naive").values("cvar_hat", beta, "naive")
-        cv = _spread(vals)
-        mean_cvar = float(vals.mean()) if vals.size else float("nan")
-        matched = math.isfinite(cv) and cv <= target
-        if matched or n * 2 > budget:
-            return {
-                "beta": beta, "n": n, "matched": matched,
-                "row": {"method": "naive-match", "beta": beta, "h": None, "n": n,
-                        "reps": reps, "rel_rmse_var": float("nan"), "rel_rmse_cvar": cv,
-                        "mean_cvar": mean_cvar},
-            }
-        n *= 2
+        [row] = summarize(run_replications(sub, "naive"))
+        matched = math.isfinite(row["rel_rmse_cvar"]) and row["rel_rmse_cvar"] <= target
+        if matched or sub.n * 2 > budget:
+            return matched, {**row, "method": "naive-match", "rel_rmse_var": float("nan")}
+        sub = replace(sub, n=sub.n * 2)
 
 
 def cmd_varratio(spec, out_dir):

@@ -6,19 +6,29 @@ class DomainError(ValueError):
 
 
 class EstimationError(RuntimeError):
-    """An estimation run could not produce a meaningful result."""
+    """An estimation run could not produce a meaningful result.
+
+    Each subclass that ``estimate`` raises names, as ``status``, the tag of
+    the replication row it fails.
+    """
 
 
 class TailMassError(EstimationError):
     """The sampled weighted tail mass is too small for the requested level."""
 
+    status = "tail-mass"
+
 
 class FeasibilityError(EstimationError):
     """The requested estimation is infeasible at the given sample size."""
 
+    status = "infeasible"
+
 
 class BadLossError(EstimationError):
     """The loss raised, or returned values that are not finite numbers."""
+
+    status = "bad-loss"
 
 
 class ConfigError(ValueError):

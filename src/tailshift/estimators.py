@@ -210,10 +210,11 @@ def estimate(dist, loss, config, method="is", *, _draws=None):
         when n * beta < 5 (the empirical tail would hold fewer than five
         samples, giving meaningless quantiles).
     _draws : dict, optional
-        cross_validate_h's private memo of draws, seed -> (X, log f(X)).  It
-        may only be shared by importance runs of one dist and n, so that the
-        seed alone fixes the draw.  Each seed is written once, by the first
-        run that needs it; a later run with another h only weighs it again.
+        cross_validate_h's private memo of importance draws, seed -> (X,
+        log f(X)); the naive method ignores it.  It may only be shared by
+        runs of one dist and n, so that the seed alone fixes the draw.  Each
+        seed is written once, by the first run that needs it; a later run
+        with another h only weighs it again.
 
     Raises
     ------
@@ -231,43 +232,35 @@ def estimate(dist, loss, config, method="is", *, _draws=None):
         raise DomainError(f"method must be 'is' or 'naive', got {method!r}")
     if not isinstance(loss, LossModel):
         raise DomainError("loss must be a LossModel")
-    h = config.h
     if method == "naive":
         if config.n * config.beta < NAIVE_MIN_TAIL_COUNT:
             raise FeasibilityError(
                 f"naive estimation infeasible: n*beta = {config.n * config.beta:.4g} < "
                 f"{NAIVE_MIN_TAIL_COUNT:g}; increase n or use the importance method"
             )
-        h = params = None
-    elif h is None:
-        raise DomainError("the importance method needs h")
+        h = None
+        Z = _sample_with_log_density(config.n, dist, config.seed, with_density=False)[0]
+        logw = np.zeros(config.n)
     else:
+        h = config.h
+        if h is None:
+            raise DomainError("the importance method needs h")
         params = TransformParams(r=extrapolation_factor(config.beta, h), rho=loss.rho)
-    draws = {} if _draws is None else _draws
-    draw = draws.get(config.seed)
-    if draw is None:    # the naive method (params None) draws no log f(X)
-        draw = draws[config.seed] = _sample_with_log_density(
-            config.n, dist, config.seed, with_density=params is not None)
-    v, c, se = _weigh(dist, loss, config.beta, params, *draw)
-    return EstimateReport(
-        method=method, beta=config.beta, h=h, n=config.n, seed=config.seed,
-        var_hat=v, cvar_hat=c, cvar_se=se,
-    )
-
-
-def _weigh(dist, loss, beta, params, X, log_fx):
-    """(var, cvar, se) at beta of one draw, stretched and weighed by params (None: naive)."""
-    if params is None:
-        Z, logw = X, np.zeros(len(X))
-    else:
-        Z, logw = _weighted_stretch(X, log_fx, dist, params)
+        draws = {} if _draws is None else _draws
+        draw = draws.get(config.seed)
+        if draw is None:
+            draw = draws[config.seed] = _sample_with_log_density(config.n, dist, config.seed)
+        Z, logw = _weighted_stretch(*draw, dist, params)
     losses = np.asarray(loss(Z), dtype=float)
     if not np.all(np.isfinite(losses)):
         bad = int(np.count_nonzero(~np.isfinite(losses)))
         raise BadLossError(f"the loss returned {bad} non-finite values out of {losses.size}")
-    v, c, se = _tail((losses, logw), beta)
+    v, c, se = _tail((losses, logw), config.beta)
     if not np.any(losses > v):
         raise TailMassError(
-            f"no sampled loss lies above var = {v:g} at beta = {beta:g}; the tail is empty"
+            f"no sampled loss lies above var = {v:g} at beta = {config.beta:g}; the tail is empty"
         )
-    return v, c, se
+    return EstimateReport(
+        method=method, beta=config.beta, h=h, n=config.n, seed=config.seed,
+        var_hat=v, cvar_hat=c, cvar_se=se,
+    )

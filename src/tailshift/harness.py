@@ -16,7 +16,7 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .errors import BadLossError, DomainError, EstimationError, FeasibilityError
+from .errors import DomainError, EstimationError
 from .distributions import _count, _draw_size, _real
 from .estimators import ISConfig, estimate
 from .losses import LossModel
@@ -186,26 +186,6 @@ def write_rows_csv(path, columns, rows):
             writer.writerow([_format_cell(v) for v in row])
 
 
-def _status_of(exc):
-    """Status tag of a replication that raised the EstimationError exc."""
-    if isinstance(exc, FeasibilityError):
-        return "infeasible"
-    if isinstance(exc, BadLossError):
-        return "bad-loss"
-    return "tail-mass"
-
-
-def _one_replication(dist, loss, method, beta, h, n, rep, seed, draws):
-    config = ISConfig(beta=beta, n=n, seed=seed, h=h)
-    try:
-        report = estimate(dist, loss, config, method, _draws=draws)
-    except EstimationError as exc:
-        nan = float("nan")
-        return ReplicationRow(method, beta, h, n, rep, seed, nan, nan, nan, _status_of(exc))
-    return ReplicationRow(method, beta, report.h, n, rep, seed,
-                          report.var_hat, report.cvar_hat, report.cvar_se, "ok")
-
-
 def run_replications(config, method, *, _draws=None):
     """Run reps independent estimations at every beta level.
 
@@ -222,17 +202,28 @@ def run_replications(config, method, *, _draws=None):
     """
     if method not in _METHOD_CODES:
         raise DomainError(f"method must be one of {sorted(_METHOD_CODES)}, got {method!r}")
+
+    def replicate(beta, h, rep, seed):
+        one = ISConfig(beta=beta, n=config.n, seed=seed, h=h)
+        try:
+            report = estimate(config.dist, config.loss, one, method, _draws=_draws)
+        except EstimationError as exc:
+            nan = float("nan")
+            return ReplicationRow(method, beta, h, config.n, rep, seed, nan, nan, nan, exc.status)
+        return ReplicationRow(method, beta, report.h, config.n, rep, seed,
+                              report.var_hat, report.cvar_hat, report.cvar_se, "ok")
+
     tasks = []
     for bi, beta in enumerate(config.betas):
-        h = config.h_rule.h_for(beta) if method == "is" else None
+        # without a rule h stays None, which estimate refuses for the importance method
+        h = config.h_rule.h_for(beta) if method == "is" and config.h_rule is not None else None
         for rep in range(config.reps):
-            seed = derive_seed(config.base_seed, bi, method, rep)
-            tasks.append((config.dist, config.loss, method, beta, h, config.n, rep, seed, _draws))
+            tasks.append((beta, h, rep, derive_seed(config.base_seed, bi, method, rep)))
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            rows = list(pool.map(lambda t: _one_replication(*t), tasks))
+            rows = list(pool.map(lambda t: replicate(*t), tasks))
     else:
-        rows = [_one_replication(*t) for t in tasks]
+        rows = [replicate(*t) for t in tasks]
     return ReplicationTable(rows=rows)
 
 

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _component_major, _positive_finite, _sum_components, _validate_vectors
+from .distributions import (
+    _component_major, _count, _positive_finite, _real, _sum_components, _validate_vectors,
+)
 from .errors import BadLossError, DomainError, WeightsDimensionError, WeightsFormatError
 
 __all__ = [
@@ -78,15 +80,18 @@ class ReluNetParams:
             raise WeightsDimensionError(f"b1 must have shape ({hidden},), got {b1.shape}")
         if w2.shape != (hidden,):
             raise WeightsDimensionError(f"w2 must have shape ({hidden},), got {w2.shape}")
-        if not (np.all(np.isfinite(W1)) and np.all(np.isfinite(b1)) and np.all(np.isfinite(w2))
-                and math.isfinite(float(self.b2))):
+        if not (np.all(np.isfinite(W1)) and np.all(np.isfinite(b1)) and np.all(np.isfinite(w2))):
             raise WeightsFormatError("network weights must be finite numbers")
+        try:
+            b2 = _real("b2", self.b2)
+        except DomainError as exc:
+            raise WeightsFormatError(str(exc)) from None
         for arr in (W1, b1, w2):
             arr.setflags(write=False)
         object.__setattr__(self, "W1", W1)
         object.__setattr__(self, "b1", b1)
         object.__setattr__(self, "w2", w2)
-        object.__setattr__(self, "b2", float(self.b2))
+        object.__setattr__(self, "b2", b2)
 
     @property
     def dim(self):
@@ -125,11 +130,11 @@ def _params_from_dict(doc, where):
     if not (isinstance(dims, dict) and "d" in dims and "hidden" in dims):
         raise WeightsFormatError(f"{where}: 'dims' must hold 'd' and 'hidden'")
     try:
-        d, hidden = int(dims["d"]), int(dims["hidden"])
+        # a DomainError from _count is a ValueError: a malformed count, not a shape
+        d, hidden = _count("dims.d", dims["d"], 0), _count("dims.hidden", dims["hidden"], 0)
         W1 = np.asarray(doc["W1"], dtype=float)
         b1 = np.asarray(doc["b1"], dtype=float)
         w2 = np.asarray(doc["w2"], dtype=float)
-        b2 = float(doc["b2"])
     except (TypeError, ValueError) as exc:
         raise WeightsFormatError(f"{where} holds non-numeric entries: {exc}") from None
     if W1.ndim == 1:
@@ -142,7 +147,7 @@ def _params_from_dict(doc, where):
         raise WeightsDimensionError(
             f"{where}: W1 has shape {W1.shape}, expected ({hidden}, {d})"
         )
-    return ReluNetParams(W1=W1, b1=b1, w2=w2, b2=b2)
+    return ReluNetParams(W1=W1, b1=b1, w2=w2, b2=doc["b2"])
 
 
 def load_relu_params(path):

@@ -123,7 +123,8 @@ class TestParseConfig:
         assert spec.resolved["loss"]["weights"]["dims"] == {"d": 3, "hidden": 4}
 
     @pytest.mark.parametrize("case", ["transposed nested W1", "wrong flat W1 count",
-                                      "missing key"])
+                                      "missing key", "fractional d", "boolean b2",
+                                      "string b2"])
     def test_inline_and_file_weights_reject_alike(self, tmp_path, case):
         p = synthetic_relu_params(dim=3, hidden=2, seed=5)
         good = {"dims": {"d": 3, "hidden": 2}, "W1": p.W1.ravel().tolist(),
@@ -132,6 +133,9 @@ class TestParseConfig:
             "transposed nested W1": dict(good, W1=p.W1.T.tolist()),
             "wrong flat W1 count": dict(good, W1=good["W1"][:-1]),
             "missing key": {k: v for k, v in good.items() if k != "b1"},
+            "fractional d": dict(good, dims={"d": 3.5, "hidden": 2}),   # int() would read 3
+            "boolean b2": dict(good, b2=True),
+            "string b2": dict(good, b2="1.5"),
         }[case]
         path = tmp_path / "net.json"
         path.write_text(json.dumps(bad))
@@ -435,6 +439,15 @@ class TestCrossvalCommand:
         assert "needs an h grid" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_naive_config_level_at_or_above_1_over_e_exits_1(self, tmp_path, capsys):
+        # crossval runs the importance method whatever the configured method
+        doc = dict(MINIMAL, method="naive", betas=[0.5], h={"grid": [2.0, 3.0]})
+        cfg, out = write_config(tmp_path, doc), tmp_path / "o"
+        assert main(["crossval", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config field 'betas'" in err and "beta must be < 1/e" in err
+        assert not out.exists()
+
 
 class TestBenchmarkCommand:
     def test_smoke_run_with_match_row(self, tmp_path, capsys):
@@ -449,6 +462,18 @@ class TestBenchmarkCommand:
         methods = [r[0] for r in summary[1:]]
         assert methods == ["is", "naive", "naive-match"]
         assert "naive matches the importance error" in capsys.readouterr().out
+
+    def test_match_budget_exhausted(self, tmp_path, capsys):
+        # n * beta < 5 at every n up to the budget: each naive row is infeasible, none draws
+        doc = dict(MINIMAL, method="both", betas=[1e-6], n=80, reps=3)
+        cfg, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
+        assert ("naive match budget exhausted at beta=1e-06: n = 327680 still above the "
+                "importance error") in capsys.readouterr().out
+        header, *rows = read_csv(out / "summary.csv")
+        match = dict(zip(header, rows[-1]))
+        assert (match["method"], match["n"], match["reps"]) == ("naive-match", "327680", "3")
+        assert match["rel_rmse_cvar"] == "nan" and match["h"] == ""
 
     def test_is_only_has_no_match_row(self, tmp_path):
         doc = dict(MINIMAL, betas=[0.1], n=80, reps=3)

@@ -11,10 +11,12 @@ import pytest
 
 from tailshift import (
     AffineH,
+    BadLossError,
     DistributionSpec,
     DomainError,
     EstimationError,
     ExperimentConfig,
+    FeasibilityError,
     FixedH,
     GridH,
     ISConfig,
@@ -238,6 +240,28 @@ class TestRunReplications:
     def test_rejects_unknown_method(self, onedim_dist, linear):
         with pytest.raises(DomainError):
             run_replications(small_config(onedim_dist, linear), "quasi")
+
+    def test_missing_h_rule_reaches_estimate(self, onedim_dist, linear):
+        # estimate owns the "needs h" rule; a naive table needs no rule at all
+        cfg = small_config(onedim_dist, linear, h_rule=None, reps=2)
+        with pytest.raises(DomainError, match="the importance method needs h"):
+            run_replications(cfg, "is")
+        assert [r.status for r in run_replications(cfg, "naive").rows] == ["ok", "ok"]
+
+    @pytest.mark.parametrize("error, tag", [(TailMassError, "tail-mass"),
+                                            (FeasibilityError, "infeasible"),
+                                            (BadLossError, "bad-loss")])
+    def test_a_failed_row_carries_its_errors_status(self, onedim_dist, linear, monkeypatch,
+                                                    error, tag):
+        import tailshift.harness as hz
+
+        def failing(*args, **kw):
+            raise error("no estimate")
+
+        monkeypatch.setattr(hz, "estimate", failing)
+        assert error.status == tag
+        table = run_replications(small_config(onedim_dist, linear, reps=2), "is")
+        assert [r.status for r in table.rows] == [tag, tag]
 
     def test_csv_round_trip(self, onedim_dist, linear, tmp_path):
         cfg = small_config(onedim_dist, linear, reps=3)

@@ -125,6 +125,16 @@ class TestReluNet:
             ReluNetParams(W1=np.array([[np.nan, 0.0]]), b1=np.zeros(1),
                           w2=np.ones(1), b2=0.0)
 
+    @pytest.mark.parametrize("b2", [True, "1.5", math.inf, None])
+    def test_params_reject_a_b2_that_is_no_real_number(self, b2):
+        with pytest.raises(WeightsFormatError, match="b2 must be finite"):
+            ReluNetParams(W1=np.eye(2), b1=np.zeros(2), w2=np.ones(2), b2=b2)
+
+    def test_params_take_numpy_and_int_b2(self):
+        for b2 in (np.float32(0.5), np.int64(2), 3):
+            p = ReluNetParams(W1=np.eye(2), b1=np.zeros(2), w2=np.ones(2), b2=b2)
+            assert type(p.b2) is float and p.b2 == float(b2)
+
 
 class TestWeightsFile:
     def test_round_trip_is_bitwise(self, tmp_path):
@@ -170,6 +180,26 @@ class TestWeightsFile:
         path = tmp_path / "dims.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(WeightsDimensionError):
+            load_relu_params(path)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("d", 2.7, "dims.d must be a whole number"),
+        ("hidden", True, "dims.hidden must be a whole number"),
+        ("d", "2", "dims.d must be a whole number"),
+        ("b2", True, "b2 must be finite"),
+        ("b2", "1.5", "b2 must be finite"),
+    ])
+    def test_counts_and_b2_keep_the_number_rules(self, tmp_path, field, value, match):
+        p = synthetic_relu_params(dim=2, hidden=3, seed=4)
+        doc = {"dims": {"d": 2, "hidden": 3}, "W1": p.W1.ravel().tolist(),
+               "b1": p.b1.tolist(), "w2": p.w2.tolist(), "b2": p.b2}
+        if field == "b2":
+            doc["b2"] = value
+        else:
+            doc["dims"] = dict(doc["dims"], **{field: value})
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(WeightsFormatError, match=match):
             load_relu_params(path)
 
     def test_flat_and_nested_w1_agree(self, tmp_path):
