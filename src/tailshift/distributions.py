@@ -18,7 +18,8 @@ density and the stretch reduce over the d components.
 
 The per-sample stages run over fixed blocks of columns (``_over_columns``):
 samples are independent until the tail sort, so a block is computed on its
-own and a large batch never holds more than one block's temporaries.
+own and a large batch never holds more than one block's temporaries.  The
+draw is streamed in the same blocks, straight from the generator.
 """
 
 from __future__ import annotations
@@ -290,21 +291,36 @@ def _over_columns(kernel, columns, *args):
     columns are (..., n) arrays, sliced alike; kernel returns a tuple of
     arrays over its block's columns, or None in place of one.  Up to
     _BLOCK columns this is one call on the whole arrays.  Past that the
-    blocks run one after another, so their temporaries stay small, and
-    their results are copied into outputs of n columns.  Samples are
-    independent until the tail sort, and the bounds depend on n alone.
+    blocks run one after another (``_over_blocks``), so their temporaries
+    stay small.  Samples are independent until the tail sort, and the
+    bounds depend on n alone.
     """
     n = columns[0].shape[-1]
     if n <= _BLOCK:
         return kernel(*columns, *args)
+    return _over_blocks(n, lambda lo, hi: kernel(*(c[..., lo:hi] for c in columns), *args))
+
+
+def _over_blocks(n, block):
+    """block(lo, hi) over n columns in blocks [lo, hi) of _BLOCK, joined on the last axis.
+
+    The blocks run in order; block returns a tuple of (..., hi - lo)
+    arrays, or None in place of one.  Up to _BLOCK columns the one block's
+    result comes back as it is; past that each result is copied into
+    outputs of n columns and dropped before the next block is made.
+    """
+    if n <= _BLOCK:
+        return block(0, n)
     outs = None
     for lo in range(0, n, _BLOCK):
-        parts = kernel(*(c[..., lo:lo + _BLOCK] for c in columns), *args)
+        hi = min(lo + _BLOCK, n)
+        part = block(lo, hi)
         if outs is None:
-            outs = tuple(None if p is None else np.empty(p.shape[:-1] + (n,)) for p in parts)
-        for out, part in zip(outs, parts):
+            outs = tuple(None if p is None else np.empty(p.shape[:-1] + (n,)) for p in part)
+        for out, p in zip(outs, part):
             if out is not None:
-                out[..., lo:lo + _BLOCK] = part
+                out[..., lo:hi] = p
+        del part, p                  # the next block may reuse this one's memory
     return outs
 
 
@@ -411,7 +427,7 @@ def _log_density_columns(xc, dist):
     return (marg + cop,)
 
 
-def _sample_with_log_density(n, dist, seed, with_density=True):
+def _sample_with_log_density(n, dist, seed, with_density=True, consume=None):
     """(X, log f(X)) for n joint samples; log f(X) is None without with_density.
 
     Correlated normals V = W chol' are mapped through the marginal
@@ -424,17 +440,40 @@ def _sample_with_log_density(n, dist, seed, with_density=True):
         log f(X) = sum_i (log alpha_i + (alpha_i - 1)/alpha_i * log t_i - t_i)
                    - (log det R + |W|**2 - |V|**2) / 2.
 
-    V is formed whole and row-major: the product's rounding, and so X for a
-    given seed, depends on the operand layout.  From -V on the work runs
-    component-major over column blocks, and X comes back as an F-ordered
-    (n, d) view.  A fresh generator is seeded on every call.
+    The draw is streamed in blocks of _BLOCK samples (``_draw_rows``), and
+    the generator gives the same stream in blocks as whole: W and V are
+    never whole, and X comes back as an F-ordered (n, d) view.  With consume, each block's (X, log f(X)), X a component-major (d, m)
+    block, goes to consume(X, log_fx) as soon as it is drawn, and the call
+    returns consume's results over all n samples, joined as
+    ``_over_columns`` joins a kernel's: so X is never whole either.  A
+    fresh generator is seeded on every call.
     """
     n = _draw_size(n, dist.dim)
     rng = np.random.default_rng(_count("seed", seed, 0))
-    W = rng.standard_normal((n, dist.dim))
-    V = W @ dist.correlation.chol.T
-    X, log_fx = _over_columns(_draw_columns, (W.T, V.T), dist, with_density)
+
+    def draw(lo, hi):
+        return _draw_rows(rng, hi - lo, n, dist, with_density)
+
+    if consume is not None:
+        return _over_blocks(n, lambda lo, hi: consume(*draw(lo, hi)))
+    X, log_fx = _over_blocks(n, draw)
     return X.T, log_fx
+
+
+def _draw_rows(rng, m, n, dist, with_density):
+    """_draw_columns of the next m rows of W, and of V = W chol', in an n-sample draw.
+
+    V is formed row-major, since the product's rounding, and so X for a
+    given seed, depends on the operand layout, and with the bits of the
+    product over the whole draw: numpy multiplies a single row by a
+    matrix-vector kernel that rounds otherwise than its dgemm for more
+    rows, so the one row that ends a longer draw goes to dgemm, and a
+    one-sample draw keeps numpy's product.
+    """
+    W = rng.standard_normal((m, dist.dim))
+    chol_t = dist.correlation.chol.T
+    V = dgemm(1.0, W, chol_t) if m == 1 < n else W @ chol_t
+    return _draw_columns(W.T, V.T, dist, with_density)
 
 
 def _draw_columns(wt, vt, dist, with_density):

@@ -21,14 +21,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .distributions import _MAX_INDEX, _count, _real, _sample_with_log_density
+from .distributions import _MAX_INDEX, _count, _over_columns, _real, _sample_with_log_density
 from .errors import BadLossError, DomainError, FeasibilityError, TailMassError
 from .losses import LossModel
-from .transform import TransformParams, _check_beta, _weighted_stretch, extrapolation_factor
+from .transform import (
+    TransformParams, _check_beta, _stretch_block, _weighted_image, extrapolation_factor,
+)
 
 __all__ = [
     "WeightedLossSample",
@@ -195,6 +198,22 @@ class EstimateReport:
     cvar_se: float
 
 
+def _stretched_draw(dist, config, params, draws):
+    """_stretch_block's (image, log Jacobian, log f(X)) over config's whole draw.
+
+    Without the memo draws the draw streams into the stretch block by
+    block, so X is never whole.  With it, (X, log f(X)) is drawn whole and
+    kept under the seed by the first run that needs it; see ``estimate``.
+    """
+    stretch = partial(_stretch_block, params=params)
+    if draws is None:
+        return _sample_with_log_density(config.n, dist, config.seed, consume=stretch)
+    draw = draws.get(config.seed)
+    if draw is None:
+        draw = draws[config.seed] = _sample_with_log_density(config.n, dist, config.seed)
+    return _over_columns(stretch, (draw[0].T, draw[1]))
+
+
 def estimate(dist, loss, config, method="is", *, _draws=None):
     """Run one estimation and report (value at risk, cvar, standard error).
 
@@ -246,12 +265,9 @@ def estimate(dist, loss, config, method="is", *, _draws=None):
         if h is None:
             raise DomainError("the importance method needs h")
         params = TransformParams(r=extrapolation_factor(config.beta, h), rho=loss.rho)
-        draws = {} if _draws is None else _draws
-        draw = draws.get(config.seed)
-        if draw is None:
-            draw = draws[config.seed] = _sample_with_log_density(config.n, dist, config.seed)
-        Z, logw = _weighted_stretch(*draw, dist, params)
+        Z, logw = _weighted_image(*_stretched_draw(dist, config, params, _draws), dist, params)
     losses = np.asarray(loss(Z), dtype=float)
+    del Z                     # the largest array, (n, d): the tail needs only the losses
     if not np.all(np.isfinite(losses)):
         bad = int(np.count_nonzero(~np.isfinite(losses)))
         raise BadLossError(f"the loss returned {bad} non-finite values out of {losses.size}")

@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -164,7 +165,8 @@ class ReplicationTable:
         return np.array([getattr(r, field) for r in rows], dtype=float)
 
     def write_csv(self, path):
-        write_rows_csv(path, REPLICATION_COLUMNS, [astuple(r) for r in self.rows])
+        # the fields as they are: astuple would deep-copy every row first
+        write_rows_csv(path, REPLICATION_COLUMNS, map(attrgetter(*REPLICATION_COLUMNS), self.rows))
 
 
 def _format_cell(value):

@@ -119,6 +119,13 @@ def _params_to_dict(params):
     }
 
 
+def _weight_array(key, value):
+    """A (nested) list of JSON numbers as a float array: a string or a bool entry is refused."""
+    entries = np.array(value, dtype=object)
+    return np.array([_real(f"{key} entries", v, rule="be finite numbers") for v in entries.flat],
+                    dtype=float).reshape(entries.shape)
+
+
 def _params_from_dict(doc, where):
     """Validate the JSON weights layout; where names its source in error messages."""
     if not isinstance(doc, dict):
@@ -132,9 +139,7 @@ def _params_from_dict(doc, where):
     try:
         # a DomainError from _count is a ValueError: a malformed count, not a shape
         d, hidden = _count("dims.d", dims["d"], 0), _count("dims.hidden", dims["hidden"], 0)
-        W1 = np.asarray(doc["W1"], dtype=float)
-        b1 = np.asarray(doc["b1"], dtype=float)
-        w2 = np.asarray(doc["w2"], dtype=float)
+        W1, b1, w2 = (_weight_array(key, doc[key]) for key in ("W1", "b1", "w2"))
     except (TypeError, ValueError) as exc:
         raise WeightsFormatError(f"{where} holds non-numeric entries: {exc}") from None
     if W1.ndim == 1:

@@ -85,20 +85,24 @@ class TransformParams:
 
 
 def _checked(x):
-    """x as a validated component-major (d, n) array: nonempty vectors, finite."""
+    """x as a component-major (d, n) array of nonempty vectors; _log1p_abs checks the values."""
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] == 0:
         raise DomainError(f"x must be a nonempty vector or batch of vectors, got shape {np.shape(x)}")
-    if np.any(~np.isfinite(x)):
-        raise DomainError("x components must be finite")
     return _component_major(x)
 
 
 def _log1p_abs(xc):
-    """|x| and log1p|x| of a (d, m) block, and the (m,) max of log1p|x|, checked nonzero."""
+    """|x| and log1p|x| of a (d, m) block, and the (m,) max of log1p|x|.
+
+    The block is checked off the max, which is inf or nan in a column
+    holding an infinity or a nan, and 0 in a column of zeros.
+    """
     ax = np.abs(xc)
     logs = np.log1p(ax)
     M = np.max(logs, axis=0)
+    if not np.isfinite(M).all():
+        raise DomainError("x components must be finite")
     if np.any(M == 0.0):
         raise DomainError("x must have at least one nonzero component")
     return ax, logs, M
@@ -119,7 +123,7 @@ def stretch_exponents(x, rho):
 def _stretch(x, params):
     """(extrapolate(x), log_jacobian(x)), taking log1p|x| and its max over components once.
 
-    x is checked finite whole; the stretch runs over column blocks.
+    The stretch runs over column blocks.
     """
     z, log_jac = _over_columns(_stretch_columns, (_checked(x),), params)
     shape = np.shape(x)
@@ -161,18 +165,28 @@ def log_jacobian(x, params):
     return _stretch(x, params)[1]
 
 
-def _weighted_stretch(x, log_fx, dist, params):
-    """(extrapolate(x), log_likelihood_ratio(x)) from one stretch pass.
+def _stretch_block(xc, log_fx, params):
+    """(image, log Jacobian, log_fx) of a (d, m) block of x with its log density log_fx.
 
-    log_fx is the source log density joint_log_density(x, dist); it does not
-    depend on params, so a caller stretching the same x more than once
-    computes it once.  A stretch that carries samples past the float range
+    The per-block stretch of the weighted path: an estimate's draw hands its
+    blocks here as they are drawn, so X is never whole.  An overflow is
+    reported by ``_weighted_image``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (*_stretch_columns(xc, params), log_fx)
+
+
+def _weighted_image(zc, log_jac, log_fx, dist, params):
+    """(image, log weights) of x from _stretch_block's results over all n columns.
+
+    zc is the component-major (d, n) image; it comes back as an F-ordered
+    (n, d) view.  A stretch that carries samples past the float range
     raises TailMassError: an image that overflows, or one so far out that
     its density overflows into a nan or +inf log weight.
     """
+    z = zc.T
     with np.errstate(over="ignore", invalid="ignore"):    # reported below
-        z, log_jac = _stretch(x, params)
-        logw = joint_log_density(z, dist) - log_fx + log_jac if np.isfinite(z).all() else None
+        logw = joint_log_density(z, dist) - log_fx + log_jac if np.isfinite(zc).all() else None
     if logw is None or not np.max(logw) < np.inf:          # np.max propagates a nan
         raise TailMassError(
             f"the stretch by up to r**(1/rho) = {params.r:.4g}**{1.0 / params.rho:.4g} carries "
@@ -187,4 +201,7 @@ def log_likelihood_ratio(x, dist, params):
     log f(extrapolate(x)) - log f(x) + log_jacobian(x), with f the joint
     input density.  Exactly 0.0 for r = 1.  Accepts (d,) or (n, d).
     """
-    return _weighted_stretch(x, joint_log_density(x, dist), dist, params)[1]
+    log_fx = joint_log_density(x, dist)
+    image = _over_columns(_stretch_block, (_checked(x), log_fx), params)
+    logw = _weighted_image(*image, dist, params)[1].reshape(np.shape(x)[:-1])
+    return float(logw) if logw.ndim == 0 else logw

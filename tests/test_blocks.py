@@ -1,5 +1,6 @@
-"""The per-sample kernel over fixed column blocks."""
+"""The per-sample kernel over fixed column blocks, and the streamed draw."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -8,8 +9,12 @@ import pytest
 from scipy.special import log_ndtr
 
 import tailshift.distributions as dz
+import tailshift.estimators as ez
 from tailshift import (
+    CorrelationMatrix,
+    DistributionSpec,
     DomainError,
+    EstimationError,
     ExperimentConfig,
     FixedH,
     ISConfig,
@@ -22,18 +27,23 @@ from tailshift import (
     pert_h_rule,
     run_replications,
     sample_inputs,
+    synthetic_relu_params,
 )
 from tailshift.distributions import _BLOCK, _sample_with_log_density
+from tailshift.transform import extrapolation_factor
 
 N = 3 * _BLOCK + 17                      # three full blocks and a short fourth
 EDGES = [0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, 3 * _BLOCK, N - 1]
 ROWS = sorted(set(EDGES) | set(range(0, N, 101)))   # the block edges and a spread
 
 
-@pytest.fixture(params=["portfolio", "pert"])
+@pytest.fixture(params=["portfolio", "pert", "relu"])
 def model(request, portfolio_dist, pert_dist):
     if request.param == "portfolio":
         return portfolio_dist, LossModel.linear(), 2.6
+    if request.param == "relu":
+        dist = DistributionSpec.from_alphas([0.6] * 8, CorrelationMatrix.tridiagonal(8, 0.1))
+        return dist, LossModel.relu_net(synthetic_relu_params(8, 12, seed=5)), 4.6
     return pert_dist, LossModel.pert7(), pert_h_rule.h_for(1e-6)
 
 
@@ -132,3 +142,69 @@ def test_thread_counts_agree_on_blocked_replications(portfolio_dist, linear):
     two = run_replications(replace(config, threads=2), "is")
     assert one.rows == two.rows
     assert all(row.status == "ok" for row in one.rows)
+
+
+def _whole_batch_draw(n, dist, seed):
+    """(X, log f(X)) with W and V formed whole, then the draw kernel over their column blocks.
+
+    The streamed draw must give these bits.  The kernel keeps its blocks:
+    over a one-column block its log f(X) rounds as a one-sample draw's
+    does, so a run with _BLOCK patched wide can differ from it in the last
+    bit of log f(X) at n = 8193 (X and the losses match it).
+    """
+    W = np.random.default_rng(seed).standard_normal((n, dist.dim))
+    V = W @ dist.correlation.chol.T
+    X, log_fx = dz._over_columns(dz._draw_columns, (W.T, V.T), dist, True)
+    return X.T, log_fx
+
+
+class TestStreamedDraw:
+    @pytest.mark.parametrize("n", [1, 2, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1, N])
+    def test_matches_the_whole_batch_draw(self, model, n, monkeypatch):
+        dist, loss, h = model
+        beta, seed = 1e-3, 13
+        X, log_fx = _whole_batch_draw(n, dist, seed)
+        params = TransformParams(r=extrapolation_factor(beta, h), rho=loss.rho)
+        Z = extrapolate(X, params)
+        want_losses = np.asarray(loss(Z), dtype=float)
+        want_logw = joint_log_density(Z, dist) - log_fx + log_jacobian(X, params)
+
+        seen, real_tail = [], ez._tail
+
+        def recording_tail(samples, beta, var=None):
+            seen.append(samples)
+            return real_tail(samples, beta, var)
+
+        monkeypatch.setattr(ez, "_tail", recording_tail)
+        for draws in (None, {}):         # streamed into the stretch, and kept whole in a memo
+            try:
+                estimate(dist, loss, ISConfig(beta=beta, n=n, seed=seed, h=h), _draws=draws)
+            except EstimationError:      # one or two samples leave an empty tail
+                pass
+        assert len(seen) == 2
+        for losses, logw in seen:
+            assert losses.tobytes() == want_losses.tobytes()
+            assert logw.tobytes() == want_logw.tobytes()
+        assert sample_inputs(n, dist, seed).tobytes() == X.tobytes()
+
+        monkeypatch.setattr(dz, "_BLOCK", 10 * N)      # one block: W and V whole
+        try:
+            estimate(dist, loss, ISConfig(beta=beta, n=n, seed=seed, h=h))
+        except EstimationError:
+            pass
+        assert seen[2][0].tobytes() == want_losses.tobytes()
+        assert sample_inputs(n, dist, seed).tobytes() == X.tobytes()
+
+    def test_estimate_never_holds_the_draw_whole(self, portfolio_dist, linear):
+        n = 100_000
+        config = ISConfig(beta=1e-6, n=n, seed=3, h=2.6)
+        estimate(portfolio_dist, linear, config)          # first-call allocations aside
+        tracemalloc.start()
+        try:
+            estimate(portfolio_dist, linear, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # W, V and X are (n, d) float arrays, and the image Z is one: the
+        # draw is streamed, so at most Z and some n-vectors are whole at once
+        assert peak < 2 * n * portfolio_dist.dim * 8

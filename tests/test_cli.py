@@ -124,7 +124,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("case", ["transposed nested W1", "wrong flat W1 count",
                                       "missing key", "fractional d", "boolean b2",
-                                      "string b2"])
+                                      "string b2", "string and boolean W1 entries",
+                                      "string and boolean w2 entries", "boolean b1 entry"])
     def test_inline_and_file_weights_reject_alike(self, tmp_path, case):
         p = synthetic_relu_params(dim=3, hidden=2, seed=5)
         good = {"dims": {"d": 3, "hidden": 2}, "W1": p.W1.ravel().tolist(),
@@ -136,6 +137,9 @@ class TestParseConfig:
             "fractional d": dict(good, dims={"d": 3.5, "hidden": 2}),   # int() would read 3
             "boolean b2": dict(good, b2=True),
             "string b2": dict(good, b2="1.5"),
+            "string and boolean W1 entries": dict(good, W1=["1.5", True] + good["W1"][2:]),
+            "string and boolean w2 entries": dict(good, w2=["2", False]),
+            "boolean b1 entry": dict(good, b1=[0.0, True]),
         }[case]
         path = tmp_path / "net.json"
         path.write_text(json.dumps(bad))
@@ -342,6 +346,18 @@ class TestEstimateCommand:
             warnings.simplefilter("error")
             assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 2
         assert [r[-1] for r in read_csv(out / "estimates.csv")[1:]] == ["tail-mass"] * 2
+
+    @pytest.mark.parametrize("source", ["weights", "weights_file"])
+    def test_weights_with_string_or_boolean_entries_exit_1(self, tmp_path, capsys, source):
+        weights = {"dims": {"d": 1, "hidden": 2}, "W1": ["1.5", True], "b1": [0, 0],
+                   "w2": ["2", False], "b2": 0.0}
+        (tmp_path / "net.json").write_text(json.dumps(weights))
+        loss = {"kind": "relu_net", source: weights if source == "weights" else "net.json"}
+        cfg = write_config(tmp_path, dict(MINIMAL, loss=loss))
+        out = tmp_path / "o"
+        assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "W1 entries must be finite numbers, got '1.5'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_rho_is_not_a_weights_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(MINIMAL, loss={"kind": "pert7", "rho": -1}))
