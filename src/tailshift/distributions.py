@@ -20,16 +20,19 @@ The per-sample stages run over fixed blocks of columns (``_over_columns``):
 samples are independent until the tail sort, so a block is computed on its
 own and a large batch never holds more than one block's temporaries.  The
 draw is streamed in the same blocks, straight from the generator.
+
+The linear algebra is numpy's: importing scipy.linalg would add about
+6.5 MB of resident memory to every process that imports the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.linalg.blas import dgemm
 from scipy.special import log_ndtr, ndtri, ndtri_exp
 
 from .errors import DomainError
@@ -155,8 +158,11 @@ class CorrelationMatrix:
 
     Beside the factor ``chol`` it caches R^-1 - I, the matrix of the copula
     quadratic form s'(R^-1 - I)s, so a copula density is one product with a
-    (d, d) matrix and no triangular solve.  R^-1 - I is exactly zero when R
-    is the identity.
+    (d, d) matrix and no triangular solve.  R^-1 comes from the factor, as
+    the solution Z of L'Z = Y with LY = I (numpy's solver; within about
+    2e-17 of a Cholesky solve on the bundled patterns, where np.linalg.inv
+    is off by up to 7e-16).  R^-1 - I is exactly zero when R is the
+    identity.
 
     Parameters
     ----------
@@ -182,7 +188,8 @@ class CorrelationMatrix:
         except np.linalg.LinAlgError:
             raise DomainError("correlation matrix is not positive definite") from None
         eye = np.eye(R.shape[0])
-        inv_minus_identity = np.ascontiguousarray(cho_solve((chol, True), eye) - eye)
+        inv = np.linalg.solve(chol.T, np.linalg.solve(chol, eye))
+        inv_minus_identity = np.ascontiguousarray(inv - eye)
         for arr in (R, chol, inv_minus_identity):
             arr.setflags(write=False)
         self.matrix = R
@@ -353,8 +360,12 @@ def _sum_components(a):
 
     np.sum(a, axis=0) adds the rows in order only while n > 1; a single
     column is summed pairwise.  The fixed order keeps a sample's value
-    independent of the size of the batch it comes in.
+    independent of the size of the batch it comes in.  A single column is
+    added as Python floats, which round as numpy's do and cost far less
+    than d calls on one-element arrays.
     """
+    if a.shape[1] == 1:
+        return np.array([reduce(add, a[:, 0].tolist())])
     out = a[0].copy()
     for row in a[1:]:
         out += row
@@ -371,15 +382,29 @@ def _normal_scores(p):
     return -ndtri_exp(-p)
 
 
+def _matmul(a, b):
+    """a @ b by numpy's matrix-matrix kernel, also for one row of a or one column of b.
+
+    numpy multiplies a single row or column by a matrix-vector kernel that
+    rounds otherwise than its matrix-matrix kernel, so such an operand is
+    doubled before the product and the copy cut off: a sample's product then
+    has the bits it has in a wider batch.
+    """
+    if a.shape[0] == 1:
+        return (np.concatenate((a, a)) @ b)[:1]
+    if b.shape[1] == 1:
+        return (a @ np.concatenate((b, b), axis=1))[:, :1]
+    return a @ b
+
+
 def _copula_log_density_from_scores(s, correlation):
     """Copula log density -(log det R + s'(R^-1 - I)s)/2 at scores s, shape (d, n).
 
-    The quadratic form is one product with the cached R^-1 - I.  It goes
-    through BLAS dgemm even for a single column, where numpy's matmul would
-    switch to a matrix-vector kernel that rounds differently, so a sample's
-    density does not depend on its batch.  Returns shape (n,).
+    The quadratic form is one product with the cached R^-1 - I, by the
+    matrix-matrix kernel at every n (``_matmul``), so a sample's density
+    does not depend on its batch.  Returns shape (n,).
     """
-    q = dgemm(1.0, s.T, correlation._inv_minus_identity.T).T
+    q = _matmul(correlation._inv_minus_identity, s)
     return -0.5 * (correlation.log_det + _sum_components(s * q))
 
 
@@ -465,28 +490,32 @@ def _draw_rows(rng, m, n, dist, with_density):
 
     V is formed row-major, since the product's rounding, and so X for a
     given seed, depends on the operand layout, and with the bits of the
-    product over the whole draw: numpy multiplies a single row by a
-    matrix-vector kernel that rounds otherwise than its dgemm for more
-    rows, so the one row that ends a longer draw goes to dgemm, and a
-    one-sample draw keeps numpy's product.
+    product over the whole draw: the one row that ends a longer draw takes
+    the matrix-matrix kernel (``_matmul``), and a one-sample draw keeps
+    numpy's matrix-vector product.
     """
     W = rng.standard_normal((m, dist.dim))
     chol_t = dist.correlation.chol.T
-    V = dgemm(1.0, W, chol_t) if m == 1 < n else W @ chol_t
+    V = W @ chol_t if n == 1 else _matmul(W, chol_t)
     return _draw_columns(W.T, V.T, dist, with_density)
 
 
 def _draw_columns(wt, vt, dist, with_density):
-    """(X, log f(X)) of the draw, component-major, from (d, m) blocks of W' and V'."""
+    """(X, log f(X)) of the draw, component-major, from (d, m) blocks of W' and V'.
+
+    The sums over components in log f(X) run in index order
+    (``_sum_components``), so a sample's log f(X) does not depend on the
+    width of its block.
+    """
     a = dist.alphas
     neg_v = np.negative(vt, order="C")
     t = -log_ndtr(neg_v)
     X = _powers(t, 1.0 / a)
     if not with_density:
         return X, None
-    quad = np.einsum("ij,ij->i", wt.T, wt.T) - np.einsum("ij,ij->j", neg_v, neg_v)
-    log_fx = (((a - 1.0) / a) @ np.log(t) - _sum_components(t) - 0.5 * quad
-              + (float(np.sum(np.log(a))) - 0.5 * dist.correlation.log_det))
+    quad = np.einsum("ij,ij->i", wt.T, wt.T) - _sum_components(neg_v * neg_v)
+    log_fx = (_sum_components(((a - 1.0) / a)[:, None] * np.log(t)) - _sum_components(t)
+              - 0.5 * quad + (float(np.sum(np.log(a))) - 0.5 * dist.correlation.log_det))
     return X, log_fx
 
 

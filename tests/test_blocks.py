@@ -147,10 +147,7 @@ def test_thread_counts_agree_on_blocked_replications(portfolio_dist, linear):
 def _whole_batch_draw(n, dist, seed):
     """(X, log f(X)) with W and V formed whole, then the draw kernel over their column blocks.
 
-    The streamed draw must give these bits.  The kernel keeps its blocks:
-    over a one-column block its log f(X) rounds as a one-sample draw's
-    does, so a run with _BLOCK patched wide can differ from it in the last
-    bit of log f(X) at n = 8193 (X and the losses match it).
+    The streamed draw, and a draw in one wide block, must give these bits.
     """
     W = np.random.default_rng(seed).standard_normal((n, dist.dim))
     V = W @ dist.correlation.chol.T
@@ -193,6 +190,7 @@ class TestStreamedDraw:
         except EstimationError:
             pass
         assert seen[2][0].tobytes() == want_losses.tobytes()
+        assert seen[2][1].tobytes() == want_logw.tobytes()
         assert sample_inputs(n, dist, seed).tobytes() == X.tobytes()
 
     def test_estimate_never_holds_the_draw_whole(self, portfolio_dist, linear):

@@ -3,11 +3,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tailshift
 from tailshift import (
     ConfigError,
     ISConfig,
@@ -551,3 +556,14 @@ class TestUsage:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "estimate" in capsys.readouterr().out
+
+    def test_import_loads_no_scipy_linalg(self):
+        # a loss runs inside a larger program, which pays for what tailshift
+        # imports: numpy and scipy.special are its only numeric imports
+        code = ("import sys, tailshift, tailshift.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
+        src = str(Path(tailshift.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path}, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"

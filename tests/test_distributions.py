@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.special import log_ndtr
 
 from tailshift import (
@@ -28,7 +28,7 @@ from tailshift import (
     std_normal_quantile,
     value_at_risk,
 )
-from tailshift.distributions import _normal_scores, _sample_with_log_density
+from tailshift.distributions import _normal_scores, _sample_with_log_density, _sum_components
 
 # Reference values for the normal quantile were produced with mpmath at 60
 # decimal digits (root of log(ncdf(x)) = log(p), seeded from the classic
@@ -98,6 +98,20 @@ SCORE_ORACLE = {
     20.0: 5.879209356485336259886,
     50.0: 9.67482528361235650875,
 }
+
+
+@given(st.lists(st.floats(width=64), min_size=1, max_size=12))
+@example([0.1, 0.2, 0.3, 1e16, 1.0, -1e16])
+@example([-0.0])
+def test_one_column_sums_as_the_row_loop(values):
+    # a single column is added as Python floats; the loop over numpy rows,
+    # which every wider batch takes, is the reference
+    col = np.array(values)[:, None]
+    want = col[0].copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in col[1:]:
+            want += row
+    assert _sum_components(col).tobytes() == want.tobytes()
 
 
 class TestNormalScores:
@@ -214,6 +228,36 @@ class TestCorrelationMatrix:
         with pytest.raises(DomainError):
             CorrelationMatrix.equicorrelated(3, -0.6)
 
+    @pytest.mark.parametrize("R", [
+        CorrelationMatrix.identity(1),
+        CorrelationMatrix.equicorrelated(10, 0.1),
+        CorrelationMatrix.tridiagonal(7, 0.1),
+        CorrelationMatrix.tridiagonal(8, 0.1),
+        CorrelationMatrix.equicorrelated(12, 0.45),
+        CorrelationMatrix.tridiagonal(12, 0.45),
+    ], ids=repr)
+    def test_inverse_matches_a_cholesky_solve_on_the_patterns(self, R):
+        eye = np.eye(R.dim)
+        want = cho_solve((R.chol, True), eye) - eye
+        np.testing.assert_allclose(R._inv_minus_identity, want, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_inverse_matches_a_cholesky_solve_on_random_matrices(self, seed):
+        # both solves are backward stable, so they may differ by the forward
+        # error of either, about eps * cond(R) * |R^-1|
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 13))
+        A = rng.standard_normal((d, int(rng.integers(d, 3 * d))))
+        S = A @ A.T
+        scale = np.sqrt(np.diag(S))
+        C = S / np.outer(scale, scale)
+        np.fill_diagonal(C, 1.0)
+        R = CorrelationMatrix((C + C.T) / 2.0)
+        eye = np.eye(d)
+        inv = cho_solve((R.chol, True), eye)
+        bound = np.finfo(float).eps * np.linalg.cond(R.matrix) * np.max(np.abs(inv))
+        np.testing.assert_allclose(R._inv_minus_identity, inv - eye, rtol=0.0, atol=bound)
+
 
 class TestCopula:
     def test_value(self):
@@ -261,6 +305,14 @@ class TestCopula:
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), scale))
         if kind == "identity" or d == 1:
             assert np.all(got == 0.0)
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_one_column_has_the_bits_of_a_wider_batch(self, d):
+        # numpy multiplies a single column by a matrix-vector kernel that
+        # rounds otherwise than its matrix-matrix kernel for two or more
+        R = _correlation("equicorrelated", d, 0.3)
+        u = np.random.default_rng(d).uniform(1e-9, 1.0 - 1e-9, (2, d))
+        assert copula_log_density(u[:1], R).tobytes() == copula_log_density(u, R)[:1].tobytes()
 
     def test_symmetric_in_exchangeable_case(self):
         R = CorrelationMatrix.equicorrelated(2, 0.35)
