@@ -451,3 +451,7 @@ def main(argv=None):
 
 def cli_entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    cli_entry()

@@ -19,7 +19,12 @@ density and the stretch reduce over the d components.
 The per-sample stages run over fixed blocks of columns (``_over_columns``):
 samples are independent until the tail sort, so a block is computed on its
 own and a large batch never holds more than one block's temporaries.  The
-draw is streamed in the same blocks, straight from the generator.
+draw is streamed in the same blocks, straight from the generator, and an
+estimate hands each drawn block on to be weighed (stretch, image density
+and loss) before the next is drawn: what it keeps of a block is two
+n-vector slices, its losses and log weights.  The kernels overwrite their
+own temporaries where that reads plainly, so a block holds about six
+(d, m) arrays at its peak.
 
 The linear algebra is numpy's: importing scipy.linalg would add about
 6.5 MB of resident memory to every process that imports the package.
@@ -289,7 +294,11 @@ def _component_major(x):
     return np.ascontiguousarray(np.atleast_2d(x).T)
 
 
-_BLOCK = 8192   # columns per block: a (10, 8192) float temporary is 640 KB
+# Columns per block.  A (10, 2048) float temporary is 160 KB, and a block
+# peaks at about six of them: under glibc's heap trim threshold, which
+# follows the largest freed n-vector (1.6 MB at n = 1e5).  A block of 8192
+# passed it, so every block gave its memory back and faulted it in again.
+_BLOCK = 2048
 
 
 def _over_columns(kernel, columns, *args):
@@ -379,7 +388,8 @@ def _normal_scores(p):
     stays accurate even when the CDF is within one ulp of 1; ndtri_exp
     switches to its own near-zero form for small p.
     """
-    return -ndtri_exp(-p)
+    z = ndtri_exp(-p)
+    return np.negative(z, out=z)
 
 
 def _matmul(a, b):
@@ -405,7 +415,8 @@ def _copula_log_density_from_scores(s, correlation):
     does not depend on its batch.  Returns shape (n,).
     """
     q = _matmul(correlation._inv_minus_identity, s)
-    return -0.5 * (correlation.log_det + _sum_components(s * q))
+    q *= s
+    return -0.5 * (correlation.log_det + _sum_components(q))
 
 
 def copula_log_density(u, correlation):
@@ -447,7 +458,12 @@ def _log_density_columns(xc, dist):
     """(joint log density,) of a component-major (d, m) block of valid x."""
     a = dist.alphas[:, None]
     p = _powers(xc, dist.alphas)
-    marg = _sum_components(np.log(a) + (a - 1.0) * np.log(xc) - p)
+    terms = np.log(xc)
+    terms *= a - 1.0
+    terms += np.log(a)
+    terms -= p
+    marg = _sum_components(terms)
+    del terms                   # a block keeps few (d, m) temporaries alive at once
     cop = _copula_log_density_from_scores(_normal_scores(p), dist.correlation)
     return (marg + cop,)
 
@@ -467,11 +483,15 @@ def _sample_with_log_density(n, dist, seed, with_density=True, consume=None):
 
     The draw is streamed in blocks of _BLOCK samples (``_draw_rows``), and
     the generator gives the same stream in blocks as whole: W and V are
-    never whole, and X comes back as an F-ordered (n, d) view.  With consume, each block's (X, log f(X)), X a component-major (d, m)
-    block, goes to consume(X, log_fx) as soon as it is drawn, and the call
-    returns consume's results over all n samples, joined as
-    ``_over_columns`` joins a kernel's: so X is never whole either.  A
-    fresh generator is seeded on every call.
+    never whole, and X comes back as an F-ordered (n, d) view.
+
+    With consume, each block's (X, log f(X)), X a component-major (d, m)
+    block and log f(X) None without with_density, goes to
+    consume(X, log_fx) as soon as it is drawn, and the call returns
+    consume's results over all n samples, joined as ``_over_columns`` joins
+    a kernel's: so X is never whole either.  ``estimate`` passes its
+    per-block weighing here, and gets back only the n losses and log
+    weights.  A fresh generator is seeded on every call.
     """
     n = _draw_size(n, dist.dim)
     rng = np.random.default_rng(_count("seed", seed, 0))
@@ -509,12 +529,17 @@ def _draw_columns(wt, vt, dist, with_density):
     """
     a = dist.alphas
     neg_v = np.negative(vt, order="C")
-    t = -log_ndtr(neg_v)
+    t = log_ndtr(neg_v)
+    np.negative(t, out=t)                  # t = -log Phi(-V)
     X = _powers(t, 1.0 / a)
     if not with_density:
         return X, None
-    quad = np.einsum("ij,ij->i", wt.T, wt.T) - _sum_components(neg_v * neg_v)
-    log_fx = (_sum_components(((a - 1.0) / a)[:, None] * np.log(t)) - _sum_components(t)
+    # X is made, so the density may overwrite neg_v and t in place
+    quad = np.einsum("ij,ij->i", wt.T, wt.T) - _sum_components(np.square(neg_v, out=neg_v))
+    sum_t = _sum_components(t)
+    log_t = np.log(t, out=t)
+    log_t *= ((a - 1.0) / a)[:, None]
+    log_fx = (_sum_components(log_t) - sum_t
               - 0.5 * quad + (float(np.sum(np.log(a))) - 0.5 * dist.correlation.log_det))
     return X, log_fx
 

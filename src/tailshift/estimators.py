@@ -4,6 +4,11 @@ The estimators consume weighted loss samples (loss, log weight).  With all
 log weights zero they reduce to the plain empirical estimators, so the
 naive path is the weighted path with unit weights.
 
+``estimate`` turns each drawn block of samples into its losses and log
+weights where it is drawn (``_weigh``: the stretch, the image density and
+the loss of one block), so what it holds whole is n-vectors: the losses,
+the log weights and the tail sort's arrays, never an (n, d) array.
+
 Conventions, fixed here and relied on by the tests:
 
 * tail probabilities use the strict inequality loss > u;
@@ -30,7 +35,7 @@ from .distributions import _MAX_INDEX, _count, _over_columns, _real, _sample_wit
 from .errors import BadLossError, DomainError, FeasibilityError, TailMassError
 from .losses import LossModel
 from .transform import (
-    TransformParams, _check_beta, _stretch_block, _weighted_image, extrapolation_factor,
+    TransformParams, _check_beta, _weighted_image, extrapolation_factor,
 )
 
 __all__ = [
@@ -136,31 +141,41 @@ def _tail(samples, beta, var=None):
         m = 0.0                        # every weight is zero: scaled weights are exact zeros
     scaled = np.exp(logw - m)          # in [0, 1], so suffix sums stay bounded by n
     if var is None:
-        order = np.argsort(losses)
-        above = np.cumsum(scaled[order][::-1])[::-1]
-        with np.errstate(over="ignore"):
-            threshold = beta * n * np.exp(-m)    # compare in linear space for exact ties
-        if above[0] <= threshold:                # the total mass: every threshold qualifies
-            log_mean = m + math.log(above[0] / n) if above[0] > 0.0 else -math.inf
-            raise TailMassError(
-                f"beta too large for sampled tail mass: mean weight {math.exp(log_mean):.3g} = "
-                f"exp({log_mean:.4g}) <= beta = {beta:g}; h is too large for this model "
-                f"(try a smaller h)"
-            )
-        above = np.concatenate([above[1:], [0.0]])   # scaled mass after each sorted position
-        # above never rises along the order and, at the last member of a tie
-        # group, is the mass strictly above that loss: so the first position that
-        # qualifies holds the smallest qualifying loss, and ties need no grouping
-        var = losses[order[int(np.argmax(above <= threshold))]]
+        var = _weighted_var(losses, scaled, beta, m)
     var = float(var)
-    excess = np.maximum(losses - var, 0.0)
+    excess = losses - var
+    np.maximum(excess, 0.0, out=excess)
     shifted = float(scaled @ excess)
-    spread = math.sqrt(np.var(scaled * excess, ddof=1) / n) if n > 1 else math.nan
+    excess *= scaled
+    spread = math.sqrt(np.var(excess, ddof=1) / n) if n > 1 else math.nan
     with np.errstate(over="ignore"):
         # exp(m) may be inf where nothing lies above var, and inf * 0 is nan
         c = var if shifted == 0.0 else float(var + np.exp(m) * shifted / (n * beta))
         se = float(np.exp(m) * spread / beta) if spread > 0.0 else spread
     return var, c, se
+
+
+def _weighted_var(losses, scaled, beta, m):
+    """The smallest sampled loss whose tail mass sum(scaled * exp(m)) / n is <= beta."""
+    n = losses.size
+    order = np.argsort(losses)
+    above = scaled[order]
+    np.cumsum(above[::-1], out=above[::-1])      # the scaled mass from each sorted position on
+    with np.errstate(over="ignore"):
+        threshold = beta * n * np.exp(-m)        # compare in linear space for exact ties
+    if above[0] <= threshold:                    # the total mass: every threshold qualifies
+        log_mean = m + math.log(above[0] / n) if above[0] > 0.0 else -math.inf
+        raise TailMassError(
+            f"beta too large for sampled tail mass: mean weight {math.exp(log_mean):.3g} = "
+            f"exp({log_mean:.4g}) <= beta = {beta:g}; h is too large for this model "
+            f"(try a smaller h)"
+        )
+    above[:-1] = above[1:]                       # the scaled mass after each sorted position
+    above[-1] = 0.0
+    # above never rises along the order and, at the last member of a tie
+    # group, is the mass strictly above that loss: so the first position that
+    # qualifies holds the smallest qualifying loss, and ties need no grouping
+    return losses[order[int(np.argmax(above <= threshold))]]
 
 
 @dataclass(frozen=True)
@@ -198,20 +213,25 @@ class EstimateReport:
     cvar_se: float
 
 
-def _stretched_draw(dist, config, params, draws):
-    """_stretch_block's (image, log Jacobian, log f(X)) over config's whole draw.
+def _weigh(xc, log_fx, dist, loss, params):
+    """(losses, log weights) of a drawn component-major (d, m) block X with its log f(X).
 
-    Without the memo draws the draw streams into the stretch block by
-    block, so X is never whole.  With it, (X, log f(X)) is drawn whole and
-    kept under the seed by the first run that needs it; see ``estimate``.
+    The one step from a drawn block to the tail's inputs.  The importance
+    method (params) stretches and weighs the block (``_weighted_image``)
+    and calls the loss on its image; the naive method (params None) calls
+    the loss on X, and the weights stay None.  The draw hands each block
+    here as it is drawn, so an estimate never holds an (n, d) array.
     """
-    stretch = partial(_stretch_block, params=params)
-    if draws is None:
-        return _sample_with_log_density(config.n, dist, config.seed, consume=stretch)
-    draw = draws.get(config.seed)
-    if draw is None:
-        draw = draws[config.seed] = _sample_with_log_density(config.n, dist, config.seed)
-    return _over_columns(stretch, (draw[0].T, draw[1]))
+    if params is None:
+        z, logw = xc, None
+    else:
+        z, logw = _weighted_image(xc, log_fx, dist, params)
+    losses = np.asarray(loss(z.T), dtype=float)
+    if not np.all(np.isfinite(losses)):
+        bad = int(np.count_nonzero(~np.isfinite(losses)))
+        raise BadLossError(f"the loss returned {bad} non-finite values in a block of "
+                           f"{losses.size} samples")
+    return losses, logw
 
 
 def estimate(dist, loss, config, method="is", *, _draws=None):
@@ -232,8 +252,15 @@ def estimate(dist, loss, config, method="is", *, _draws=None):
         cross_validate_h's private memo of importance draws, seed -> (X,
         log f(X)); the naive method ignores it.  It may only be shared by
         runs of one dist and n, so that the seed alone fixes the draw.  Each
-        seed is written once, by the first run that needs it; a later run
-        with another h only weighs it again.
+        seed is written once, by the first run that needs it, and is the one
+        place where X is whole; a later run with another h only weighs it
+        again, block by block.
+
+    Without the memo the draw is weighed block by block as it is drawn
+    (``_weigh``), for both methods, so the estimate holds no (n, d) array.
+    The blocks are weighed in order and the first failure ends the run:
+    past one block, a block whose loss fails ahead of a later block whose
+    stretch overflows raises BadLossError, not TailMassError.
 
     Raises
     ------
@@ -257,20 +284,23 @@ def estimate(dist, loss, config, method="is", *, _draws=None):
                 f"naive estimation infeasible: n*beta = {config.n * config.beta:.4g} < "
                 f"{NAIVE_MIN_TAIL_COUNT:g}; increase n or use the importance method"
             )
-        h = None
-        Z = _sample_with_log_density(config.n, dist, config.seed, with_density=False)[0]
-        logw = np.zeros(config.n)
+        h = params = None
     else:
         h = config.h
         if h is None:
             raise DomainError("the importance method needs h")
         params = TransformParams(r=extrapolation_factor(config.beta, h), rho=loss.rho)
-        Z, logw = _weighted_image(*_stretched_draw(dist, config, params, _draws), dist, params)
-    losses = np.asarray(loss(Z), dtype=float)
-    del Z                     # the largest array, (n, d): the tail needs only the losses
-    if not np.all(np.isfinite(losses)):
-        bad = int(np.count_nonzero(~np.isfinite(losses)))
-        raise BadLossError(f"the loss returned {bad} non-finite values out of {losses.size}")
+    weigh = partial(_weigh, dist=dist, loss=loss, params=params)
+    if _draws is None or params is None:
+        losses, logw = _sample_with_log_density(config.n, dist, config.seed,
+                                                with_density=params is not None, consume=weigh)
+    else:
+        draw = _draws.get(config.seed)
+        if draw is None:
+            draw = _draws[config.seed] = _sample_with_log_density(config.n, dist, config.seed)
+        losses, logw = _over_columns(weigh, (draw[0].T, draw[1]))
+    if logw is None:
+        logw = np.zeros(config.n)
     v, c, se = _tail((losses, logw), config.beta)
     if not np.any(losses > v):
         raise TailMassError(

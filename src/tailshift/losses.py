@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    _component_major, _count, _positive_finite, _real, _sum_components, _validate_vectors,
+    _component_major, _count, _matmul, _positive_finite, _real, _sum_components,
+    _validate_vectors,
 )
 from .errors import BadLossError, DomainError, WeightsDimensionError, WeightsFormatError
 
@@ -103,9 +104,22 @@ class ReluNetParams:
 
 
 def relu_net_loss(x, params):
-    """Evaluate w2' relu(W1 x + b1) + b2 at x (vector or batch)."""
+    """Evaluate w2' relu(W1 x + b1) + b2 at x (vector or batch).
+
+    A row's loss has the bits it has in any batch, so the loss of a block
+    of samples is the loss of those rows in the whole draw.  A vector is
+    evaluated as a batch of one row; the hidden layer takes numpy's
+    matrix-matrix kernel at every batch size (``_matmul``), and the output
+    layer adds the hidden units in index order (``_sum_components``): numpy's
+    matrix-vector product, and its dot product for one row, round a row
+    according to its position in the batch.
+    """
     x = _validate_vectors(x, params.dim)
-    out = np.maximum(x @ params.W1.T + params.b1, 0.0) @ params.w2 + params.b2
+    hidden = _matmul(np.atleast_2d(x), params.W1.T)
+    hidden += params.b1
+    np.maximum(hidden, 0.0, out=hidden)
+    hidden *= params.w2
+    out = (_sum_components(hidden.T) + params.b2).reshape(x.shape[:-1])
     return float(out) if out.ndim == 0 else out
 
 

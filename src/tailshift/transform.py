@@ -18,6 +18,9 @@ image, the log Jacobian and the log weight; ``extrapolate``,
 ``log_jacobian`` and ``log_likelihood_ratio`` are its projections.  The
 pass runs on the component-major (d, n) layout of ``distributions``, over
 its column blocks; a batch image comes back as an F-ordered (n, d) view.
+An estimate weighs each drawn block where it is drawn (``_weighted_image``:
+the stretch, the overflow check and the image density of one block), so it
+never holds an image of all n samples.
 """
 
 from __future__ import annotations
@@ -134,11 +137,17 @@ def _stretch(x, params):
 def _stretch_columns(xc, params):
     """(image, log Jacobian) of a component-major (d, m) block of finite x."""
     ax, logs, M = _log1p_abs(xc)
-    z = xc * params.r ** ((logs / M) / params.rho)
+    z = logs / M
+    z /= params.rho
+    np.power(params.r, z, out=z)
+    z *= xc
     logr = math.log(params.r)
     c = logr / (params.rho * M)
-    log_diag = np.log1p(c * (ax / (1.0 + ax)))
     esum = _sum_components(logs) / (params.rho * M)
+    log_diag = np.add(ax, 1.0, out=logs)
+    np.divide(ax, log_diag, out=log_diag)
+    log_diag *= c
+    np.log1p(log_diag, out=log_diag)
     log_jac = _sum_components(log_diag) + esum * logr - np.max(log_diag, axis=0)
     return z, log_jac
 
@@ -165,34 +174,24 @@ def log_jacobian(x, params):
     return _stretch(x, params)[1]
 
 
-def _stretch_block(xc, log_fx, params):
-    """(image, log Jacobian, log_fx) of a (d, m) block of x with its log density log_fx.
+def _weighted_image(xc, log_fx, dist, params):
+    """(image, log weights) of a component-major (d, m) block of x with its log density log_fx.
 
-    The per-block stretch of the weighted path: an estimate's draw hands its
-    blocks here as they are drawn, so X is never whole.  An overflow is
-    reported by ``_weighted_image``.
+    The per-block weighing of the importance path: an estimate hands each
+    drawn block here, so neither X nor its image is ever whole.  The image
+    comes back component-major.  A stretch that carries samples past the
+    float range raises TailMassError: an image that overflows, or one so
+    far out that its density overflows into a nan or +inf log weight.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (*_stretch_columns(xc, params), log_fx)
-
-
-def _weighted_image(zc, log_jac, log_fx, dist, params):
-    """(image, log weights) of x from _stretch_block's results over all n columns.
-
-    zc is the component-major (d, n) image; it comes back as an F-ordered
-    (n, d) view.  A stretch that carries samples past the float range
-    raises TailMassError: an image that overflows, or one so far out that
-    its density overflows into a nan or +inf log weight.
-    """
-    z = zc.T
     with np.errstate(over="ignore", invalid="ignore"):    # reported below
-        logw = joint_log_density(z, dist) - log_fx + log_jac if np.isfinite(zc).all() else None
+        zc, log_jac = _stretch_columns(xc, params)
+        logw = joint_log_density(zc.T, dist) - log_fx + log_jac if np.isfinite(zc).all() else None
     if logw is None or not np.max(logw) < np.inf:          # np.max propagates a nan
         raise TailMassError(
             f"the stretch by up to r**(1/rho) = {params.r:.4g}**{1.0 / params.rho:.4g} carries "
             "samples past the float range; use a smaller h or a larger rho"
         )
-    return z, logw
+    return zc, logw
 
 
 def log_likelihood_ratio(x, dist, params):
@@ -202,6 +201,7 @@ def log_likelihood_ratio(x, dist, params):
     input density.  Exactly 0.0 for r = 1.  Accepts (d,) or (n, d).
     """
     log_fx = joint_log_density(x, dist)
-    image = _over_columns(_stretch_block, (_checked(x), log_fx), params)
-    logw = _weighted_image(*image, dist, params)[1].reshape(np.shape(x)[:-1])
+    (logw,) = _over_columns(lambda xc, lf: _weighted_image(xc, lf, dist, params)[1:],
+                            (_checked(x), log_fx))
+    logw = logw.reshape(np.shape(x)[:-1])
     return float(logw) if logw.ndim == 0 else logw

@@ -107,6 +107,15 @@ class TestBlockedRows:
         assert X.tobytes() == sample_inputs(n, dist, seed=9).tobytes()
         np.testing.assert_allclose(log_fx, joint_log_density(X, dist), rtol=0.0, atol=1e-12)
 
+    def test_loss_rows_match_the_batch(self, model):
+        # a block may end in one row, whose loss must have the bits it has in the batch
+        dist, loss, _ = model
+        X = sample_inputs(N, dist, seed=4) * 1.5
+        batch = np.asarray(loss(X), dtype=float)
+        for i in ROWS:
+            assert loss(X[i]) == batch[i]
+            assert np.asarray(loss(X[i:i + 1])).tobytes() == batch[i:i + 1].tobytes()
+
     @pytest.mark.parametrize("n", [_BLOCK, _BLOCK + 1])
     def test_estimates_at_the_block_edge(self, model, n):
         dist, loss, h = model
@@ -206,3 +215,40 @@ class TestStreamedDraw:
         # W, V and X are (n, d) float arrays, and the image Z is one: the
         # draw is streamed, so at most Z and some n-vectors are whole at once
         assert peak < 2 * n * portfolio_dist.dim * 8
+
+    @pytest.mark.parametrize("n", [_BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1, N])
+    def test_naive_matches_the_whole_batch_losses(self, model, n, monkeypatch):
+        dist, loss, _ = model
+        beta, seed = 0.01, 13
+        X, _ = _whole_batch_draw(n, dist, seed)
+        want_losses = np.asarray(loss(X), dtype=float)
+
+        seen, real_tail = [], ez._tail
+
+        def recording_tail(samples, beta, var=None):
+            seen.append(samples)
+            return real_tail(samples, beta, var)
+
+        monkeypatch.setattr(ez, "_tail", recording_tail)
+        estimate(dist, loss, ISConfig(beta=beta, n=n, seed=seed), "naive")
+        monkeypatch.setattr(dz, "_BLOCK", 10 * N)      # one block: X whole
+        estimate(dist, loss, ISConfig(beta=beta, n=n, seed=seed), "naive")
+        assert len(seen) == 2
+        for losses, logw in seen:
+            assert losses.tobytes() == want_losses.tobytes()
+            assert logw.tobytes() == np.zeros(n).tobytes()
+
+    @pytest.mark.parametrize("method, beta", [("is", 1e-6), ("naive", 1e-3)])
+    def test_estimate_never_holds_an_n_by_d_array(self, portfolio_dist, linear, method, beta):
+        n = 100_000
+        config = ISConfig(beta=beta, n=n, seed=3, h=2.6)
+        estimate(portfolio_dist, linear, config, method)  # first-call allocations aside
+        tracemalloc.start()
+        try:
+            estimate(portfolio_dist, linear, config, method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # each drawn block is weighed where it is drawn: what is whole is a
+        # few n-vectors (losses, log weights, the tail's sort), never X or Z
+        assert peak < n * portfolio_dist.dim * 8

@@ -567,3 +567,18 @@ class TestUsage:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": path}, check=True, timeout=60)
         assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("module", ["tailshift", "tailshift.cli"])
+    def test_python_m_runs_the_command_line(self, tmp_path, module):
+        cfg = write_config(tmp_path, MINIMAL)
+        src = str(Path(tailshift.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        out = tmp_path / "out"
+        run = subprocess.run([sys.executable, "-m", module, "estimate", "--config", str(cfg),
+                              "--out", str(out)], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        assert run.returncode == 0, run.stderr
+        main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "direct")])
+        assert (out / "estimates.csv").read_bytes() == (
+            tmp_path / "direct" / "estimates.csv").read_bytes()
+        assert read_csv(out / "estimates.csv")[1][-1] == "ok"
