@@ -19,12 +19,11 @@ density and the stretch reduce over the d components.
 The per-sample stages run over fixed blocks of columns (``_over_columns``):
 samples are independent until the tail sort, so a block is computed on its
 own and a large batch never holds more than one block's temporaries.  The
-draw is streamed in the same blocks, straight from the generator, and an
-estimate hands each drawn block on to be weighed (stretch, image density
-and loss) before the next is drawn: what it keeps of a block is two
-n-vector slices, its losses and log weights.  The kernels overwrite their
-own temporaries where that reads plainly, so a block holds about six
-(d, m) arrays at its peak.
+draw is pulled in the same blocks (``_drawn_blocks``): an estimate weighs
+each block (stretch, image density and loss) and drops it before it asks
+for the next, keeping only its losses and log weights, which ``_joined``
+copies into n-vectors.  The kernels overwrite their own temporaries where
+that reads plainly, so a block holds about six (d, m) arrays at its peak.
 
 The linear algebra is numpy's: importing scipy.linalg would add about
 6.5 MB of resident memory to every process that imports the package.
@@ -307,35 +306,36 @@ def _over_columns(kernel, columns, *args):
     columns are (..., n) arrays, sliced alike; kernel returns a tuple of
     arrays over its block's columns, or None in place of one.  Up to
     _BLOCK columns this is one call on the whole arrays.  Past that the
-    blocks run one after another (``_over_blocks``), so their temporaries
-    stay small.  Samples are independent until the tail sort, and the
-    bounds depend on n alone.
+    blocks run one after another and are joined (``_joined``), so their
+    temporaries stay small.  Samples are independent until the tail sort,
+    and the bounds depend on n alone.
     """
     n = columns[0].shape[-1]
     if n <= _BLOCK:
         return kernel(*columns, *args)
-    return _over_blocks(n, lambda lo, hi: kernel(*(c[..., lo:hi] for c in columns), *args))
+    return _joined((kernel(*(c[..., lo:lo + _BLOCK] for c in columns), *args)
+                    for lo in range(0, n, _BLOCK)), n)
 
 
-def _over_blocks(n, block):
-    """block(lo, hi) over n columns in blocks [lo, hi) of _BLOCK, joined on the last axis.
+def _joined(parts, n):
+    """The per-block tuples of parts, one per _BLOCK columns of n, joined on the last axis.
 
-    The blocks run in order; block returns a tuple of (..., hi - lo)
-    arrays, or None in place of one.  Up to _BLOCK columns the one block's
-    result comes back as it is; past that each result is copied into
-    outputs of n columns and dropped before the next block is made.
+    Each part is a tuple of (..., m) arrays, or None in place of one, and
+    is made only when the join reaches it.  Up to _BLOCK columns the one
+    part comes back as it is; past that each part is copied into outputs
+    of n columns and dropped before the next is made.
     """
+    parts = iter(parts)
     if n <= _BLOCK:
-        return block(0, n)
+        return next(parts)
     outs = None
     for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        part = block(lo, hi)
+        part = next(parts)
         if outs is None:
             outs = tuple(None if p is None else np.empty(p.shape[:-1] + (n,)) for p in part)
         for out, p in zip(outs, part):
             if out is not None:
-                out[..., lo:hi] = p
+                out[..., lo:lo + _BLOCK] = p
         del part, p                  # the next block may reuse this one's memory
     return outs
 
@@ -468,40 +468,34 @@ def _log_density_columns(xc, dist):
     return (marg + cop,)
 
 
-def _sample_with_log_density(n, dist, seed, with_density=True, consume=None):
-    """(X, log f(X)) for n joint samples; log f(X) is None without with_density.
+def _drawn_blocks(n, dist, seed, with_density=True):
+    """The draw of n joint samples, block by block: (X, log f(X)) of each _BLOCK rows.
 
-    Correlated normals V = W chol' are mapped through the marginal
-    quantiles as X = t**(1/alpha) with t = -log Phi(-V), which is the exact
-    inverse of the score map used by ``joint_log_density`` and never rounds
-    the copula coordinate to 0 or 1.  The normal scores of X are V itself
-    and chol^-1 V = W, so the density needs neither the score map nor a
-    triangular solve: with log x = log(t)/alpha and x**alpha = t,
+    X is a component-major (d, m) block and log f(X) its (m,) log density,
+    None without with_density.  Correlated normals V = W chol' are mapped
+    through the marginal quantiles as X = t**(1/alpha) with
+    t = -log Phi(-V), which is the exact inverse of the score map used by
+    ``joint_log_density`` and never rounds the copula coordinate to 0 or 1.
+    The normal scores of X are V itself and chol^-1 V = W, so the density
+    needs neither the score map nor a triangular solve: with
+    log x = log(t)/alpha and x**alpha = t,
 
         log f(X) = sum_i (log alpha_i + (alpha_i - 1)/alpha_i * log t_i - t_i)
                    - (log det R + |W|**2 - |V|**2) / 2.
 
-    The draw is streamed in blocks of _BLOCK samples (``_draw_rows``), and
-    the generator gives the same stream in blocks as whole: W and V are
-    never whole, and X comes back as an F-ordered (n, d) view.
-
-    With consume, each block's (X, log f(X)), X a component-major (d, m)
-    block and log f(X) None without with_density, goes to
-    consume(X, log_fx) as soon as it is drawn, and the call returns
-    consume's results over all n samples, joined as ``_over_columns`` joins
-    a kernel's: so X is never whole either.  ``estimate`` passes its
-    per-block weighing here, and gets back only the n losses and log
-    weights.  A fresh generator is seeded on every call.
+    A fresh generator is seeded on every call, and a block is drawn only
+    when it is asked for (``_draw_rows``): W and V are never whole.
     """
     n = _draw_size(n, dist.dim)
     rng = np.random.default_rng(_count("seed", seed, 0))
+    for lo in range(0, n, _BLOCK):
+        yield _draw_rows(rng, min(_BLOCK, n - lo), n, dist, with_density)
 
-    def draw(lo, hi):
-        return _draw_rows(rng, hi - lo, n, dist, with_density)
 
-    if consume is not None:
-        return _over_blocks(n, lambda lo, hi: consume(*draw(lo, hi)))
-    X, log_fx = _over_blocks(n, draw)
+def _sample_with_log_density(n, dist, seed, with_density=True):
+    """The blocks of ``_drawn_blocks`` joined: X as an F-ordered (n, d) view, and log f(X)."""
+    n = _draw_size(n, dist.dim)
+    X, log_fx = _joined(_drawn_blocks(n, dist, seed, with_density), n)
     return X.T, log_fx
 
 
@@ -548,6 +542,7 @@ def sample_inputs(n, dist, seed):
     """Draw n joint samples, shape (n, d), reproducibly from seed.
 
     X = (-log Phi(-V))**(1/alpha) for correlated normals V; see
-    ``_sample_with_log_density``, which draws the same X with its density.
+    ``_drawn_blocks``, which draws the same X, with its density, block by
+    block.
     """
     return _sample_with_log_density(n, dist, seed, with_density=False)[0]

@@ -4,10 +4,10 @@ The estimators consume weighted loss samples (loss, log weight).  With all
 log weights zero they reduce to the plain empirical estimators, so the
 naive path is the weighted path with unit weights.
 
-``estimate`` turns each drawn block of samples into its losses and log
-weights where it is drawn (``_weigh``: the stretch, the image density and
-the loss of one block), so what it holds whole is n-vectors: the losses,
-the log weights and the tail sort's arrays, never an (n, d) array.
+``estimate`` weighs each drawn block before it asks for the next
+(``_weigh``: the stretch, the image density and the loss of one block), so
+what it holds whole is n-vectors: the losses, the log weights and the tail
+sort's arrays, never an (n, d) array.
 
 Conventions, fixed here and relied on by the tests:
 
@@ -27,11 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import starmap
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .distributions import _MAX_INDEX, _count, _over_columns, _real, _sample_with_log_density
+from .distributions import _MAX_INDEX, _count, _drawn_blocks, _joined, _real
 from .errors import BadLossError, DomainError, FeasibilityError, TailMassError
 from .losses import LossModel
 from .transform import (
@@ -219,8 +220,8 @@ def _weigh(xc, log_fx, dist, loss, params):
     The one step from a drawn block to the tail's inputs.  The importance
     method (params) stretches and weighs the block (``_weighted_image``)
     and calls the loss on its image; the naive method (params None) calls
-    the loss on X, and the weights stay None.  The draw hands each block
-    here as it is drawn, so an estimate never holds an (n, d) array.
+    the loss on X, and the weights stay None.  An estimate weighs each
+    block as it is drawn, so it never holds an (n, d) array.
     """
     if params is None:
         z, logw = xc, None
@@ -249,15 +250,14 @@ def estimate(dist, loss, config, method="is", *, _draws=None):
         when n * beta < 5 (the empirical tail would hold fewer than five
         samples, giving meaningless quantiles).
     _draws : dict, optional
-        cross_validate_h's private memo of importance draws, seed -> (X,
-        log f(X)); the naive method ignores it.  It may only be shared by
-        runs of one dist and n, so that the seed alone fixes the draw.  Each
-        seed is written once, by the first run that needs it, and is the one
-        place where X is whole; a later run with another h only weighs it
-        again, block by block.
+        cross_validate_h's private memo of importance draws, seed -> the
+        draw's list of blocks (X, log f(X)); the naive method ignores it.
+        It may only be shared by runs of one dist and n, so that the seed
+        alone fixes the draw.  Each seed is written once, by the first run
+        that needs it, and reweighed by later runs with another h.
 
-    Without the memo the draw is weighed block by block as it is drawn
-    (``_weigh``), for both methods, so the estimate holds no (n, d) array.
+    Both methods weigh the blocks (``_weigh``), drawn one at a time or read
+    from the memo, and join their losses and log weights.
     The blocks are weighed in order and the first failure ends the run:
     past one block, a block whose loss fails ahead of a later block whose
     stretch overflows raises BadLossError, not TailMassError.
@@ -290,15 +290,15 @@ def estimate(dist, loss, config, method="is", *, _draws=None):
         if h is None:
             raise DomainError("the importance method needs h")
         params = TransformParams(r=extrapolation_factor(config.beta, h), rho=loss.rho)
-    weigh = partial(_weigh, dist=dist, loss=loss, params=params)
     if _draws is None or params is None:
-        losses, logw = _sample_with_log_density(config.n, dist, config.seed,
-                                                with_density=params is not None, consume=weigh)
+        blocks = _drawn_blocks(config.n, dist, config.seed, with_density=params is not None)
     else:
-        draw = _draws.get(config.seed)
-        if draw is None:
-            draw = _draws[config.seed] = _sample_with_log_density(config.n, dist, config.seed)
-        losses, logw = _over_columns(weigh, (draw[0].T, draw[1]))
+        blocks = _draws.get(config.seed)
+        if blocks is None:
+            blocks = _draws[config.seed] = list(_drawn_blocks(config.n, dist, config.seed))
+    # starmap drops each block once it is weighed, before the next is drawn
+    losses, logw = _joined(starmap(partial(_weigh, dist=dist, loss=loss, params=params), blocks),
+                           config.n)
     if logw is None:
         logw = np.zeros(config.n)
     v, c, se = _tail((losses, logw), config.beta)

@@ -21,7 +21,7 @@ from .errors import DomainError, EstimationError
 from .distributions import _count, _draw_size, _real
 from .estimators import ISConfig, estimate
 from .losses import LossModel
-from .transform import _check_beta, extrapolation_factor
+from .transform import _check_beta, _check_stretch_level, extrapolation_factor
 
 __all__ = [
     "FixedH",
@@ -317,15 +317,15 @@ def cross_validate_h(config, grid, beta, reps_cv=20):
 
     Each grid point runs reps_cv importance replications at the one level
     beta, reusing the same derived seeds (common random numbers), and
-    scores the spread of the cvar estimates.  Each replication's inputs X
-    and their log density log f(X) are drawn once, on the first grid point
-    that runs, and reused at every later h; only the stretch, the image
-    density, the loss and the tail estimates are redone per h.  Grid points
-    whose stretch factor would not push outward are skipped; if every point
-    fails, an EstimationError is raised.
+    scores the spread of the cvar estimates.  Each replication's blocks of
+    X and log f(X) are drawn once, on the first grid point that runs, and
+    reused at every later h.  A level outside (0, 1/e) raises DomainError
+    before any draw; grid points whose r = h log log(1/beta) <= 1 are
+    skipped; if every point fails, an EstimationError is raised.
     """
+    beta = _check_stretch_level(beta)
     values = (grid if isinstance(grid, GridH) else GridH(tuple(grid))).values
-    draws = {}          # seed -> (X, log f(X)), local to this call
+    draws = {}          # seed -> the draw's blocks (X, log f(X)), local to this call
     entries = []
     for h in values:
         try:

@@ -18,9 +18,9 @@ image, the log Jacobian and the log weight; ``extrapolate``,
 ``log_jacobian`` and ``log_likelihood_ratio`` are its projections.  The
 pass runs on the component-major (d, n) layout of ``distributions``, over
 its column blocks; a batch image comes back as an F-ordered (n, d) view.
-An estimate weighs each drawn block where it is drawn (``_weighted_image``:
-the stretch, the overflow check and the image density of one block), so it
-never holds an image of all n samples.
+An estimate weighs each block of the draw as it pulls it
+(``_weighted_image``: the stretch, the overflow check and the image density
+of one block), so it never holds an image of all n samples.
 """
 
 from __future__ import annotations
@@ -49,18 +49,21 @@ def _check_beta(beta):
     return _real("beta", beta, lambda b: 0.0 < b < 1.0, "lie in (0, 1)")
 
 
+def _check_stretch_level(beta):
+    """beta as a float in (0, 1/e): a level at which log log(1/beta) is positive."""
+    if (beta := _check_beta(beta)) >= 1.0 / math.e:
+        raise DomainError(f"extrapolation undefined for beta >= 1/e (got beta = {beta:g}); "
+                          "log log(1/beta) is not positive there")
+    return beta
+
+
 def extrapolation_factor(beta, h):
     """Stretch factor r = h * log log(1/beta) for tail level beta.
 
     Requires a finite h, beta < 1/e (otherwise the iterated logarithm is
     not positive) and a resulting r > 1 (otherwise nothing is pushed outward).
     """
-    beta, h = _check_beta(beta), _real("h", h)
-    if beta >= 1.0 / math.e:
-        raise DomainError(
-            f"extrapolation undefined for beta >= 1/e (got beta = {beta:g}); "
-            "log log(1/beta) is not positive there"
-        )
+    beta, h = _check_stretch_level(beta), _real("h", h)
     r = h * math.log(math.log(1.0 / beta))
     if r <= 1.0:
         raise DomainError(

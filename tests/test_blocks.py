@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -182,12 +183,15 @@ class TestStreamedDraw:
             return real_tail(samples, beta, var)
 
         monkeypatch.setattr(ez, "_tail", recording_tail)
-        for draws in (None, {}):         # streamed into the stretch, and kept whole in a memo
+        memo = {}
+        # streamed into the stretch, drawn into the memo, and read back from it
+        for draws in (None, memo, memo):
             try:
                 estimate(dist, loss, ISConfig(beta=beta, n=n, seed=seed, h=h), _draws=draws)
             except EstimationError:      # one or two samples leave an empty tail
                 pass
-        assert len(seen) == 2
+        assert list(memo) == [seed]
+        assert len(seen) == 3
         for losses, logw in seen:
             assert losses.tobytes() == want_losses.tobytes()
             assert logw.tobytes() == want_logw.tobytes()
@@ -198,8 +202,8 @@ class TestStreamedDraw:
             estimate(dist, loss, ISConfig(beta=beta, n=n, seed=seed, h=h))
         except EstimationError:
             pass
-        assert seen[2][0].tobytes() == want_losses.tobytes()
-        assert seen[2][1].tobytes() == want_logw.tobytes()
+        assert seen[3][0].tobytes() == want_losses.tobytes()
+        assert seen[3][1].tobytes() == want_logw.tobytes()
         assert sample_inputs(n, dist, seed).tobytes() == X.tobytes()
 
     def test_estimate_never_holds_the_draw_whole(self, portfolio_dist, linear):
@@ -252,3 +256,19 @@ class TestStreamedDraw:
         # each drawn block is weighed where it is drawn: what is whole is a
         # few n-vectors (losses, log weights, the tail's sort), never X or Z
         assert peak < n * portfolio_dist.dim * 8
+
+    @pytest.mark.parametrize("method, beta", [("is", 1e-6), ("naive", 1e-3)])
+    def test_estimate_holds_one_drawn_block_at_a_time(self, portfolio_dist, linear, method,
+                                                      beta, monkeypatch):
+        refs, alive, real_draw_rows = [], [], dz._draw_rows
+
+        def draw_rows(*args):
+            alive.append(sum(ref() is not None for ref in refs))   # earlier X blocks
+            X, log_fx = real_draw_rows(*args)
+            refs.append(weakref.ref(X))
+            return X, log_fx
+
+        monkeypatch.setattr(dz, "_draw_rows", draw_rows)
+        estimate(portfolio_dist, linear, ISConfig(beta=beta, n=N, seed=3, h=2.6), method)
+        # each block is weighed and dropped before the next is drawn
+        assert alive == [0, 0, 0, 0]

@@ -357,7 +357,7 @@ class TestEstimate:
         import tailshift.transform as tz
 
         calls = {"log1p": 0, "sample": 0, "as_arrays": 0}
-        real_log1p, real_sample = tz._log1p_abs, ez._sample_with_log_density
+        real_log1p, real_sample = tz._log1p_abs, ez._drawn_blocks
         real_as_arrays = ez._as_arrays
 
         def counted_log1p(x):
@@ -373,7 +373,7 @@ class TestEstimate:
             return real_as_arrays(samples)
 
         monkeypatch.setattr(tz, "_log1p_abs", counted_log1p)
-        monkeypatch.setattr(ez, "_sample_with_log_density", counted_sample)
+        monkeypatch.setattr(ez, "_drawn_blocks", counted_sample)
         monkeypatch.setattr(ez, "_as_arrays", counted_as_arrays)
         estimate(portfolio_dist, linear, ISConfig(beta=1e-6, n=500, seed=3, h=2.6))
         # var, cvar and se come from one validated pass over the weighted losses
@@ -385,7 +385,7 @@ class TestEstimate:
         import tailshift.transform as tz
 
         calls, draws = [], []
-        real, real_draw = dz.joint_log_density, ez._sample_with_log_density
+        real, real_draw = dz.joint_log_density, ez._drawn_blocks
 
         def counted(x, dist):
             calls.append(np.shape(x))
@@ -397,7 +397,7 @@ class TestEstimate:
 
         monkeypatch.setattr(dz, "joint_log_density", counted)
         monkeypatch.setattr(tz, "joint_log_density", counted)
-        monkeypatch.setattr(ez, "_sample_with_log_density", counted_draw)
+        monkeypatch.setattr(ez, "_drawn_blocks", counted_draw)
         estimate(portfolio_dist, linear, ISConfig(beta=0.05, n=200, seed=3), method="naive")
         assert calls == [] and draws == [False]
         estimate(portfolio_dist, linear, ISConfig(beta=1e-6, n=200, seed=3, h=2.6))

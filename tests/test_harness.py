@@ -340,13 +340,13 @@ class TestCrossValidation:
                                h_rule=FixedH(2.6), reps=50, base_seed=7)
         beta, grid, reps_cv = 1e-4, (0.3, 2.0, 3.0), 5      # h = 0.3 gives r < 1: skipped
         calls = {"sample": 0}
-        real_sample = ez._sample_with_log_density
+        real_sample = ez._drawn_blocks
 
         def counted_sample(*args, **kw):
             calls["sample"] += 1
             return real_sample(*args, **kw)
 
-        monkeypatch.setattr(ez, "_sample_with_log_density", counted_sample)
+        monkeypatch.setattr(ez, "_drawn_blocks", counted_sample)
         result = cross_validate_h(cfg, grid, beta, reps_cv=reps_cv)
         assert calls["sample"] == reps_cv          # one draw per replication, not per h
 
@@ -369,7 +369,7 @@ class TestCrossValidation:
         import tailshift.estimators as ez
 
         drawn = []
-        real_sample = ez._sample_with_log_density
+        real_sample = ez._drawn_blocks
 
         def counted_sample(n, dist, seed, **kw):
             drawn.append(seed)
@@ -378,7 +378,7 @@ class TestCrossValidation:
         cfg = ExperimentConfig(dist=portfolio_dist, loss=linear, betas=(1e-4,), n=200,
                                h_rule=FixedH(2.6), reps=50, base_seed=3)
         serial = cross_validate_h(cfg, (2.0, 2.6, 3.0), 1e-4, reps_cv=8)
-        monkeypatch.setattr(ez, "_sample_with_log_density", counted_sample)
+        monkeypatch.setattr(ez, "_drawn_blocks", counted_sample)
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -392,6 +392,25 @@ class TestCrossValidation:
         cfg = small_config(onedim_dist, linear, betas=(1e-4,), n=400)
         with pytest.raises(EstimationError, match="every h grid point"):
             cross_validate_h(cfg, (0.1, 0.2), 1e-4, reps_cv=4)
+
+    @pytest.mark.parametrize("beta", [1.5, 0.5, float("nan")])
+    def test_bad_level_is_refused_before_any_draw(self, onedim_dist, linear, beta,
+                                                  monkeypatch):
+        # not "skipped" at every h: no h can stretch at such a level
+        import tailshift.estimators as ez
+
+        drawn = []
+        real_draw = ez._drawn_blocks
+
+        def counted_draw(*args, **kw):
+            drawn.append(args)
+            return real_draw(*args, **kw)
+
+        monkeypatch.setattr(ez, "_drawn_blocks", counted_draw)
+        cfg = small_config(onedim_dist, linear, betas=(1e-4,), n=400)
+        with pytest.raises(DomainError, match="beta"):
+            cross_validate_h(cfg, (2.0, 3.0), beta, reps_cv=4)
+        assert drawn == []
 
     def test_empty_grid_rejected(self, onedim_dist, linear):
         cfg = small_config(onedim_dist, linear)
