@@ -367,18 +367,16 @@ def _powers(base, exponents):
 def _sum_components(a):
     """Sum over the d components of a (d, n) array, in index order.
 
-    np.sum(a, axis=0) adds the rows in order only while n > 1; a single
-    column is summed pairwise.  The fixed order keeps a sample's value
-    independent of the size of the batch it comes in.  A single column is
-    added as Python floats, which round as numpy's do and cost far less
-    than d calls on one-element arrays.
+    numpy reduces the outer axis of a C-ordered (d, n) array row by row, in
+    order, while n > 1; it sums a contiguous axis pairwise, so an F-ordered
+    array is made C-ordered first, and a single column is added as Python
+    floats, which round as numpy's do and cost far less than d calls on
+    one-element arrays.  The fixed order keeps a sample's value independent
+    of the size of the batch it comes in.
     """
     if a.shape[1] == 1:
         return np.array([reduce(add, a[:, 0].tolist())])
-    out = a[0].copy()
-    for row in a[1:]:
-        out += row
-    return out
+    return np.add.reduce(np.ascontiguousarray(a), axis=0)
 
 
 def _normal_scores(p):
@@ -447,7 +445,8 @@ def joint_log_density(x, dist):
     returns a float or an (n,) array accordingly.
     """
     x = _validate_vectors(x, dist.dim)
-    if np.any(x <= 0.0) or np.any(~np.isfinite(x)):
+    # the min is nan where x holds a nan; initial keeps an empty batch valid
+    if not (x.min(initial=np.inf) > 0.0 and x.max(initial=0.0) < np.inf):
         raise DomainError("x components must be strictly positive and finite")
     (out,) = _over_columns(_log_density_columns, (_component_major(x),), dist)
     out = out.reshape(x.shape[:-1])

@@ -6,8 +6,10 @@ naive path is the weighted path with unit weights.
 
 ``estimate`` weighs each drawn block before it asks for the next
 (``_weigh``: the stretch, the image density and the loss of one block), so
-what it holds whole is n-vectors: the losses, the log weights and the tail
-sort's arrays, never an (n, d) array.
+what it holds whole is n-vectors, never an (n, d) array: the losses and
+log weights, checked where they were weighed, which the tail overwrites,
+and the tail sort's arrays.  The public estimators check and copy their
+samples (``_as_arrays``), so they never write the caller's arrays.
 
 Conventions, fixed here and relied on by the tests:
 
@@ -63,18 +65,17 @@ class WeightedLossSample:
 
 
 def _as_arrays(samples):
-    """Split samples into (losses, log_weights) float arrays.
+    """Split samples into new (losses, log_weights) float arrays, which the tail may overwrite.
 
     Accepts a sequence of WeightedLossSample or a pair of equal-length
     arrays (losses, log_weights).
     """
     if isinstance(samples, tuple) and len(samples) == 2:
-        losses = np.asarray(samples[0], dtype=float)
-        logw = np.asarray(samples[1], dtype=float)
+        losses = np.array(samples[0], dtype=float)
+        logw = np.array(samples[1], dtype=float)
     else:
         pairs = [(s.loss, s.log_weight) for s in samples]
-        arr = np.array(pairs, dtype=float).reshape(len(pairs), 2)
-        losses, logw = arr[:, 0], arr[:, 1]
+        losses, logw = np.array(pairs, dtype=float).reshape(len(pairs), 2).T.copy()
     if losses.ndim != 1 or losses.shape != logw.shape:
         raise DomainError(
             f"need equal-length 1-d losses and log weights, got {losses.shape} and {logw.shape}"
@@ -89,7 +90,7 @@ def _as_arrays(samples):
 def tail_probability(samples, u):
     """Weighted estimate of P(loss > u): mean of weight * indicator(loss > u)."""
     losses, logw = _as_arrays(samples)
-    mask = losses > u
+    mask = losses > _real("u", u)
     if not np.any(mask):
         return 0.0
     return float(np.exp(logsumexp(logw[mask]) - math.log(losses.size)))
@@ -102,12 +103,12 @@ def value_at_risk(samples, beta):
     every threshold would qualify; failing that raises TailMassError
     ("beta too large for sampled tail mass"), naming the mean weight.
     """
-    return _tail(samples, beta)[0]
+    return _tail(*_as_arrays(samples), beta)[0]
 
 
 def cvar(samples, beta, var):
     """Tail average var + mean(weight * (loss - var)+) / beta."""
-    return _tail(samples, beta, var)[1]
+    return _tail(*_as_arrays(samples), beta, _real("var", var))[1]
 
 
 def cvar_standard_error(samples, beta, var):
@@ -116,7 +117,7 @@ def cvar_standard_error(samples, beta, var):
     sqrt(sample variance of weight * (loss - var)+ over n) / beta, with the
     n - 1 divisor.  A single sample has no variance estimate, so n >= 2.
     """
-    se = _tail(samples, beta, var)[2]
+    se = _tail(*_as_arrays(samples), beta, _real("var", var))[2]
     if math.isnan(se):
         raise DomainError("standard error needs at least two samples")
     return se
@@ -124,28 +125,27 @@ def cvar_standard_error(samples, beta, var):
 
 def naive_var_cvar(losses, beta):
     """Plain empirical (value at risk, cvar) at level beta: unit weights."""
-    losses = np.asarray(losses, dtype=float)
-    return _tail((losses, np.zeros(losses.shape)), beta)[:2]
+    return _tail(*_as_arrays((losses, np.zeros(np.shape(losses)))), beta)[:2]
 
 
-def _tail(samples, beta, var=None):
-    """(var, cvar, se) at beta of weighted samples; var is estimated when None.
+def _tail(losses, logw, beta, var=None):
+    """(var, cvar, se, n_above) at beta of checked float n-vectors; var is estimated when None.
 
-    Everything is read off one validated, scaled weight vector
-    exp(log w - m), m the largest log weight.  se is nan for one sample.
+    Everything is read off the scaled weights exp(log w - m), m the largest
+    log weight, and the excess (loss - var)+, made in place over logw and
+    losses.  se is nan for one sample; n_above counts the losses above var.
     """
-    losses, logw = _as_arrays(samples)
     beta = _check_beta(beta)
     n = losses.size
     m = float(logw.max())
     if m == -np.inf:
         m = 0.0                        # every weight is zero: scaled weights are exact zeros
-    scaled = np.exp(logw - m)          # in [0, 1], so suffix sums stay bounded by n
+    scaled = np.exp(np.subtract(logw, m, out=logw), out=logw)   # in [0, 1]: bounded suffix sums
     if var is None:
-        var = _weighted_var(losses, scaled, beta, m)
-    var = float(var)
-    excess = losses - var
+        var = float(_weighted_var(losses, scaled, beta, m))
+    excess = np.subtract(losses, var, out=losses)
     np.maximum(excess, 0.0, out=excess)
+    n_above = int(np.count_nonzero(excess))     # loss - var > 0 exactly where loss > var
     shifted = float(scaled @ excess)
     excess *= scaled
     spread = math.sqrt(np.var(excess, ddof=1) / n) if n > 1 else math.nan
@@ -153,7 +153,7 @@ def _tail(samples, beta, var=None):
         # exp(m) may be inf where nothing lies above var, and inf * 0 is nan
         c = var if shifted == 0.0 else float(var + np.exp(m) * shifted / (n * beta))
         se = float(np.exp(m) * spread / beta) if spread > 0.0 else spread
-    return var, c, se
+    return var, c, se, n_above
 
 
 def _weighted_var(losses, scaled, beta, m):
@@ -301,8 +301,8 @@ def estimate(dist, loss, config, method="is", *, _draws=None):
                            config.n)
     if logw is None:
         logw = np.zeros(config.n)
-    v, c, se = _tail((losses, logw), config.beta)
-    if not np.any(losses > v):
+    v, c, se, n_above = _tail(losses, logw, config.beta)
+    if n_above == 0:
         raise TailMassError(
             f"no sampled loss lies above var = {v:g} at beta = {config.beta:g}; the tail is empty"
         )

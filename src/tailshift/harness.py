@@ -249,7 +249,7 @@ def relative_rmse(values, reference=None):
         if v.size < 2:
             raise DomainError("need at least two values without a reference")
         return float(v.std(ddof=1) / mean)
-    return float(math.sqrt(float(np.mean((v - float(reference)) ** 2))) / mean)
+    return float(math.sqrt(float(np.mean((v - _real("reference", reference)) ** 2))) / mean)
 
 
 def _spread(values):

@@ -106,10 +106,10 @@ def _log1p_abs(xc):
     """
     ax = np.abs(xc)
     logs = np.log1p(ax)
-    M = np.max(logs, axis=0)
-    if not np.isfinite(M).all():
+    M = logs.max(axis=0)
+    if not M.max(initial=0.0) < np.inf:            # max propagates a nan
         raise DomainError("x components must be finite")
-    if np.any(M == 0.0):
+    if M.min(initial=np.inf) == 0.0:
         raise DomainError("x must have at least one nonzero component")
     return ax, logs, M
 
@@ -141,7 +141,8 @@ def _stretch_columns(xc, params):
     """(image, log Jacobian) of a component-major (d, m) block of finite x."""
     ax, logs, M = _log1p_abs(xc)
     z = logs / M
-    z /= params.rho
+    if params.rho != 1.0:               # a division by 1 changes no bit, and costs a pass
+        z /= params.rho
     np.power(params.r, z, out=z)
     z *= xc
     logr = math.log(params.r)
@@ -151,7 +152,7 @@ def _stretch_columns(xc, params):
     np.divide(ax, log_diag, out=log_diag)
     log_diag *= c
     np.log1p(log_diag, out=log_diag)
-    log_jac = _sum_components(log_diag) + esum * logr - np.max(log_diag, axis=0)
+    log_jac = _sum_components(log_diag) + esum * logr - log_diag.max(axis=0)
     return z, log_jac
 
 
@@ -188,8 +189,11 @@ def _weighted_image(xc, log_fx, dist, params):
     """
     with np.errstate(over="ignore", invalid="ignore"):    # reported below
         zc, log_jac = _stretch_columns(xc, params)
-        logw = joint_log_density(zc.T, dist) - log_fx + log_jac if np.isfinite(zc).all() else None
-    if logw is None or not np.max(logw) < np.inf:          # np.max propagates a nan
+        # x >= 0 (drawn, or checked by log_likelihood_ratio), and so is its image:
+        # its max is inf exactly where it overflows
+        logw = (joint_log_density(zc.T, dist) - log_fx + log_jac
+                if zc.max(initial=0.0) < np.inf else None)
+    if logw is None or not logw.max(initial=-np.inf) < np.inf:     # max propagates a nan
         raise TailMassError(
             f"the stretch by up to r**(1/rho) = {params.r:.4g}**{1.0 / params.rho:.4g} carries "
             "samples past the float range; use a smaller h or a larger rho"

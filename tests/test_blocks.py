@@ -178,9 +178,9 @@ class TestStreamedDraw:
 
         seen, real_tail = [], ez._tail
 
-        def recording_tail(samples, beta, var=None):
-            seen.append(samples)
-            return real_tail(samples, beta, var)
+        def recording_tail(losses, logw, beta, var=None):
+            seen.append((losses.copy(), logw.copy()))     # the tail overwrites both
+            return real_tail(losses, logw, beta, var)
 
         monkeypatch.setattr(ez, "_tail", recording_tail)
         memo = {}
@@ -229,9 +229,9 @@ class TestStreamedDraw:
 
         seen, real_tail = [], ez._tail
 
-        def recording_tail(samples, beta, var=None):
-            seen.append(samples)
-            return real_tail(samples, beta, var)
+        def recording_tail(losses, logw, beta, var=None):
+            seen.append((losses.copy(), logw.copy()))     # the tail overwrites both
+            return real_tail(losses, logw, beta, var)
 
         monkeypatch.setattr(ez, "_tail", recording_tail)
         estimate(dist, loss, ISConfig(beta=beta, n=n, seed=seed), "naive")
@@ -256,6 +256,21 @@ class TestStreamedDraw:
         # each drawn block is weighed where it is drawn: what is whole is a
         # few n-vectors (losses, log weights, the tail's sort), never X or Z
         assert peak < n * portfolio_dist.dim * 8
+
+    def test_the_tail_works_on_the_estimates_own_vectors(self, portfolio_dist, linear):
+        n = 100_000
+        config = ISConfig(beta=1e-6, n=n, seed=3, h=2.6)
+        estimate(portfolio_dist, linear, config)          # first-call allocations aside
+        tracemalloc.start()
+        try:
+            estimate(portfolio_dist, linear, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the losses and log weights, the sort's order and the sorted weights
+        # are four n-vectors; a scaled weight or excess vector beside them
+        # would be a fifth
+        assert peak < 4.5 * n * 8
 
     @pytest.mark.parametrize("method, beta", [("is", 1e-6), ("naive", 1e-3)])
     def test_estimate_holds_one_drawn_block_at_a_time(self, portfolio_dist, linear, method,

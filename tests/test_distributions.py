@@ -114,6 +114,21 @@ def test_one_column_sums_as_the_row_loop(values):
     assert _sum_components(col).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 33])
+def test_wider_blocks_sum_as_the_row_loop(d, order):
+    # one reduction over the rows must add them in index order, as the loop
+    # does, whatever the layout: a pairwise sum would round otherwise
+    rng = np.random.default_rng(d)
+    for m in (2, 3, 7, 8, 9, 2047, 2048, 2049):
+        a = rng.standard_normal((d, m)) * 10.0 ** rng.integers(-8, 9, (d, m))
+        a = np.asarray(a, order=order)
+        want = a[0].copy()
+        for row in a[1:]:
+            want += row
+        assert _sum_components(a).tobytes() == want.tobytes(), m
+
+
 class TestNormalScores:
     def test_oracle_points(self):
         t = np.array(list(SCORE_ORACLE))

@@ -272,6 +272,36 @@ class TestInputValidation:
         with pytest.raises(DomainError):
             value_at_risk([], 0.3)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "2", True])
+    @pytest.mark.parametrize("name, call", [
+        ("var", lambda s, v: cvar(s, 0.3, v)),
+        ("var", lambda s, v: cvar_standard_error(s, 0.3, v)),
+        ("u", tail_probability),
+    ], ids=["cvar", "cvar_standard_error", "tail_probability"])
+    def test_tail_arguments_keep_the_real_number_rule(self, name, call, bad):
+        # four samples: the standard error is defined, so only the argument can fail
+        s = (np.array([1.0, 2.0, 3.0, 4.0]), np.zeros(4))
+        with pytest.raises(DomainError, match=f"^{name} must be finite, got"):
+            call(s, bad)
+
+    @pytest.mark.parametrize("as_pairs", [False, True], ids=["arrays", "samples"])
+    def test_public_tail_functions_leave_their_inputs_alone(self, as_pairs):
+        rng = np.random.default_rng(2)
+        losses, logw = rng.standard_normal(200), rng.standard_normal(200) - 3.0
+        logw[::7] = -np.inf
+        keep = losses.copy(), logw.copy()
+        samples = ([WeightedLossSample(a, b) for a, b in zip(losses, logw)] if as_pairs
+                   else (losses, logw))
+        v = value_at_risk(samples, 0.01)
+        calls = (lambda: tail_probability(samples, v), lambda: value_at_risk(samples, 0.01),
+                 lambda: cvar(samples, 0.01, v), lambda: cvar_standard_error(samples, 0.01, v),
+                 lambda: naive_var_cvar(losses, 0.05))
+        first = [f() for f in calls]
+        assert [f() for f in calls] == first       # a second call reads the same inputs
+        assert losses.tobytes() == keep[0].tobytes() and logw.tobytes() == keep[1].tobytes()
+        if as_pairs:
+            assert [(x.loss, x.log_weight) for x in samples] == list(zip(*keep))
+
     @pytest.mark.parametrize("field", ["n", "seed"])
     def test_config_rejects_bool_counts(self, field):
         # bool is an int subclass: n=True would quietly draw one sample
@@ -376,8 +406,9 @@ class TestEstimate:
         monkeypatch.setattr(ez, "_drawn_blocks", counted_sample)
         monkeypatch.setattr(ez, "_as_arrays", counted_as_arrays)
         estimate(portfolio_dist, linear, ISConfig(beta=1e-6, n=500, seed=3, h=2.6))
-        # var, cvar and se come from one validated pass over the weighted losses
-        assert calls == {"log1p": 1, "sample": 1, "as_arrays": 1}
+        # var, cvar and se come from one pass over the weighted losses, which
+        # are checked where they are weighed and not again at the tail
+        assert calls == {"log1p": 1, "sample": 1, "as_arrays": 0}
 
     def test_naive_method_computes_no_density(self, portfolio_dist, linear, monkeypatch):
         import tailshift.distributions as dz
@@ -411,9 +442,9 @@ class TestEstimate:
         seen = []
         real_tail = ez._tail
 
-        def recording_tail(samples, beta, var=None):
-            seen.append(samples)
-            return real_tail(samples, beta, var)
+        def recording_tail(losses, logw, beta, var=None):
+            seen.append((losses.copy(), logw.copy()))     # the tail overwrites both
+            return real_tail(losses, logw, beta, var)
 
         monkeypatch.setattr(ez, "_tail", recording_tail)
         beta, n, seed, h = 1e-6, 800, 11, 2.6

@@ -130,6 +130,11 @@ class TestRelativeRmse:
             relative_rmse([1.0, float("nan")])
         assert relative_rmse([1.0], reference=0.5) == 0.5  # one value is fine with a reference
 
+    @pytest.mark.parametrize("reference", [math.nan, math.inf, "2", True])
+    def test_reference_keeps_the_real_number_rule(self, reference):
+        with pytest.raises(DomainError, match="^reference must be finite, got"):
+            relative_rmse([1.0, 2.0], reference=reference)
+
 
 class TestRunReplications:
     def test_shape(self, onedim_dist, linear):

@@ -16,6 +16,7 @@ from tailshift import (
     extrapolate,
     extrapolation_factor,
     joint_log_density,
+    linear_loss,
     log_jacobian,
     log_likelihood_ratio,
     sample_inputs,
@@ -260,3 +261,37 @@ def test_output_does_not_depend_on_input_memory_order(name):
     c_out, f_out = func(np.ascontiguousarray(a)), func(np.asfortranarray(a))
     assert c_out.shape == f_out.shape
     assert c_out.tobytes() == f_out.tobytes()
+
+
+_EMPTY_CASES = {
+    # name: (function of a (0, 12) batch, shape of its result)
+    "joint_log_density": (lambda x: joint_log_density(x, _LAYOUT_DIST), (0,)),
+    "extrapolate": (lambda x: extrapolate(x, _LAYOUT_PARAMS), (0, 12)),
+    "log_jacobian": (lambda x: log_jacobian(x, _LAYOUT_PARAMS), (0,)),
+    "stretch_exponents": (lambda x: stretch_exponents(x, 1.5), (0, 12)),
+    "linear_loss": (linear_loss, (0,)),
+    "log_likelihood_ratio": (lambda x: log_likelihood_ratio(x, _LAYOUT_DIST, _LAYOUT_PARAMS), (0,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EMPTY_CASES))
+def test_an_empty_batch_gives_an_empty_result(name):
+    func, shape = _EMPTY_CASES[name]
+    out = func(np.zeros((0, 12)))
+    assert isinstance(out, np.ndarray) and out.shape == shape
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_one_bad_component_is_named_by_each_check(bad):
+    x = np.random.default_rng(4).uniform(0.05, 40.0, (37, 12))
+    x[20, 5] = bad
+    with pytest.raises(DomainError, match="^x components must be strictly positive and finite$"):
+        joint_log_density(x, _LAYOUT_DIST)
+    if not math.isfinite(bad):
+        for func in (lambda x: extrapolate(x, _LAYOUT_PARAMS),
+                     lambda x: log_jacobian(x, _LAYOUT_PARAMS)):
+            with pytest.raises(DomainError, match="^x components must be finite$"):
+                func(x)
+    x[20] = -0.0                        # a row of zeros, negative ones included
+    with pytest.raises(DomainError, match="^x must have at least one nonzero component$"):
+        extrapolate(x, _LAYOUT_PARAMS)
