@@ -148,12 +148,16 @@ class MarginalSpec:
         return float(out) if out.ndim == 0 else out
 
     def log_density(self, x):
-        """Log density log(alpha) + (alpha - 1) log(x) - x**alpha for x > 0."""
+        """Log density log(alpha) + (alpha - 1) log(x) - x**alpha for x > 0.
+
+        x**alpha is exp(alpha log x), as in ``joint_log_density``.
+        """
         x = np.asarray(x, dtype=float)
-        if x.size == 0 or np.any(x <= 0.0) or np.any(~np.isfinite(x)):
+        if x.size and (np.any(x <= 0.0) or np.any(~np.isfinite(x))):
             raise DomainError("x must be strictly positive and finite")
         a = self.alpha
-        out = math.log(a) + (a - 1.0) * np.log(x) - x ** a
+        log_x = np.log(x)
+        out = math.log(a) + (a - 1.0) * log_x - np.exp(a * log_x)
         return float(out) if out.ndim == 0 else out
 
 
@@ -346,15 +350,17 @@ _POW_SPECIAL = frozenset((-1.0, 0.0, 0.5, 1.0, 2.0))   # numpy's scalar pow fast
 def _powers(base, exponents):
     """base ** exponents[:, None] for a (d, m) base, by one pow path at every m.
 
-    numpy's pow has a fast path (sqrt for the exponent 0.5, square for 2,
-    a division for -1) for an exponent it sees as one scalar, and a (d, 1)
-    exponent column looks like one only in wide batches, so a sample's bits
-    would depend on the width of its batch.  The powers here equal the
-    row-major formula, an (m, d) batch to the power of the (d,) exponents,
-    at every width.  The formula takes the general pow for d > 1, and so
-    does a column of exponents that the fast path does not special-case;
-    when one is special-cased, the exponents are spelled out in full.  For
-    d = 1 the formula's exponent is one scalar.
+    The draw's t**(1/alpha) takes it (the densities take their powers by
+    exp, which has no fast path).  numpy's pow has a fast path (sqrt for
+    the exponent 0.5, square for 2, a division for -1) for an exponent it
+    sees as one scalar, and a (d, 1) exponent column looks like one only in
+    wide batches, so a sample's bits would depend on the width of its
+    batch.  The powers here equal the row-major formula, an (m, d) batch to
+    the power of the (d,) exponents, at every width.  The formula takes the
+    general pow for d > 1, and so does a column of exponents that the fast
+    path does not special-case; when one is special-cased, the exponents
+    are spelled out in full.  For d = 1 the formula's exponent is one
+    scalar.
     """
     if len(exponents) == 1:
         return np.power(base, exponents[0])
@@ -446,7 +452,8 @@ def joint_log_density(x, dist):
     """
     x = _validate_vectors(x, dist.dim)
     # the min is nan where x holds a nan; initial keeps an empty batch valid
-    if not (x.min(initial=np.inf) > 0.0 and x.max(initial=0.0) < np.inf):
+    if not (np.minimum.reduce(x, axis=None, initial=np.inf) > 0.0
+            and np.maximum.reduce(x, axis=None, initial=0.0) < np.inf):
         raise DomainError("x components must be strictly positive and finite")
     (out,) = _over_columns(_log_density_columns, (_component_major(x),), dist)
     out = out.reshape(x.shape[:-1])
@@ -454,10 +461,16 @@ def joint_log_density(x, dist):
 
 
 def _log_density_columns(xc, dist):
-    """(joint log density,) of a component-major (d, m) block of valid x."""
+    """(joint log density,) of a component-major (d, m) block of valid x.
+
+    The powers x**alpha are exp(alpha log x), off the log x the density
+    takes anyway: an exp costs a fraction of a pow, and has no fast path
+    that would make a sample's bits depend on the width of its batch.
+    """
     a = dist.alphas[:, None]
-    p = _powers(xc, dist.alphas)
     terms = np.log(xc)
+    p = np.multiply(terms, a)
+    np.exp(p, out=p)
     terms *= a - 1.0
     terms += np.log(a)
     terms -= p

@@ -137,7 +137,7 @@ def _tail(losses, logw, beta, var=None):
     """
     beta = _check_beta(beta)
     n = losses.size
-    m = float(logw.max())
+    m = float(np.maximum.reduce(logw))
     if m == -np.inf:
         m = 0.0                        # every weight is zero: scaled weights are exact zeros
     scaled = np.exp(np.subtract(logw, m, out=logw), out=logw)   # in [0, 1]: bounded suffix sums
@@ -148,7 +148,7 @@ def _tail(losses, logw, beta, var=None):
     n_above = int(np.count_nonzero(excess))     # loss - var > 0 exactly where loss > var
     shifted = float(scaled @ excess)
     excess *= scaled
-    spread = math.sqrt(np.var(excess, ddof=1) / n) if n > 1 else math.nan
+    spread = math.sqrt(_sample_variance(excess) / n) if n > 1 else math.nan
     with np.errstate(over="ignore"):
         # exp(m) may be inf where nothing lies above var, and inf * 0 is nan
         c = var if shifted == 0.0 else float(var + np.exp(m) * shifted / (n * beta))
@@ -156,27 +156,43 @@ def _tail(losses, logw, beta, var=None):
     return var, c, se, n_above
 
 
+def _sample_variance(a):
+    """np.var(a, ddof=1) of a float n-vector, n >= 2, by numpy's own steps, overwriting a.
+
+    The same ufuncs in the same order as numpy's var, so the same bits,
+    without its Python-level wrapper or its deviation n-vector.
+    """
+    n = a.size
+    mean = np.add.reduce(a) / n
+    dev = np.subtract(a, mean, out=a)
+    np.square(dev, out=dev)
+    return np.add.reduce(dev) / (n - 1)
+
+
 def _weighted_var(losses, scaled, beta, m):
     """The smallest sampled loss whose tail mass sum(scaled * exp(m)) / n is <= beta."""
     n = losses.size
     order = np.argsort(losses)
-    above = scaled[order]
-    np.cumsum(above[::-1], out=above[::-1])      # the scaled mass from each sorted position on
+    # mass[k]: the scaled mass of the k + 1 largest losses, summed from the
+    # largest down (so mass[-1], the total, has the bits of a sum in that order)
+    mass = scaled[order[::-1]]
+    np.cumsum(mass, out=mass)
     with np.errstate(over="ignore"):
         threshold = beta * n * np.exp(-m)        # compare in linear space for exact ties
-    if above[0] <= threshold:                    # the total mass: every threshold qualifies
-        log_mean = m + math.log(above[0] / n) if above[0] > 0.0 else -math.inf
+    if mass[-1] <= threshold:                    # the total mass: every threshold qualifies
+        log_mean = m + math.log(mass[-1] / n) if mass[-1] > 0.0 else -math.inf
         raise TailMassError(
             f"beta too large for sampled tail mass: mean weight {math.exp(log_mean):.3g} = "
             f"exp({log_mean:.4g}) <= beta = {beta:g}; h is too large for this model "
             f"(try a smaller h)"
         )
-    above[:-1] = above[1:]                       # the scaled mass after each sorted position
-    above[-1] = 0.0
-    # above never rises along the order and, at the last member of a tie
-    # group, is the mass strictly above that loss: so the first position that
-    # qualifies holds the smallest qualifying loss, and ties need no grouping
-    return losses[order[int(np.argmax(above <= threshold))]]
+    # the mass after sorted position i is mass[n - 2 - i] (0 after the last),
+    # never rising along the order, and at the last member of a tie group it
+    # is the mass strictly above that loss: so the first position whose mass
+    # after it is <= threshold holds the smallest qualifying loss, and ties
+    # need no grouping.  k of mass[:k] qualify, so that position is n - 1 - k.
+    k = int(np.searchsorted(mass, threshold, side="right"))
+    return losses[order[n - 1 - k]]
 
 
 @dataclass(frozen=True)

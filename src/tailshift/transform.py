@@ -106,10 +106,10 @@ def _log1p_abs(xc):
     """
     ax = np.abs(xc)
     logs = np.log1p(ax)
-    M = logs.max(axis=0)
-    if not M.max(initial=0.0) < np.inf:            # max propagates a nan
+    M = np.maximum.reduce(logs, axis=0)
+    if not np.maximum.reduce(M, initial=0.0) < np.inf:     # max propagates a nan
         raise DomainError("x components must be finite")
-    if M.min(initial=np.inf) == 0.0:
+    if np.minimum.reduce(M, initial=np.inf) == 0.0:
         raise DomainError("x must have at least one nonzero component")
     return ax, logs, M
 
@@ -138,21 +138,29 @@ def _stretch(x, params):
 
 
 def _stretch_columns(xc, params):
-    """(image, log Jacobian) of a component-major (d, m) block of finite x."""
+    """(image, log Jacobian) of a component-major (d, m) block of finite x.
+
+    The image takes r**e_i as r**(1/rho) * exp((log1p|x_i| - M) * c), with
+    c = log(r) / (rho * M) the constant of the Jacobian, since an exp costs
+    a fraction of a pow.  The dominant component has log1p|x_i| = M and
+    exp(0) = 1, so it moves by r**(1/rho) exactly.  r**(1/rho) is taken by
+    numpy, which gives inf (under the caller's errstate) where Python's **
+    would raise OverflowError.
+    """
     ax, logs, M = _log1p_abs(xc)
-    z = logs / M
-    if params.rho != 1.0:               # a division by 1 changes no bit, and costs a pass
-        z /= params.rho
-    np.power(params.r, z, out=z)
-    z *= xc
     logr = math.log(params.r)
     c = logr / (params.rho * M)
+    z = np.subtract(logs, M)
+    z *= c
+    np.exp(z, out=z)
+    z *= np.power(params.r, 1.0 / params.rho)
+    z *= xc
     esum = _sum_components(logs) / (params.rho * M)
     log_diag = np.add(ax, 1.0, out=logs)
     np.divide(ax, log_diag, out=log_diag)
     log_diag *= c
     np.log1p(log_diag, out=log_diag)
-    log_jac = _sum_components(log_diag) + esum * logr - log_diag.max(axis=0)
+    log_jac = _sum_components(log_diag) + esum * logr - np.maximum.reduce(log_diag, axis=0)
     return z, log_jac
 
 
@@ -190,10 +198,10 @@ def _weighted_image(xc, log_fx, dist, params):
     with np.errstate(over="ignore", invalid="ignore"):    # reported below
         zc, log_jac = _stretch_columns(xc, params)
         # x >= 0 (drawn, or checked by log_likelihood_ratio), and so is its image:
-        # its max is inf exactly where it overflows
+        # its max is inf, or nan (inf * 0), exactly where it overflows
         logw = (joint_log_density(zc.T, dist) - log_fx + log_jac
-                if zc.max(initial=0.0) < np.inf else None)
-    if logw is None or not logw.max(initial=-np.inf) < np.inf:     # max propagates a nan
+                if np.maximum.reduce(zc, axis=None, initial=0.0) < np.inf else None)
+    if logw is None or not np.maximum.reduce(logw, initial=-np.inf) < np.inf:   # max propagates a nan
         raise TailMassError(
             f"the stretch by up to r**(1/rho) = {params.r:.4g}**{1.0 / params.rho:.4g} carries "
             "samples past the float range; use a smaller h or a larger rho"

@@ -98,6 +98,23 @@ class TestBlockedRows:
             assert Z[i].tobytes() == extrapolate(X[i], params).tobytes()
             assert jac[i] == log_jacobian(X[i], params)
 
+    @pytest.mark.parametrize("rho", [1.0, 0.7])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_rows_do_not_depend_on_the_batch_width(self, alpha, rho):
+        # the exponents numpy's pow special-cases for a scalar exponent; the
+        # densities and the stretch take their powers by exp, whose bits must
+        # not follow the batch width either
+        dist = DistributionSpec.from_alphas([alpha] * 4, CorrelationMatrix.tridiagonal(4, 0.1))
+        params = TransformParams(r=3.0, rho=rho)
+        X = sample_inputs(_BLOCK + 1, dist, seed=19) * 1.5
+        funcs = (lambda x: joint_log_density(x, dist), lambda x: extrapolate(x, params),
+                 lambda x: log_jacobian(x, params))
+        for func in funcs:
+            batch = func(X)
+            for width in (1, 2, 7, _BLOCK, _BLOCK + 1):
+                assert func(X[:width]).tobytes() == batch[:width].tobytes(), width
+            assert np.asarray(func(X[-1])).tobytes() == batch[-1].tobytes()   # one vector
+
     @pytest.mark.parametrize("n", [_BLOCK, _BLOCK + 1, N])
     def test_draw_matches_the_sampler_as_first_written(self, model, n):
         dist = model[0]

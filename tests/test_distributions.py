@@ -186,6 +186,12 @@ class TestMarginal:
         fd = (m.cdf(x + h) - m.cdf(x - h)) / (2 * h)
         assert math.isclose(math.exp(m.log_density(x)), fd, rel_tol=1e-8)
 
+    def test_log_density_of_an_empty_array_is_empty(self):
+        # as quantile, cdf and joint_log_density give
+        for x in (np.zeros(0), np.zeros((0, 3))):
+            out = MarginalSpec(alpha=0.7).log_density(x)
+            assert isinstance(out, np.ndarray) and out.shape == x.shape
+
     def test_log_density_rejects_nonpositive(self):
         m = MarginalSpec(alpha=0.5)
         with pytest.raises(DomainError):

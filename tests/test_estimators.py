@@ -151,6 +151,51 @@ class TestValueAtRisk:
                 above = np.array([np.count_nonzero(losses > u) for u in candidates])
                 assert value_at_risk((losses, np.zeros(n)), k / n) == candidates[above <= k].min()
 
+    @staticmethod
+    def _var_by_scan(losses, scaled, beta, m):
+        """The var search as first written: a scan of the shifted suffix sums; None if too light."""
+        n = losses.size
+        order = np.argsort(losses)
+        above = scaled[order]
+        np.cumsum(above[::-1], out=above[::-1])
+        with np.errstate(over="ignore"):
+            threshold = beta * n * np.exp(-m)
+        if above[0] <= threshold:
+            return None
+        above[:-1] = above[1:].copy()
+        above[-1] = 0.0
+        return losses[order[int(np.argmax(above <= threshold))]]
+
+    def test_binary_search_finds_the_scans_var(self):
+        # ties, unit weights, zero weights (some, and all) and n = 1, against
+        # the scan it replaced: the same sorted position, so the same loss
+        import tailshift.estimators as ez
+        weight_draws = (
+            lambda rng, n: np.exp(-rng.exponential(size=n)),
+            lambda rng, n: np.ones(n),
+            lambda rng, n: np.where(rng.uniform(size=n) < 0.4, 0.0, rng.uniform(size=n)),
+            lambda rng, n: np.zeros(n),
+        )
+        rng = np.random.default_rng(31)
+        found = 0
+        for draw_losses in self.LOSS_DRAWS:
+            for draw_weights in weight_draws:
+                for n in (1, 2, 3, 8, 17, 64, 500):
+                    for _ in range(12):
+                        losses, scaled = draw_losses(rng, n), draw_weights(rng, n)
+                        # exact unit-weight ties at beta * n = k when n is a power of two
+                        beta = (int(rng.integers(1, n)) / n if n in (2, 8, 64)
+                                else float(10.0 ** rng.uniform(-3.0, -0.1)))
+                        m = float(rng.choice([0.0, rng.normal(scale=3.0)]))
+                        want = self._var_by_scan(losses, scaled, beta, m)
+                        if want is None:
+                            with pytest.raises(TailMassError):
+                                ez._weighted_var(losses, scaled, beta, m)
+                            continue
+                        assert ez._weighted_var(losses, scaled, beta, m) == want
+                        found += 1
+        assert found > 300
+
     def test_all_zero_weights(self):
         # every log weight -inf: the largest is taken as 0, so the scaled
         # weights are exact zeros and nothing warns
@@ -227,6 +272,16 @@ class TestStandardError:
     def test_single_sample_rejected(self):
         with pytest.raises(DomainError):
             cvar_standard_error([WeightedLossSample(1.0)], 0.5, 0.0)
+
+    def test_variance_has_the_bits_of_numpys_var(self):
+        import tailshift.estimators as ez
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 7, 8, 9, 129, 1000, 4099):
+            for draw in (rng.exponential, rng.standard_cauchy, lambda size: np.full(size, 0.1)):
+                a = draw(size=n) * 10.0 ** rng.uniform(-5, 5)
+                a[rng.uniform(size=n) < 0.5] = 0.0     # the tail terms are mostly zero
+                want = np.var(a, ddof=1)
+                assert ez._sample_variance(a.copy()) == want
 
 
 class TestNaive:
