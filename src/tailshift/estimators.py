@@ -157,14 +157,15 @@ def _tail(losses, logw, beta, var=None):
 
 
 def _sample_variance(a):
-    """np.var(a, ddof=1) of a float n-vector, n >= 2, by numpy's own steps, overwriting a.
+    """np.var(a, ddof=1) of a float n-vector, n >= 2, by numpy's own steps.
 
     The same ufuncs in the same order as numpy's var, so the same bits,
-    without its Python-level wrapper or its deviation n-vector.
+    without its Python-level wrapper.  The deviations go to a new n-vector,
+    as in numpy's var, and a is left as it was.
     """
     n = a.size
     mean = np.add.reduce(a) / n
-    dev = np.subtract(a, mean, out=a)
+    dev = np.subtract(a, mean)
     np.square(dev, out=dev)
     return np.add.reduce(dev) / (n - 1)
 

@@ -143,17 +143,26 @@ def _stretch_columns(xc, params):
     The image takes r**e_i as r**(1/rho) * exp((log1p|x_i| - M) * c), with
     c = log(r) / (rho * M) the constant of the Jacobian, since an exp costs
     a fraction of a pow.  The dominant component has log1p|x_i| = M and
-    exp(0) = 1, so it moves by r**(1/rho) exactly.  r**(1/rho) is taken by
-    numpy, which gives inf (under the caller's errstate) where Python's **
-    would raise OverflowError.
+    exp(0) = 1, so it moves by r**(1/rho) exactly.  A full factor past the
+    float range raises TailMassError, and a c past it (every component of
+    a sample within about log(r) / rho / 1.8e308 of 0) DomainError.
     """
     ax, logs, M = _log1p_abs(xc)
     logr = math.log(params.r)
+    try:
+        full = params.r ** (1.0 / params.rho)
+    except OverflowError:
+        raise TailMassError(_past_the_float_range(params)) from None
+    # c is largest at the smallest M; Python floats, so no numpy warning
+    least = params.rho * float(np.minimum.reduce(M, initial=np.inf))
+    if least == 0.0 or logr / least == math.inf:
+        raise DomainError("x is too close to 0 for the stretch: log(r) / (rho * max_j "
+                          "log1p|x_j|) overflows")
     c = logr / (params.rho * M)
     z = np.subtract(logs, M)
     z *= c
     np.exp(z, out=z)
-    z *= np.power(params.r, 1.0 / params.rho)
+    z *= full
     z *= xc
     esum = _sum_components(logs) / (params.rho * M)
     log_diag = np.add(ax, 1.0, out=logs)
@@ -165,7 +174,11 @@ def _stretch_columns(xc, params):
 
 
 def extrapolate(x, params):
-    """Apply the stretch: x * r**e(x) componentwise."""
+    """Apply the stretch: x * r**e(x) componentwise.
+
+    Raises TailMassError where the full factor r**(1/rho) overflows a
+    float, and DomainError where log(r) / (rho * max_j log1p|x_j|) does.
+    """
     return _stretch(x, params)[0]
 
 
@@ -181,7 +194,8 @@ def log_jacobian(x, params):
     where the dominant component is exactly the argmax of d_i.  All factors
     are >= 1 for r >= 1, so the product is accumulated with log1p.  Returns
     a float for shape (d,), an (n,) array for shape (n, d); exactly 0.0 when
-    r = 1 and exactly log(r) in one dimension with rho = 1.
+    r = 1 and exactly log(r) in one dimension with rho = 1.  Raises as
+    ``extrapolate`` does.
     """
     return _stretch(x, params)[1]
 
@@ -198,15 +212,18 @@ def _weighted_image(xc, log_fx, dist, params):
     with np.errstate(over="ignore", invalid="ignore"):    # reported below
         zc, log_jac = _stretch_columns(xc, params)
         # x >= 0 (drawn, or checked by log_likelihood_ratio), and so is its image:
-        # its max is inf, or nan (inf * 0), exactly where it overflows
+        # its max is inf exactly where it overflows
         logw = (joint_log_density(zc.T, dist) - log_fx + log_jac
                 if np.maximum.reduce(zc, axis=None, initial=0.0) < np.inf else None)
     if logw is None or not np.maximum.reduce(logw, initial=-np.inf) < np.inf:   # max propagates a nan
-        raise TailMassError(
-            f"the stretch by up to r**(1/rho) = {params.r:.4g}**{1.0 / params.rho:.4g} carries "
-            "samples past the float range; use a smaller h or a larger rho"
-        )
+        raise TailMassError(_past_the_float_range(params))
     return zc, logw
+
+
+def _past_the_float_range(params):
+    """The TailMassError message of a stretch that carries samples past the float range."""
+    return (f"the stretch by up to r**(1/rho) = {params.r:.4g}**{1.0 / params.rho:.4g} carries "
+            "samples past the float range; use a smaller h or a larger rho")
 
 
 def log_likelihood_ratio(x, dist, params):

@@ -1,6 +1,7 @@
 """Outward stretch map: factor, exponents, Jacobian, likelihood ratio."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tailshift import (
     CorrelationMatrix,
     DistributionSpec,
     DomainError,
+    TailMassError,
     TransformParams,
     copula_log_density,
     extrapolate,
@@ -179,6 +181,26 @@ class TestLogJacobian:
     def test_rejects_zero_vector(self):
         with pytest.raises(DomainError):
             log_jacobian(np.zeros(2), TransformParams(r=2.0, rho=1.0))
+
+
+@pytest.mark.parametrize("f", [extrapolate, log_jacobian])
+class TestStretchPastTheFloatRange:
+    # raised, warning-free, rather than returned as nan or inf
+    def test_a_full_factor_past_the_float_range_is_a_tail_mass_error(self, f):
+        # r**(1/rho) = 1e10**100 overflows, though 0.01's factor (1e10**1.4) does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TailMassError, match="past the float range"):
+                f(np.array([1.0, 0.0, 0.01]), TransformParams(r=1e10, rho=0.01))
+
+    def test_a_sample_too_close_to_0_for_its_constant_is_a_domain_error(self, f):
+        # c = log(5) / log1p(1e-310) overflows; at r = 1 it is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="too close to 0"):
+                f(np.array([1e-310, 1e-311]), TransformParams(r=5.0))
+            assert np.all(f(np.array([1e-310, 1e-311]), TransformParams(r=1.0))
+                          == (np.array([1e-310, 1e-311]) if f is extrapolate else 0.0))
 
 
 class TestLogLikelihoodRatio:
