@@ -21,7 +21,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
@@ -29,16 +30,16 @@ from .distributions import CorrelationMatrix, DistributionSpec, _count, _real
 from .errors import ConfigError, DomainError, EstimationError, WeightsFileError
 from .harness import (  # noqa: F401  (REPLICATION_COLUMNS is re-exported)
     AffineH, ExperimentConfig, FixedH, GridH, REPLICATION_COLUMNS, SUMMARY_COLUMNS,
-    ReplicationTable, cross_validate_h, run_replications, summarize,
+    ReplicationTable, VarianceRatioRow, _cv_reps, cross_validate_h, run_replications, summarize,
     variance_ratio_study, write_rows_csv,
 )
 from .losses import LossModel, _params_from_dict, _params_to_dict, load_relu_params
-from .transform import extrapolation_factor
+from .transform import _check_stretch_level, extrapolation_factor
 
 _LOSS_KINDS = ("pert7", "linear", "relu_net")
 _PATTERNS = ("tridiagonal", "equicorrelated", "identity")
 
-VARRATIO_COLUMNS = ("beta", "cv_is", "cv_naive", "naive_status")
+VARRATIO_COLUMNS = tuple(f.name for f in fields(VarianceRatioRow))
 CROSSVAL_COLUMNS = ("h", "cv", "n_ok", "status", "selected")
 
 _MATCH_MAX_FACTOR = 64           # the naive-match search stops past max(factor * n, cap)
@@ -156,11 +157,12 @@ _TOP_KEYS = {"dist", "loss", "betas", "n", "reps", "h", "seed", "method", "threa
 
 
 def _check_levels(betas):
-    """Refuse a level at which the importance method cannot stretch outward (beta >= 1/e)."""
-    for b in betas:
-        if b >= 1.0 / math.e:
-            raise ConfigError(f"beta must be < 1/e for importance sampling, got {b:g}",
-                              field="betas")
+    """Refuse a level outside (0, 1/e), where the importance method cannot stretch outward."""
+    try:
+        for b in betas:
+            _check_stretch_level(b)
+    except DomainError as exc:
+        raise ConfigError(str(exc), field="betas") from None
 
 
 def parse_config(path, overrides=None):
@@ -274,26 +276,32 @@ def _write_manifest(out_dir, command, config_path, spec, outputs, wall_seconds):
 
 
 def _check_h_rule(command, spec):
-    """Refuse, before any output, an h rule that the command's importance runs cannot use.
+    """Refuse, before any output, what the command's importance runs cannot use.
 
-    Outside crossval, which needs a grid and skips its unusable points, a rule must stretch
-    outward at every level.  crossval and varratio run the importance method whatever the
-    config's method.
+    Every level must lie below 1/e.  crossval needs an h grid, whose unusable points it
+    skips, and two replications for a cv; elsewhere the rule must stretch outward at every
+    level.  crossval and varratio run the importance method whatever the config's method.
     """
-    rule = spec.experiment.h_rule
+    exp, rule = spec.experiment, spec.experiment.h_rule
+    if command not in ("crossval", "varratio") and "is" not in spec.methods:
+        return
+    _check_levels(exp.betas)
     if command == "crossval":
-        _check_levels(spec.experiment.betas)
         if not isinstance(rule, GridH):
             raise ConfigError("crossval needs an h grid ({'grid': [...]})", field="h")
-    elif command == "varratio" or "is" in spec.methods:
-        if rule is None or isinstance(rule, GridH):
-            raise ConfigError(f"{command} runs the importance method, which needs a fixed or "
-                              "affine h (or --h); an h grid only works with crossval", field="h")
-        for beta in spec.experiment.betas:
-            try:
-                extrapolation_factor(beta, rule.h_for(beta))
-            except DomainError as exc:
-                raise ConfigError(str(exc), field="h") from None
+        try:
+            _cv_reps(exp.reps)
+        except DomainError as exc:
+            raise ConfigError(str(exc), field="reps") from None
+        return
+    if rule is None or isinstance(rule, GridH):
+        raise ConfigError(f"{command} runs the importance method, which needs a fixed or "
+                          "affine h (or --h); an h grid only works with crossval", field="h")
+    for beta in exp.betas:
+        try:
+            extrapolation_factor(beta, rule.h_for(beta))
+        except DomainError as exc:
+            raise ConfigError(str(exc), field="h") from None
 
 
 def cmd_estimate(spec, out_dir):
@@ -381,8 +389,7 @@ def cmd_varratio(spec, out_dir):
     """Replication cv of both methods at every beta."""
     rows = variance_ratio_study(spec.experiment)
     out = out_dir / "varratio.csv"
-    write_rows_csv(out, VARRATIO_COLUMNS,
-                   [(r.beta, r.cv_is, r.cv_naive, r.naive_status) for r in rows])
+    write_rows_csv(out, VARRATIO_COLUMNS, map(attrgetter(*VARRATIO_COLUMNS), rows))
     for r in rows:
         print(f"beta={r.beta:<12g} cv_is={r.cv_is:<10.4g} cv_naive={r.cv_naive:<10.4g} "
               f"({r.naive_status})")

@@ -1,5 +1,10 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DomainError", "EstimationError", "TailMassError", "FeasibilityError", "BadLossError",
+    "ConfigError", "WeightsFileError", "WeightsFormatError", "WeightsDimensionError",
+]
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""

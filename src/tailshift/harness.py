@@ -30,11 +30,13 @@ __all__ = [
     "pert_h_rule",
     "ExperimentConfig",
     "ReplicationRow",
+    "REPLICATION_COLUMNS",
     "ReplicationTable",
     "derive_seed",
     "run_replications",
     "relative_rmse",
     "summarize",
+    "SUMMARY_COLUMNS",
     "CrossValEntry",
     "CrossValResult",
     "cross_validate_h",
@@ -76,7 +78,7 @@ class AffineH:
 
 @dataclass(frozen=True)
 class GridH:
-    """Candidate h values; resolve one with cross_validate_h before running."""
+    """Distinct candidate h values; resolve one with cross_validate_h before running."""
 
     values: tuple
 
@@ -84,6 +86,8 @@ class GridH:
         vals = tuple(_real("h grid values", v) for v in self.values)
         if not vals:
             raise DomainError("h grid must not be empty")
+        if len(set(vals)) != len(vals):
+            raise DomainError(f"h grid values must be distinct, got {vals}")
         object.__setattr__(self, "values", vals)
 
     def h_for(self, beta):
@@ -312,6 +316,13 @@ def _select_h(entries):
     return best.h
 
 
+def _cv_reps(reps_cv):
+    """reps_cv as an int of at least 2, the fewest replications that have a cv."""
+    if (reps_cv := _count("reps_cv", reps_cv, 1)) < 2:
+        raise DomainError(f"cross-validation needs at least 2 replications, got {reps_cv}")
+    return reps_cv
+
+
 def cross_validate_h(config, grid, beta, reps_cv=20):
     """Pick h from a grid by minimizing the replication cv of the cvar.
 
@@ -319,11 +330,12 @@ def cross_validate_h(config, grid, beta, reps_cv=20):
     beta, reusing the same derived seeds (common random numbers), and
     scores the spread of the cvar estimates.  Each replication's blocks of
     X and log f(X) are drawn once, on the first grid point that runs, and
-    reused at every later h.  A level outside (0, 1/e) raises DomainError
-    before any draw; grid points whose r = h log log(1/beta) <= 1 are
-    skipped; if every point fails, an EstimationError is raised.
+    reused at every later h.  A level outside (0, 1/e) or fewer than two
+    replications raise DomainError before any draw; grid points whose
+    r = h log log(1/beta) <= 1 are skipped; if every point fails, an
+    EstimationError is raised.
     """
-    beta = _check_stretch_level(beta)
+    beta, reps_cv = _check_stretch_level(beta), _cv_reps(reps_cv)
     values = (grid if isinstance(grid, GridH) else GridH(tuple(grid))).values
     draws = {}          # seed -> the draw's blocks (X, log f(X)), local to this call
     entries = []

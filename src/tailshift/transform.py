@@ -38,7 +38,6 @@ from .errors import DomainError, TailMassError
 __all__ = [
     "TransformParams",
     "extrapolation_factor",
-    "stretch_exponents",
     "extrapolate",
     "log_jacobian",
     "log_likelihood_ratio",
@@ -52,8 +51,8 @@ def _check_beta(beta):
 def _check_stretch_level(beta):
     """beta as a float in (0, 1/e): a level at which log log(1/beta) is positive."""
     if (beta := _check_beta(beta)) >= 1.0 / math.e:
-        raise DomainError(f"extrapolation undefined for beta >= 1/e (got beta = {beta:g}); "
-                          "log log(1/beta) is not positive there")
+        raise DomainError(f"beta must be < 1/e, got {beta:g}: extrapolation undefined, "
+                          "as log log(1/beta) is not positive there")
     return beta
 
 
@@ -112,18 +111,6 @@ def _log1p_abs(xc):
     if np.minimum.reduce(M, initial=np.inf) == 0.0:
         raise DomainError("x must have at least one nonzero component")
     return ax, logs, M
-
-
-def stretch_exponents(x, rho):
-    """Componentwise stretch exponents e(x) = log1p(|x|) / (rho * max log1p(|x|)).
-
-    The maximum over i of rho * e_i(x) is 1: the dominant component always
-    gets the full stretch.  Ties in the maximum take the smallest index,
-    which does not change the value.  Accepts shape (d,) or (n, d).
-    """
-    rho = _positive_finite("rho", rho)
-    _, logs, M = _log1p_abs(_checked(x))
-    return ((logs / M) / rho).T.reshape(np.shape(x))
 
 
 def _stretch(x, params):

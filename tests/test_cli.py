@@ -460,6 +460,23 @@ class TestCrossvalCommand:
         assert "needs an h grid" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_repeated_grid_value_exits_1(self, tmp_path, capsys):
+        # a repeated h would run twice and mark two rows selected
+        cfg, out = self.config(tmp_path, [2.0, 2.0, 3.0]), tmp_path / "o"
+        assert main(["crossval", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config field 'h.grid'" in err and "distinct" in err
+        assert not out.exists()
+
+    def test_one_replication_exits_1(self, tmp_path, capsys):
+        # one replication has no cv, so every grid point would fail
+        doc = dict(MINIMAL, betas=[1e-4], n=300, h={"grid": [2.0, 3.0]}, reps=1)
+        cfg, out = write_config(tmp_path, doc), tmp_path / "o"
+        assert main(["crossval", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config field 'reps'" in err and "at least 2 replications" in err
+        assert not out.exists()
+
     def test_naive_config_level_at_or_above_1_over_e_exits_1(self, tmp_path, capsys):
         # crossval runs the importance method whatever the configured method
         doc = dict(MINIMAL, method="naive", betas=[0.5], h={"grid": [2.0, 3.0]})
@@ -515,6 +532,16 @@ class TestBenchmarkCommand:
 
 
 class TestVarratioCommand:
+    def test_naive_config_level_at_or_above_1_over_e_names_betas(self, tmp_path, capsys):
+        # varratio runs the importance method whatever the configured method; the
+        # level, not h, is what no run can use
+        doc = dict(MINIMAL, method="naive", betas=[0.5], h=2.0)
+        cfg, out = write_config(tmp_path, doc), tmp_path / "o"
+        assert main(["varratio", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config field 'betas'" in err and "beta must be < 1/e" in err
+        assert not out.exists()
+
     def test_table(self, tmp_path, capsys):
         doc = dict(MINIMAL, betas=[0.1, 1e-4], n=200, reps=4, h=3.0)
         cfg = write_config(tmp_path, doc)

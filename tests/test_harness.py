@@ -62,6 +62,13 @@ class TestHRules:
         with pytest.raises(DomainError):
             GridH(())
 
+    def test_grid_rejects_repeated_values(self):
+        # a repeated h would run twice, and crossval would select both copies
+        with pytest.raises(DomainError, match="h grid values must be distinct"):
+            GridH((2.0, 2.0, 3.0))
+        with pytest.raises(DomainError, match="distinct"):
+            GridH((2, 2.0))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_grid_rejects_non_finite(self, bad):
         with pytest.raises(DomainError, match="finite"):
@@ -415,6 +422,25 @@ class TestCrossValidation:
         cfg = small_config(onedim_dist, linear, betas=(1e-4,), n=400)
         with pytest.raises(DomainError, match="beta"):
             cross_validate_h(cfg, (2.0, 3.0), beta, reps_cv=4)
+        assert drawn == []
+
+    @pytest.mark.parametrize("reps_cv", [1, 0, 2.5, True])
+    def test_fewer_than_two_replications_are_refused_before_any_draw(
+            self, onedim_dist, linear, reps_cv, monkeypatch):
+        # one replication has no cv: every grid point would fail
+        import tailshift.estimators as ez
+
+        drawn = []
+        real_draw = ez._drawn_blocks
+
+        def counted_draw(*args, **kw):
+            drawn.append(args)
+            return real_draw(*args, **kw)
+
+        monkeypatch.setattr(ez, "_drawn_blocks", counted_draw)
+        cfg = small_config(onedim_dist, linear, betas=(1e-4,), n=400)
+        with pytest.raises(DomainError, match="reps_cv|2 replications"):
+            cross_validate_h(cfg, (2.0, 3.0), 1e-4, reps_cv=reps_cv)
         assert drawn == []
 
     def test_empty_grid_rejected(self, onedim_dist, linear):

@@ -1,0 +1,67 @@
+"""The package's public surface: each module's __all__, re-exported once."""
+
+import ast
+from pathlib import Path
+
+import tailshift
+from tailshift import distributions, errors, estimators, harness, losses, transform
+
+MODULES = (distributions, errors, estimators, harness, losses, transform)
+
+# tailshift.__all__ before the package took its names from the modules'
+# lists (stretch_exponents, a test-only second formula for the exponents,
+# has since been deleted)
+EARLIER_NAMES = (
+    "__version__",
+    "CorrelationMatrix", "DistributionSpec", "MarginalSpec",
+    "copula_log_density", "joint_log_density", "sample_inputs", "std_normal_quantile",
+    "BadLossError", "ConfigError", "DomainError", "EstimationError", "FeasibilityError",
+    "TailMassError", "WeightsDimensionError", "WeightsFileError", "WeightsFormatError",
+    "EstimateReport", "ISConfig", "WeightedLossSample",
+    "cvar", "cvar_standard_error", "estimate", "naive_var_cvar",
+    "tail_probability", "value_at_risk",
+    "AffineH", "CrossValResult", "ExperimentConfig", "FixedH", "GridH",
+    "REPLICATION_COLUMNS", "SUMMARY_COLUMNS",
+    "ReplicationTable", "cross_validate_h", "derive_seed", "pert_h_rule",
+    "relative_rmse", "run_replications", "summarize", "variance_ratio_study",
+    "LossModel", "ReluNetParams", "linear_loss", "load_relu_params",
+    "pert_completion_time", "relu_net_loss", "save_relu_params", "synthetic_relu_params",
+    "TransformParams", "extrapolate", "extrapolation_factor",
+    "log_jacobian", "log_likelihood_ratio",
+)
+
+
+def test_all_is_the_version_and_the_module_lists_in_order():
+    want = ["__version__", *(name for mod in MODULES for name in mod.__all__)]
+    assert tailshift.__all__ == want
+    assert len(set(want)) == len(want)
+
+
+def test_each_name_is_its_modules_object():
+    for mod in MODULES:
+        for name in mod.__all__:
+            assert getattr(tailshift, name) is getattr(mod, name), (mod.__name__, name)
+
+
+def test_the_row_types_and_pert_dim_are_exported():
+    for name in ("ReplicationRow", "CrossValEntry", "VarianceRatioRow", "PERT_DIM"):
+        assert name in tailshift.__all__
+
+
+def test_earlier_names_still_import():
+    for name in EARLIER_NAMES:
+        assert hasattr(tailshift, name), name
+    assert not hasattr(tailshift, "stretch_exponents")
+    assert not hasattr(transform, "stretch_exponents")
+
+
+def test_init_holds_no_list_of_names():
+    # the only strings in __init__.py are its docstring, the version and "__version__"
+    tree = ast.parse(Path(tailshift.__file__).read_text(encoding="utf-8"))
+    strings = [node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert sorted(strings) == sorted([ast.get_docstring(tree, clean=False),
+                                      tailshift.__version__, "__version__"])
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            assert [alias.name for alias in node.names] == ["*"], node.module

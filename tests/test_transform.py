@@ -1,4 +1,4 @@
-"""Outward stretch map: factor, exponents, Jacobian, likelihood ratio."""
+"""Outward stretch map: factor, image, Jacobian, likelihood ratio."""
 
 import math
 import warnings
@@ -22,7 +22,6 @@ from tailshift import (
     log_jacobian,
     log_likelihood_ratio,
     sample_inputs,
-    stretch_exponents,
 )
 
 E = math.e
@@ -65,47 +64,14 @@ class TestTransformParams:
             TransformParams(r=0.9, rho=1.0)
 
     def test_rejects_bad_rho(self):
-        with pytest.raises(DomainError):
-            TransformParams(r=2.0, rho=0.0)
+        # rho = inf would give all-zero exponents, so no stretch at all
+        for rho in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="rho must be positive and finite"):
+                TransformParams(r=2.0, rho=rho)
 
     def test_r_equal_one_allowed(self):
         # identity hook, used below to pin down no-op behaviour
         TransformParams(r=1.0, rho=1.0)
-
-
-class TestStretchExponents:
-    def test_equal_components(self):
-        e = stretch_exponents(np.full(5, 3.7), rho=1.0)
-        np.testing.assert_array_equal(e, np.ones(5))
-
-    def test_two_component_example(self):
-        x = np.array([E - 1, E**3 - 1])
-        np.testing.assert_allclose(
-            stretch_exponents(x, rho=1.0), [1.0 / 3.0, 1.0], rtol=1e-12)
-        np.testing.assert_allclose(
-            stretch_exponents(x, rho=2.0), [1.0 / 6.0, 0.5], rtol=1e-12)
-
-    @given(
-        st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=8),
-        st.sampled_from([0.5, 1.0, 2.0]),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_scaled_max_is_exactly_one(self, xs, rho):
-        # holds bitwise because M/M == 1; restrict rho to powers of two so
-        # the 1/rho division is also exact
-        e = stretch_exponents(np.array(xs), rho=rho)
-        assert rho * np.max(e) == 1.0
-        assert np.all(e >= 0.0)
-
-    def test_rejects_zero_vector(self):
-        with pytest.raises(DomainError):
-            stretch_exponents(np.zeros(3), rho=1.0)
-
-    @pytest.mark.parametrize("rho", [math.inf, math.nan])
-    def test_rejects_a_rho_that_is_not_finite(self, rho):
-        # rho = inf would give all-zero exponents
-        with pytest.raises(DomainError, match="rho must be positive and finite"):
-            stretch_exponents(np.array([1.0, 2.0]), rho=rho)
 
 
 class TestExtrapolate:
@@ -123,6 +89,10 @@ class TestExtrapolate:
         x = np.array([E - 1, E**3 - 1])
         want = np.array([(E - 1) * 4.0 ** (1.0 / 3.0), (E**3 - 1) * 4.0])
         np.testing.assert_allclose(extrapolate(x, p), want, rtol=1e-12)
+        # rho halves the exponents: 1/6 and 1/2
+        want = np.array([(E - 1) * 4.0 ** (1.0 / 6.0), (E**3 - 1) * 2.0])
+        np.testing.assert_allclose(extrapolate(x, TransformParams(r=4.0, rho=2.0)), want,
+                                   rtol=1e-12)
 
     def test_pushes_outward(self):
         p = TransformParams(r=5.0, rho=1.0)
@@ -268,9 +238,6 @@ _LAYOUT_CASES = {
     "log_likelihood_ratio": (
         lambda rng: rng.uniform(0.05, 40.0, (37, 12)),
         lambda x: log_likelihood_ratio(x, _LAYOUT_DIST, _LAYOUT_PARAMS)),
-    "stretch_exponents": (
-        lambda rng: rng.uniform(-5.0, 40.0, (37, 12)),
-        lambda x: stretch_exponents(x, 1.5)),
 }
 
 
@@ -290,7 +257,6 @@ _EMPTY_CASES = {
     "joint_log_density": (lambda x: joint_log_density(x, _LAYOUT_DIST), (0,)),
     "extrapolate": (lambda x: extrapolate(x, _LAYOUT_PARAMS), (0, 12)),
     "log_jacobian": (lambda x: log_jacobian(x, _LAYOUT_PARAMS), (0,)),
-    "stretch_exponents": (lambda x: stretch_exponents(x, 1.5), (0, 12)),
     "linear_loss": (linear_loss, (0,)),
     "log_likelihood_ratio": (lambda x: log_likelihood_ratio(x, _LAYOUT_DIST, _LAYOUT_PARAMS), (0,)),
 }
