@@ -278,21 +278,22 @@ def _write_manifest(out_dir, command, config_path, spec, outputs, wall_seconds):
 def _check_h_rule(command, spec):
     """Refuse, before any output, what the command's importance runs cannot use.
 
-    Every level must lie below 1/e.  crossval needs an h grid, whose unusable points it
-    skips, and two replications for a cv; elsewhere the rule must stretch outward at every
-    level.  crossval and varratio run the importance method whatever the config's method.
+    Every level must lie below 1/e.  crossval and varratio need two replications for a cv,
+    and run the importance method whatever the config's method.  crossval needs an h grid,
+    whose unusable points it skips; elsewhere the rule must stretch outward at every level.
     """
     exp, rule = spec.experiment, spec.experiment.h_rule
     if command not in ("crossval", "varratio") and "is" not in spec.methods:
         return
     _check_levels(exp.betas)
-    if command == "crossval":
-        if not isinstance(rule, GridH):
-            raise ConfigError("crossval needs an h grid ({'grid': [...]})", field="h")
+    if command in ("crossval", "varratio"):
         try:
             _cv_reps(exp.reps)
         except DomainError as exc:
             raise ConfigError(str(exc), field="reps") from None
+    if command == "crossval":
+        if not isinstance(rule, GridH):
+            raise ConfigError("crossval needs an h grid ({'grid': [...]})", field="h")
         return
     if rule is None or isinstance(rule, GridH):
         raise ConfigError(f"{command} runs the importance method, which needs a fixed or "

@@ -20,8 +20,8 @@ The per-sample stages run over fixed blocks of columns (``_over_columns``):
 samples are independent until the tail sort, so a block is computed on its
 own and a large batch never holds more than one block's temporaries.  The
 draw is pulled in the same blocks (``_drawn_blocks``): an estimate weighs
-each block (stretch, image density and loss) and drops it before it asks
-for the next, keeping only its losses and log weights, which ``_joined``
+each block (stretch, image density and loss) at each h and drops it before it
+asks for the next, keeping only losses and log weights, which ``_joined``
 copies into n-vectors.  The kernels overwrite their own temporaries where
 that reads plainly, so a block holds about six (d, m) arrays at its peak.
 
@@ -324,10 +324,10 @@ def _over_columns(kernel, columns, *args):
 def _joined(parts, n):
     """The per-block tuples of parts, one per _BLOCK columns of n, joined on the last axis.
 
-    Each part is a tuple of (..., m) arrays, or None in place of one, and
-    is made only when the join reaches it.  Up to _BLOCK columns the one
-    part comes back as it is; past that each part is copied into outputs
-    of n columns and dropped before the next is made.
+    Each part is a tuple of (..., m) arrays, or None in place of one, and is made
+    only when the join reaches it.  Up to _BLOCK columns the one part comes back as
+    it is; past that each part is copied into outputs of n columns and dropped before
+    the next is made (a None past the first part leaves its columns unwritten).
     """
     parts = iter(parts)
     if n <= _BLOCK:
@@ -338,7 +338,7 @@ def _joined(parts, n):
         if outs is None:
             outs = tuple(None if p is None else np.empty(p.shape[:-1] + (n,)) for p in part)
         for out, p in zip(outs, part):
-            if out is not None:
+            if p is not None:
                 out[..., lo:lo + _BLOCK] = p
         del part, p                  # the next block may reuse this one's memory
     return outs

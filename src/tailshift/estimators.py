@@ -28,14 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from itertools import starmap
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .distributions import _MAX_INDEX, _count, _drawn_blocks, _joined, _real
-from .errors import BadLossError, DomainError, FeasibilityError, TailMassError
+from .errors import BadLossError, DomainError, EstimationError, FeasibilityError, TailMassError
 from .losses import LossModel
 from .transform import (
     TransformParams, _check_beta, _weighted_image, extrapolation_factor,
@@ -237,11 +235,11 @@ def _weigh(xc, log_fx, dist, loss, params):
     The one step from a drawn block to the tail's inputs.  The importance
     method (params) stretches and weighs the block (``_weighted_image``)
     and calls the loss on its image; the naive method (params None) calls
-    the loss on X, and the weights stay None.  An estimate weighs each
+    the loss on X, with log weights 0.  An estimate weighs each
     block as it is drawn, so it never holds an (n, d) array.
     """
     if params is None:
-        z, logw = xc, None
+        z, logw = xc, np.zeros(xc.shape[1])
     else:
         z, logw = _weighted_image(xc, log_fx, dist, params)
     losses = np.asarray(loss(z.T), dtype=float)
@@ -252,7 +250,7 @@ def _weigh(xc, log_fx, dist, loss, params):
     return losses, logw
 
 
-def estimate(dist, loss, config, method="is", *, _draws=None):
+def estimate(dist, loss, config, method="is"):
     """Run one estimation and report (value at risk, cvar, standard error).
 
     Parameters
@@ -266,18 +264,10 @@ def estimate(dist, loss, config, method="is", *, _draws=None):
         the loss on the raw samples with unit weights and refuses to run
         when n * beta < 5 (the empirical tail would hold fewer than five
         samples, giving meaningless quantiles).
-    _draws : dict, optional
-        cross_validate_h's private memo of importance draws, seed -> the
-        draw's list of blocks (X, log f(X)); the naive method ignores it.
-        It may only be shared by runs of one dist and n, so that the seed
-        alone fixes the draw.  Each seed is written once, by the first run
-        that needs it, and reweighed by later runs with another h.
 
-    Both methods weigh the blocks (``_weigh``), drawn one at a time or read
-    from the memo, and join their losses and log weights.
-    The blocks are weighed in order and the first failure ends the run:
-    past one block, a block whose loss fails ahead of a later block whose
-    stretch overflows raises BadLossError, not TailMassError.
+    The one-h call of ``_estimates``: the blocks are weighed in order and the first
+    failure ends the run, so past one block, a block whose loss fails ahead of a later
+    block whose stretch overflows raises BadLossError, not TailMassError.
 
     Raises
     ------
@@ -291,36 +281,64 @@ def estimate(dist, loss, config, method="is", *, _draws=None):
         whose cvar and standard error would say nothing), or the stretch
         sends samples past the float range.
     """
+    (got,) = _estimates(dist, loss, config, method, (config.h,))
+    if isinstance(got, EstimationError):
+        raise got
+    return got
+
+
+def _estimates(dist, loss, config, method, hs):
+    """estimate at every h of hs (not config.h) from one draw: its report or its error, per h.
+
+    Each block is weighed (``_weigh``) at every h not yet failed, or once for the naive method,
+    and dropped before the next is drawn: what is whole is the losses and log weights per h.
+    """
     if method not in ("is", "naive"):
         raise DomainError(f"method must be 'is' or 'naive', got {method!r}")
     if not isinstance(loss, LossModel):
         raise DomainError("loss must be a LossModel")
     if method == "naive":
         if config.n * config.beta < NAIVE_MIN_TAIL_COUNT:
-            raise FeasibilityError(
+            return [FeasibilityError(
                 f"naive estimation infeasible: n*beta = {config.n * config.beta:.4g} < "
                 f"{NAIVE_MIN_TAIL_COUNT:g}; increase n or use the importance method"
-            )
-        h = params = None
+            )]
+        hs = params = (None,)
     else:
-        h = config.h
-        if h is None:
+        if any(h is None for h in hs):
             raise DomainError("the importance method needs h")
-        params = TransformParams(r=extrapolation_factor(config.beta, h), rho=loss.rho)
-    if _draws is None or params is None:
-        blocks = _drawn_blocks(config.n, dist, config.seed, with_density=params is not None)
-    else:
-        blocks = _draws.get(config.seed)
-        if blocks is None:
-            blocks = _draws[config.seed] = list(_drawn_blocks(config.n, dist, config.seed))
-    # starmap drops each block once it is weighed, before the next is drawn
-    losses, logw = _joined(starmap(partial(_weigh, dist=dist, loss=loss, params=params), blocks),
-                           config.n)
-    if logw is None:
-        logw = np.zeros(config.n)
-    v, c, se, n_above = _tail(losses, logw, config.beta)
+        hs = [_real("h", h) for h in hs]
+        params = [TransformParams(r=extrapolation_factor(config.beta, h), rho=loss.rho)
+                  for h in hs]
+    errors = [None] * len(hs)
+
+    def weighed(blocks):
+        for xc, log_fx in blocks:
+            part = []
+            for i, p in enumerate(params):
+                try:
+                    part += (None, None) if errors[i] else _weigh(xc, log_fx, dist, loss, p)
+                except EstimationError as exc:
+                    errors[i] = exc
+                    part += (None, None)
+            del xc, log_fx              # the next block may reuse this one's memory
+            yield part
+
+    # the draw checks n against (n, d) on its first block, before _joined makes an n-vector
+    blocks = _drawn_blocks(config.n, dist, config.seed, with_density=method == "is")
+    joined = _joined(weighed(blocks), config.n)
+    return [_report(config, method, h, losses, logw) if error is None else error
+            for h, error, losses, logw in zip(hs, errors, joined[::2], joined[1::2])]
+
+
+def _report(config, method, h, losses, logw):
+    """The EstimateReport of one h's losses and log weights, or its TailMassError."""
+    try:
+        v, c, se, n_above = _tail(losses, logw, config.beta)
+    except TailMassError as exc:
+        return exc
     if n_above == 0:
-        raise TailMassError(
+        return TailMassError(
             f"no sampled loss lies above var = {v:g} at beta = {config.beta:g}; the tail is empty"
         )
     return EstimateReport(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, EstimationError
 from .distributions import _count, _draw_size, _real
-from .estimators import ISConfig, estimate
+from .estimators import ISConfig, _estimates
 from .losses import LossModel
 from .transform import _check_beta, _check_stretch_level, extrapolation_factor
 
@@ -78,7 +78,7 @@ class AffineH:
 
 @dataclass(frozen=True)
 class GridH:
-    """Distinct candidate h values; resolve one with cross_validate_h before running."""
+    """Distinct candidate h values: run_replications weighs each draw at every one."""
 
     values: tuple
 
@@ -151,7 +151,7 @@ REPLICATION_COLUMNS = tuple(f.name for f in fields(ReplicationRow))
 
 @dataclass
 class ReplicationTable:
-    """Rows of replication results in deterministic (beta, rep) order."""
+    """Rows of replication results in deterministic (beta, rep, h) order: one h but for a grid."""
 
     rows: list
 
@@ -192,7 +192,7 @@ def write_rows_csv(path, columns, rows):
             writer.writerow([_format_cell(v) for v in row])
 
 
-def run_replications(config, method, *, _draws=None):
+def run_replications(config, method):
     """Run reps independent estimations at every beta level.
 
     The naive method is attempted only where n * beta >= 5; infeasible
@@ -202,35 +202,35 @@ def run_replications(config, method, *, _draws=None):
     sample above var) and "bad-loss" (the loss raised or returned a
     non-finite value).
 
-    _draws is cross_validate_h's memo of importance draws by seed, shared
-    by its per-h calls.  The seeds of one call are distinct, so the workers
-    of a pool never write the same entry.
+    An importance run under a GridH draws each replication once and weighs
+    it at every grid point, where a failure at one h leaves the others as
+    they were; the rows come in (beta, rep, h) order.
     """
     if method not in _METHOD_CODES:
         raise DomainError(f"method must be one of {sorted(_METHOD_CODES)}, got {method!r}")
 
-    def replicate(beta, h, rep, seed):
-        one = ISConfig(beta=beta, n=config.n, seed=seed, h=h)
-        try:
-            report = estimate(config.dist, config.loss, one, method, _draws=_draws)
-        except EstimationError as exc:
-            nan = float("nan")
-            return ReplicationRow(method, beta, h, config.n, rep, seed, nan, nan, nan, exc.status)
-        return ReplicationRow(method, beta, report.h, config.n, rep, seed,
-                              report.var_hat, report.cvar_hat, report.cvar_se, "ok")
+    def replicate(beta, hs, rep, seed):
+        one = ISConfig(beta=beta, n=config.n, seed=seed)
+        nan = float("nan")
+        return [ReplicationRow(method, beta, h, config.n, rep, seed, nan, nan, nan, got.status)
+                if isinstance(got, EstimationError) else
+                ReplicationRow(method, beta, got.h, config.n, rep, seed,
+                               got.var_hat, got.cvar_hat, got.cvar_se, "ok")
+                for h, got in zip(hs, _estimates(config.dist, config.loss, one, method, hs))]
 
+    rule = config.h_rule if method == "is" else None
     tasks = []
     for bi, beta in enumerate(config.betas):
-        # without a rule h stays None, which estimate refuses for the importance method
-        h = config.h_rule.h_for(beta) if method == "is" and config.h_rule is not None else None
+        # without a rule h stays None, which the importance method refuses
+        hs = rule.values if isinstance(rule, GridH) else (rule.h_for(beta) if rule else None,)
         for rep in range(config.reps):
-            tasks.append((beta, h, rep, derive_seed(config.base_seed, bi, method, rep)))
+            tasks.append((beta, hs, rep, derive_seed(config.base_seed, bi, method, rep)))
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            rows = list(pool.map(lambda t: replicate(*t), tasks))
+            per_task = list(pool.map(lambda t: replicate(*t), tasks))
     else:
-        rows = [replicate(*t) for t in tasks]
-    return ReplicationTable(rows=rows)
+        per_task = [replicate(*t) for t in tasks]
+    return ReplicationTable(rows=[row for rows in per_task for row in rows])
 
 
 def relative_rmse(values, reference=None):
@@ -263,19 +263,19 @@ def _spread(values):
 
 
 def summarize(table):
-    """Aggregate a replication table into one row per (method, beta).
+    """Aggregate a replication table into one row per (method, beta, h).
 
     Relative errors follow the no-reference convention; a column with fewer
     than two successful replications, or a zero mean, reports a nan error.
     """
     keys = []
     for r in table.rows:
-        k = (r.method, r.beta)
+        k = (r.method, r.beta, r.h)
         if k not in keys:
             keys.append(k)
     out = []
-    for method, beta in keys:
-        rows = table.rows_for(beta, method)
+    for method, beta, h in keys:
+        rows = [r for r in table.rows_for(beta, method) if r.h == h]
         ok = [r for r in rows if r.status == "ok"]
         var_vals = np.array([r.var_hat for r in ok])
         cvar_vals = np.array([r.cvar_hat for r in ok])
@@ -319,39 +319,40 @@ def _select_h(entries):
 def _cv_reps(reps_cv):
     """reps_cv as an int of at least 2, the fewest replications that have a cv."""
     if (reps_cv := _count("reps_cv", reps_cv, 1)) < 2:
-        raise DomainError(f"cross-validation needs at least 2 replications, got {reps_cv}")
+        raise DomainError(f"a replication cv needs at least 2 replications, got {reps_cv}")
     return reps_cv
 
 
 def cross_validate_h(config, grid, beta, reps_cv=20):
     """Pick h from a grid by minimizing the replication cv of the cvar.
 
-    Each grid point runs reps_cv importance replications at the one level
-    beta, reusing the same derived seeds (common random numbers), and
-    scores the spread of the cvar estimates.  Each replication's blocks of
-    X and log f(X) are drawn once, on the first grid point that runs, and
-    reused at every later h.  A level outside (0, 1/e) or fewer than two
+    Each grid point scores the spread of the cvar estimates of reps_cv
+    importance replications at the one level beta, from the same derived
+    seeds (common random numbers): one run_replications call under a GridH
+    of the points that stretch outward draws each replication once and
+    weighs it at all of them.  A level outside (0, 1/e) or fewer than two
     replications raise DomainError before any draw; grid points whose
     r = h log log(1/beta) <= 1 are skipped; if every point fails, an
     EstimationError is raised.
     """
     beta, reps_cv = _check_stretch_level(beta), _cv_reps(reps_cv)
     values = (grid if isinstance(grid, GridH) else GridH(tuple(grid))).values
-    draws = {}          # seed -> the draw's blocks (X, log f(X)), local to this call
-    entries = []
+    by_h = {}
     for h in values:
         try:
             extrapolation_factor(beta, h)
         except DomainError:
-            entries.append(CrossValEntry(h=h, cv=float("nan"), status="skipped: no outward extrapolation"))
-            continue
-        sub = replace(config, betas=(beta,), h_rule=FixedH(h), reps=reps_cv)
-        table = run_replications(sub, "is", _draws=draws)
-        vals = table.values("cvar_hat", beta, "is")
-        cv = _spread(vals)
-        entries.append(CrossValEntry(h=h, cv=cv, status="failed" if math.isnan(cv) else "ok",
-                                     n_ok=int(vals.size)))
-    return CrossValResult(beta=beta, selected_h=_select_h(entries), entries=tuple(entries))
+            by_h[h] = CrossValEntry(h=h, cv=float("nan"), status="skipped: no outward extrapolation")
+    if live := [h for h in values if h not in by_h]:
+        sub = replace(config, betas=(beta,), h_rule=GridH(tuple(live)), reps=reps_cv)
+        rows = run_replications(sub, "is").rows
+        for h in live:
+            vals = np.array([r.cvar_hat for r in rows if r.h == h and r.status == "ok"])
+            cv = _spread(vals)
+            by_h[h] = CrossValEntry(h=h, cv=cv, status="failed" if math.isnan(cv) else "ok",
+                                    n_ok=int(vals.size))
+    entries = tuple(by_h[h] for h in values)
+    return CrossValResult(beta=beta, selected_h=_select_h(entries), entries=entries)
 
 
 @dataclass(frozen=True)
@@ -366,8 +367,10 @@ def variance_ratio_study(config):
     """Replication cv of the importance and naive methods, level by level.
 
     The naive column is filled only where n * beta >= 5; levels whose naive
-    rows run_replications tagged infeasible are reported as such.
+    rows run_replications tagged infeasible are reported as such.  reps < 2,
+    which has no cv, raises DomainError before any draw.
     """
+    _cv_reps(config.reps)
     is_table = run_replications(config, "is")
     naive_table = run_replications(config, "naive")
     out = []

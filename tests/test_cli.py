@@ -440,7 +440,7 @@ class TestCrossvalCommand:
         assert json.loads((out / "manifest.json").read_text())["resolved_config"]["reps"] == 3
 
     def test_deterministic_across_thread_counts(self, tmp_path):
-        # the pool workers of each per-h table share the draws memo
+        # the pool workers split the replications, each weighed at every h
         cfg = self.config(tmp_path, [0.2, 2.0, 2.6, 3.0])
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["crossval", "--config", str(cfg), "--out", str(a), "--threads", "1"]) == 0
@@ -551,6 +551,15 @@ class TestVarratioCommand:
         assert tuple(rows[0]) == VARRATIO_COLUMNS
         assert [r[3] for r in rows[1:]] == ["ok", "infeasible"]
         assert "cv_naive" not in capsys.readouterr().err
+
+    def test_one_replication_exits_1(self, tmp_path, capsys):
+        # one replication has no cv: the table would be nan, and the naive level "failed"
+        doc = dict(MINIMAL, betas=[0.01], n=500, reps=1, h=3.0)
+        cfg, out = write_config(tmp_path, doc), tmp_path / "o"
+        assert main(["varratio", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config field 'reps'" in err and "at least 2 replications" in err
+        assert not out.exists()
 
     def test_grid_rejected(self, tmp_path):
         doc = dict(MINIMAL, h={"grid": [2.0, 3.0]})

@@ -3,6 +3,7 @@
 import csv
 import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -24,9 +25,12 @@ from tailshift import (
     REPLICATION_COLUMNS,
     SUMMARY_COLUMNS,
     TailMassError,
+    TransformParams,
     cross_validate_h,
     derive_seed,
     estimate,
+    extrapolate,
+    extrapolation_factor,
     pert_h_rule,
     relative_rmse,
     run_replications,
@@ -34,6 +38,7 @@ from tailshift import (
     summarize,
     variance_ratio_study,
 )
+from tailshift.distributions import _BLOCK
 from tailshift.harness import _select_h, CrossValEntry
 
 
@@ -179,16 +184,16 @@ class TestRunReplications:
     def test_estimation_failures_recorded_not_raised(self, onedim_dist, linear, monkeypatch):
         import tailshift.harness as hz
 
-        real = hz.estimate
+        real = hz._estimates
         calls = {"k": 0}
 
-        def flaky(dist, loss, config, method="is", **kw):
+        def flaky(dist, loss, config, method, hs):
             calls["k"] += 1
             if calls["k"] % 2 == 0:
-                raise TailMassError("beta too large for sampled tail mass")
-            return real(dist, loss, config, method=method, **kw)
+                return [TailMassError("beta too large for sampled tail mass") for _ in hs]
+            return real(dist, loss, config, method, hs)
 
-        monkeypatch.setattr(hz, "estimate", flaky)
+        monkeypatch.setattr(hz, "_estimates", flaky)
         table = run_replications(small_config(onedim_dist, linear, reps=4), "is")
         statuses = [r.status for r in table.rows]
         assert statuses == ["ok", "tail-mass", "ok", "tail-mass"]
@@ -209,6 +214,50 @@ class TestRunReplications:
         assert math.isnan(table.rows[1].cvar_hat)
         clean = run_replications(small_config(onedim_dist, linear, n=n, reps=3), "is")
         assert [table.rows[i] for i in (0, 2)] == [clean.rows[i] for i in (0, 2)]
+
+    def test_a_grid_h_that_fails_leaves_the_other_h_as_they_were(self, onedim_dist,
+                                                                 monkeypatch):
+        # one draw per replication, weighed at every grid point: the loss is nan
+        # past a threshold on the image that only the largest h reaches, in a
+        # later block of each replication
+        import tailshift.estimators as ez
+
+        beta, grid, n, reps = 1e-4, (2.0, 2.6, 3.5), 3 * _BLOCK + 17, 3
+        seeds = [derive_seed(0, 0, "is", rep) for rep in range(reps)]
+        images = {(h, seed): extrapolate(sample_inputs(n, onedim_dist, seed),
+                                         TransformParams(r=extrapolation_factor(beta, h)))[:, 0]
+                  for h in grid for seed in seeds}
+        threshold = max(images[h, seed].max() for h in grid[:-1] for seed in seeds)
+        first_bad = [int(np.argmax(images[grid[-1], seed] > threshold)) for seed in seeds]
+        assert all(images[grid[-1], seed].max() > threshold for seed in seeds)
+        assert all(i >= _BLOCK for i in first_bad)
+        calls = itertools.count()
+
+        def loss(x):
+            next(calls)
+            return float(x[0]) if x[0] <= threshold else float("nan")
+
+        drawn, real_draw = [], ez._drawn_blocks
+
+        def counted_draw(n, dist, seed, **kw):
+            drawn.append(seed)
+            return real_draw(n, dist, seed, **kw)
+
+        monkeypatch.setattr(ez, "_drawn_blocks", counted_draw)
+        cfg = ExperimentConfig(dist=onedim_dist, loss=LossModel.external(loss, rho=1.0),
+                               betas=(beta,), n=n, h_rule=GridH(grid), reps=reps, base_seed=0)
+        rows = run_replications(cfg, "is").rows
+        assert drawn == seeds
+        # the failed h is weighed up to its failing block and no further
+        assert next(calls) == sum(2 * n + min(n, (i // _BLOCK + 1) * _BLOCK) for i in first_bad)
+        assert [(r.rep, r.h) for r in rows] == [(rep, h) for rep in range(reps) for h in grid]
+        assert [r.status for r in rows if r.h == grid[-1]] == ["bad-loss"] * reps
+        for h in grid[:-1]:
+            got = [r for r in rows if r.h == h]
+            want = run_replications(replace(cfg, h_rule=FixedH(h)), "is").rows
+            assert got == want and {r.status for r in got} == {"ok"}
+            assert (np.array([(r.var_hat, r.cvar_hat, r.cvar_se) for r in got]).tobytes()
+                    == np.array([(r.var_hat, r.cvar_hat, r.cvar_se) for r in want]).tobytes())
 
     def test_raising_loss_rows_are_tagged_bad_loss(self, onedim_dist, linear):
         # the loss is called once per row, rep by rep: it raises once, inside rep 1
@@ -267,10 +316,10 @@ class TestRunReplications:
                                                     error, tag):
         import tailshift.harness as hz
 
-        def failing(*args, **kw):
-            raise error("no estimate")
+        def failing(dist, loss, config, method, hs):
+            return [error("no estimate") for _ in hs]
 
-        monkeypatch.setattr(hz, "estimate", failing)
+        monkeypatch.setattr(hz, "_estimates", failing)
         assert error.status == tag
         table = run_replications(small_config(onedim_dist, linear, reps=2), "is")
         assert [r.status for r in table.rows] == [tag, tag]
@@ -306,6 +355,14 @@ class TestSummarize:
             assert row["rel_rmse_cvar"] >= 0.0
         got = {row["beta"] for row in rows}
         assert got == {0.1, 0.05}
+
+    def test_a_grid_table_gets_one_row_per_h(self, onedim_dist, linear):
+        cfg = small_config(onedim_dist, linear, betas=(1e-3,), n=200, h_rule=GridH((2.0, 3.0)))
+        rows = summarize(run_replications(cfg, "is"))
+        assert [(row["h"], row["reps"]) for row in rows] == [(2.0, 4), (3.0, 4)]
+        for row in rows:
+            fixed = replace(cfg, h_rule=FixedH(row["h"]))
+            assert [row] == summarize(run_replications(fixed, "is"))
 
     def test_failed_levels_get_nan_errors(self, onedim_dist, linear):
         cfg = small_config(onedim_dist, linear, betas=(0.05,), reps=3)
@@ -362,7 +419,7 @@ class TestCrossValidation:
         result = cross_validate_h(cfg, grid, beta, reps_cv=reps_cv)
         assert calls["sample"] == reps_cv          # one draw per replication, not per h
 
-        # reference path: one memo-free replication table per live h
+        # reference path: one replication table per live h
         for entry, h in zip(result.entries, grid):
             assert entry.h == h
             if h == 0.3:
@@ -375,8 +432,8 @@ class TestCrossValidation:
             assert np.float64(entry.cv).tobytes() == np.float64(relative_rmse(vals)).tobytes()
 
     def test_threaded_draws_match_serial(self, portfolio_dist, linear, monkeypatch):
-        # more workers than cores and frequent switches: the pool workers of
-        # each per-h table share the draws memo, and still draw each seed once
+        # more workers than cores and frequent switches: the pool workers split
+        # the replications, and each draws its seed once for every h
         import sys
         import tailshift.estimators as ez
 
@@ -448,6 +505,21 @@ class TestCrossValidation:
         with pytest.raises(DomainError):
             cross_validate_h(cfg, (), 0.01, reps_cv=4)
 
+    def test_holds_no_replication_draw_whole(self, portfolio_dist, linear):
+        n, reps, grid = 3 * _BLOCK + 17, 4, (2.0, 2.3, 2.6, 2.9, 3.2)
+        cfg = ExperimentConfig(dist=portfolio_dist, loss=linear, betas=(1e-6,), n=n,
+                               h_rule=FixedH(2.6), reps=50)
+        cross_validate_h(cfg, grid, 1e-6, reps_cv=reps)    # first-call allocations aside
+        tracemalloc.start()
+        try:
+            cross_validate_h(cfg, grid, 1e-6, reps_cv=reps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # each replication is weighed block by block at every h: what is whole is
+        # each h's losses and log weights, never the reps draws of X
+        assert peak < reps * n * portfolio_dist.dim * 8
+
 
 class TestVarianceRatio:
     def test_mixed_feasibility(self, onedim_dist, linear):
@@ -461,6 +533,24 @@ class TestVarianceRatio:
         assert deep.naive_status == "infeasible"
         assert math.isnan(deep.cv_naive)
         assert deep.cv_is > 0.0
+
+
+    def test_one_replication_is_refused_before_any_draw(self, onedim_dist, linear, monkeypatch):
+        # one replication has no cv: both columns would be nan
+        import tailshift.estimators as ez
+
+        drawn, real_draw = [], ez._drawn_blocks
+
+        def counted_draw(*args, **kw):
+            drawn.append(args)
+            return real_draw(*args, **kw)
+
+        monkeypatch.setattr(ez, "_drawn_blocks", counted_draw)
+        cfg = ExperimentConfig(dist=onedim_dist, loss=linear, betas=(0.01,), n=500,
+                               h_rule=FixedH(3.0), reps=1)
+        with pytest.raises(DomainError, match="at least 2 replications"):
+            variance_ratio_study(cfg)
+        assert drawn == []
 
 
 class TestExperimentConfig:
