@@ -69,6 +69,19 @@ def _require(doc, field, types, where=""):
     return value
 
 
+def _entries(doc, where, keys):
+    """doc, checked to be an object that holds no entry outside keys, the entries it reads.
+
+    A ConfigError names such an entry as <where>.<entry>."""
+    if not isinstance(doc, dict):
+        raise ConfigError("must be an object", field=where)
+    if unknown := sorted(set(doc) - set(keys)):
+        raise ConfigError(f"unknown entries: {', '.join(unknown)}; this object reads only "
+                          f"{', '.join(sorted(keys))}",
+                          field=f"{where}.{unknown[0]}" if where else unknown[0])
+    return doc
+
+
 def _number(value, field):
     """value as a float if it is a finite JSON number; a ConfigError naming field if not."""
     try:
@@ -85,11 +98,13 @@ def _parse_correlation(spec, dim):
                           field="dist.correlation")
     try:
         if "matrix" in spec:
-            return CorrelationMatrix(spec["matrix"])
+            return CorrelationMatrix(_entries(spec, "dist.correlation", ("matrix",))["matrix"])
         pattern = _require(spec, "pattern", str, where="dist.correlation")
         if pattern not in _PATTERNS:
             raise ConfigError(f"unknown pattern {pattern!r}, expected one of {_PATTERNS}",
                               field="dist.correlation.pattern")
+        keys = ("pattern",) if pattern == "identity" else ("pattern", "c")
+        _entries(spec, "dist.correlation", keys)
         if pattern == "identity":
             return CorrelationMatrix.identity(dim)
         c = _require(spec, "c", None, where="dist.correlation")
@@ -101,11 +116,12 @@ def _parse_correlation(spec, dim):
 
 
 def _parse_loss(spec, base_dir):
-    if not isinstance(spec, dict):
-        raise ConfigError("must be an object", field="loss")
     kind = _require(spec, "kind", str, where="loss")
     if kind not in _LOSS_KINDS:
         raise ConfigError(f"unknown kind {kind!r}, expected one of {_LOSS_KINDS}", field="loss.kind")
+    # relu_net reads its weights inline or from a file, not both
+    weights = ("weights" if "weights" in spec else "weights_file",) if kind == "relu_net" else ()
+    _entries(spec, "loss", ("kind", "rho", *weights))
     rho = _number(spec.get("rho", 1.0), "loss.rho")
     resolved = {"kind": kind, "rho": rho}
     try:
@@ -134,23 +150,23 @@ def _parse_h_rule(spec):
     if not isinstance(spec, dict):
         h = _number(spec, "h")
         return FixedH(h), {"fixed": h}
-    if "fixed" in spec:
-        h = _number(spec["fixed"], "h.fixed")
+    form = next((k for k in ("fixed", "grid", "affine") if k in spec), None)
+    if form is None:
+        raise ConfigError("must be a number or hold 'fixed', 'grid' or 'affine'", field="h")
+    value = _entries(spec, "h", (form,))[form]
+    if form == "fixed":
+        h = _number(value, "h.fixed")
         return FixedH(h), {"fixed": h}
-    if "grid" in spec:
+    if form == "grid":
         try:
-            grid = GridH(tuple(spec["grid"]))
+            grid = GridH(tuple(value))
         except (TypeError, DomainError) as exc:
             raise ConfigError(f"bad h grid: {exc}", field="h.grid") from None
         return grid, {"grid": list(grid.values)}
-    if "affine" in spec:
-        aff = spec["affine"]
-        try:
-            rule = AffineH(*(_number(aff[k], "h.affine") for k in ("intercept", "slope")))
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"bad affine h rule: {exc}", field="h.affine") from None
-        return rule, {"affine": {"intercept": rule.intercept, "slope": rule.slope}}
-    raise ConfigError("must be a number or hold 'fixed', 'grid' or 'affine'", field="h")
+    aff = _entries(value, "h.affine", ("intercept", "slope"))
+    rule = AffineH(*(_number(_require(aff, k, None, where="h.affine"), "h.affine")
+                     for k in ("intercept", "slope")))
+    return rule, {"affine": {"intercept": rule.intercept, "slope": rule.slope}}
 
 
 _TOP_KEYS = {"dist", "loss", "betas", "n", "reps", "h", "seed", "method", "threads"}
@@ -188,17 +204,16 @@ def parse_config(path, overrides=None):
         if not isinstance(doc, dict):
             raise ConfigError("manifest holds no usable resolved_config")
 
-    unknown = sorted(set(doc) - _TOP_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown entries: {', '.join(unknown)}", field=unknown[0])
+    _entries(doc, "", _TOP_KEYS)
 
     for key, value in (overrides or {}).items():
         if value is not None:
             doc = {**doc, key: value}
 
-    dist_doc = _require(doc, "dist", dict)
+    dist_doc = _entries(_require(doc, "dist", dict), "dist", ("alphas", "correlation"))
     alphas_spec = _require(dist_doc, "alphas", (list, dict), where="dist")
     if isinstance(alphas_spec, dict):
+        _entries(alphas_spec, "dist.alphas", ("value", "dim"))
         try:
             alphas_spec = [alphas_spec["value"]] * _count("dim", alphas_spec["dim"], 0)
         except (KeyError, DomainError) as exc:

@@ -232,7 +232,8 @@ class CorrelationMatrix:
         return isinstance(other, CorrelationMatrix) and np.array_equal(self.matrix, other.matrix)
 
     def __hash__(self):
-        return hash(self.matrix.tobytes())
+        # + 0.0 folds -0.0 to 0.0, which == holds equal but tobytes tells apart
+        return hash((self.matrix + 0.0).tobytes())
 
 
 @dataclass(frozen=True)
@@ -504,13 +505,6 @@ def _drawn_blocks(n, dist, seed, with_density=True):
         yield _draw_rows(rng, min(_BLOCK, n - lo), n, dist, with_density)
 
 
-def _sample_with_log_density(n, dist, seed, with_density=True):
-    """The blocks of ``_drawn_blocks`` joined: X as an F-ordered (n, d) view, and log f(X)."""
-    n = _draw_size(n, dist.dim)
-    X, log_fx = _joined(_drawn_blocks(n, dist, seed, with_density), n)
-    return X.T, log_fx
-
-
 def _draw_rows(rng, m, n, dist, with_density):
     """_draw_columns of the next m rows of W, and of V = W chol', in an n-sample draw.
 
@@ -553,8 +547,9 @@ def _draw_columns(wt, vt, dist, with_density):
 def sample_inputs(n, dist, seed):
     """Draw n joint samples, shape (n, d), reproducibly from seed.
 
-    X = (-log Phi(-V))**(1/alpha) for correlated normals V; see
-    ``_drawn_blocks``, which draws the same X, with its density, block by
-    block.
+    X = (-log Phi(-V))**(1/alpha) for correlated normals V: the blocks of
+    ``_drawn_blocks``, joined, as an F-ordered view of the (d, n) draw.
     """
-    return _sample_with_log_density(n, dist, seed, with_density=False)[0]
+    n = _draw_size(n, dist.dim)        # _joined's range takes no float n past one block
+    X, _ = _joined(_drawn_blocks(n, dist, seed, with_density=False), n)
+    return X.T

@@ -146,26 +146,12 @@ def _tail(losses, logw, beta, var=None):
     n_above = int(np.count_nonzero(excess))     # loss - var > 0 exactly where loss > var
     shifted = float(scaled @ excess)
     excess *= scaled
-    spread = math.sqrt(_sample_variance(excess) / n) if n > 1 else math.nan
+    spread = math.sqrt(np.var(excess, ddof=1) / n) if n > 1 else math.nan
     with np.errstate(over="ignore"):
         # exp(m) may be inf where nothing lies above var, and inf * 0 is nan
         c = var if shifted == 0.0 else float(var + np.exp(m) * shifted / (n * beta))
         se = float(np.exp(m) * spread / beta) if spread > 0.0 else spread
     return var, c, se, n_above
-
-
-def _sample_variance(a):
-    """np.var(a, ddof=1) of a float n-vector, n >= 2, by numpy's own steps.
-
-    The same ufuncs in the same order as numpy's var, so the same bits,
-    without its Python-level wrapper.  The deviations go to a new n-vector,
-    as in numpy's var, and a is left as it was.
-    """
-    n = a.size
-    mean = np.add.reduce(a) / n
-    dev = np.subtract(a, mean)
-    np.square(dev, out=dev)
-    return np.add.reduce(dev) / (n - 1)
 
 
 def _weighted_var(losses, scaled, beta, m):

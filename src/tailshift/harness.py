@@ -200,7 +200,8 @@ def run_replications(config, method):
     Other estimation failures inside a replication are recorded the same
     way rather than aborting: "tail-mass" (too little weighted mass, or no
     sample above var) and "bad-loss" (the loss raised or returned a
-    non-finite value).
+    non-finite value).  An importance (beta, h) cell that cannot stretch
+    outward raises DomainError before any draw.
 
     An importance run under a GridH draws each replication once and weighs
     it at every grid point, where a failure at one h leaves the others as
@@ -223,6 +224,9 @@ def run_replications(config, method):
     for bi, beta in enumerate(config.betas):
         # without a rule h stays None, which the importance method refuses
         hs = rule.values if isinstance(rule, GridH) else (rule.h_for(beta) if rule else None,)
+        for h in hs:
+            if h is not None:          # a missing h is left to the kernel's "needs h"
+                extrapolation_factor(beta, h)
         for rep in range(config.reps):
             tasks.append((beta, hs, rep, derive_seed(config.base_seed, bi, method, rep)))
     if config.threads > 1:
@@ -268,21 +272,18 @@ def summarize(table):
     Relative errors follow the no-reference convention; a column with fewer
     than two successful replications, or a zero mean, reports a nan error.
     """
-    keys = []
+    groups = {}                        # first-seen order of the (method, beta, h) keys
     for r in table.rows:
-        k = (r.method, r.beta, r.h)
-        if k not in keys:
-            keys.append(k)
+        groups.setdefault((r.method, r.beta, r.h), []).append(r)
     out = []
-    for method, beta, h in keys:
-        rows = [r for r in table.rows_for(beta, method) if r.h == h]
+    for (method, beta, h), rows in groups.items():
         ok = [r for r in rows if r.status == "ok"]
         var_vals = np.array([r.var_hat for r in ok])
         cvar_vals = np.array([r.cvar_hat for r in ok])
         out.append({
             "method": method,
             "beta": beta,
-            "h": rows[0].h,
+            "h": h,
             "n": rows[0].n,
             "reps": len(rows),
             "rel_rmse_var": _spread(var_vals),

@@ -30,7 +30,7 @@ from tailshift import (
     sample_inputs,
     synthetic_relu_params,
 )
-from tailshift.distributions import _BLOCK, _sample_with_log_density
+from tailshift.distributions import _BLOCK, _drawn_blocks, _joined
 from tailshift.transform import extrapolation_factor
 
 N = 3 * _BLOCK + 17                      # three full blocks and a short fourth
@@ -118,12 +118,18 @@ class TestBlockedRows:
     @pytest.mark.parametrize("n", [_BLOCK, _BLOCK + 1, N])
     def test_draw_matches_the_sampler_as_first_written(self, model, n):
         dist = model[0]
-        X, log_fx = _sample_with_log_density(n, dist, seed=9)
+        X, log_fx = _joined(_drawn_blocks(n, dist, 9), n)
+        X = X.T
         W = np.random.default_rng(9).standard_normal((n, dist.dim))
         want = (-log_ndtr(-(W @ dist.correlation.chol.T))) ** (1.0 / dist.alphas)
         assert X.tobytes() == want.tobytes()
         assert X.tobytes() == sample_inputs(n, dist, seed=9).tobytes()
         np.testing.assert_allclose(log_fx, joint_log_density(X, dist), rtol=0.0, atol=1e-12)
+
+    def test_a_whole_float_n_past_one_block_draws_as_its_int(self, portfolio_dist):
+        n = 2 * _BLOCK + 1
+        want = sample_inputs(n, portfolio_dist, seed=9).tobytes()
+        assert sample_inputs(2 * _BLOCK + 1.0, portfolio_dist, seed=9).tobytes() == want
 
     def test_loss_rows_match_the_batch(self, model):
         # a block may end in one row, whose loss must have the bits it has in the batch

@@ -96,6 +96,32 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown entries: extra"):
             parse_config(write_config(tmp_path, doc))
 
+    @pytest.mark.parametrize("field, doc", [
+        ("loss.rh0", dict(MINIMAL, loss={"kind": "linear", "rh0": 3.0})),
+        ("h.grid", dict(MINIMAL, h={"fixed": 2.6, "grid": [1, 2]})),
+        ("h.affine.extra", dict(MINIMAL, h={"affine": {"intercept": 2.0, "slope": 0.6,
+                                                       "extra": 1}})),
+        ("dist.extra", dict(MINIMAL, dist={"alphas": [1.0], "correlation": "identity",
+                                           "extra": 1})),
+        ("dist.alphas.extra", dict(MINIMAL, dist={"alphas": {"value": 1.0, "dim": 1, "extra": 1},
+                                                  "correlation": "identity"})),
+        ("dist.correlation.pattern", dict(MINIMAL, dist={
+            "alphas": [1.0], "correlation": {"matrix": [[1.0]], "pattern": "identity"}})),
+        ("dist.correlation.c", dict(MINIMAL, dist={
+            "alphas": [1.0], "correlation": {"pattern": "identity", "c": 0.1}})),
+        ("dist.correlation.extra", dict(MINIMAL, dist={
+            "alphas": [1.0, 1.0],
+            "correlation": {"pattern": "tridiagonal", "c": 0.1, "extra": 1}})),
+        ("loss.weights_file", dict(MINIMAL, loss={"kind": "relu_net", "weights": {},
+                                                  "weights_file": "net.json"})),
+    ])
+    def test_an_entry_a_nested_object_does_not_read_exits_1(self, tmp_path, capsys, field, doc):
+        cfg = write_config(tmp_path, doc)
+        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert f"config field '{field}': unknown entries" in captured.err
+        assert captured.out == "" and not (tmp_path / "o").exists()
+
     def test_missing_field_is_named(self, tmp_path):
         doc = {k: v for k, v in MINIMAL.items() if k != "n"}
         with pytest.raises(ConfigError, match="n"):

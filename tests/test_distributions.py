@@ -28,7 +28,7 @@ from tailshift import (
     std_normal_quantile,
     value_at_risk,
 )
-from tailshift.distributions import _normal_scores, _sample_with_log_density, _sum_components
+from tailshift.distributions import _drawn_blocks, _joined, _normal_scores, _sum_components
 
 # Reference values for the normal quantile were produced with mpmath at 60
 # decimal digits (root of log(ncdf(x)) = log(p), seeded from the classic
@@ -243,6 +243,11 @@ class TestCorrelationMatrix:
         bad = np.array([[1.0, 0.2], [0.2, 0.9]])
         with pytest.raises(DomainError):
             CorrelationMatrix(bad)
+
+    def test_hash_agrees_with_eq_on_signed_zeros(self):
+        neg, pos = CorrelationMatrix.tridiagonal(3, -0.0), CorrelationMatrix.tridiagonal(3, 0.0)
+        assert neg == pos and hash(neg) == hash(pos)
+        assert len({DistributionSpec.from_alphas([1.0] * 3, R) for R in (neg, pos)}) == 1
 
     def test_equicorrelated_rejects_infeasible(self):
         # c must exceed -1/(d-1) for positive definiteness
@@ -522,7 +527,8 @@ class TestClosedFormDraw:
     def test_matches_sampler_and_joint_density(self, model, n, seed):
         alphas, kind, c = model
         dist = DistributionSpec.from_alphas(alphas, _correlation(kind, len(alphas), c))
-        X, log_fx = _sample_with_log_density(n, dist, seed)
+        X, log_fx = _joined(_drawn_blocks(n, dist, seed), n)
+        X = X.T
         assert X.tobytes() == sample_inputs(n, dist, seed).tobytes()
         # the sampler as first written: normals, Cholesky, normal cdf, quantile
         W = np.random.default_rng(seed).standard_normal((n, len(alphas)))

@@ -35,7 +35,7 @@ from tailshift import (
     tail_probability,
     value_at_risk,
 )
-from tailshift.distributions import _sample_with_log_density
+from tailshift.distributions import _drawn_blocks, _joined
 
 THREE = [
     WeightedLossSample(5.0, math.log(0.12)),
@@ -273,16 +273,25 @@ class TestStandardError:
         with pytest.raises(DomainError):
             cvar_standard_error([WeightedLossSample(1.0)], 0.5, 0.0)
 
-    def test_variance_has_the_bits_of_numpys_var(self):
+    def test_tail_leaves_its_terms_in_the_vectors_it_is_handed(self):
+        # the scaled weights and the scaled tail terms stay in logw and losses,
+        # bit for bit, and the standard error has the bits of np.var's
         import tailshift.estimators as ez
         rng = np.random.default_rng(5)
+        beta = 0.01
         for n in (2, 3, 7, 8, 9, 129, 1000, 4099):
             for draw in (rng.exponential, rng.standard_cauchy, lambda size: np.full(size, 0.1)):
-                a = draw(size=n) * 10.0 ** rng.uniform(-5, 5)
-                a[rng.uniform(size=n) < 0.5] = 0.0     # the tail terms are mostly zero
-                want, kept = np.var(a, ddof=1), a.copy()
-                assert ez._sample_variance(a) == want
-                np.testing.assert_array_equal(a, kept)     # the tail terms stay in place
+                losses = draw(size=n) * 10.0 ** rng.uniform(-5, 5)
+                logw = rng.uniform(-2.0, 2.0, n) + rng.uniform(0.0, 300.0)
+                given_losses, given_logw = losses.copy(), logw.copy()
+                v, _, se, _ = ez._tail(losses, logw, beta)
+                m = given_logw.max()
+                scaled = np.exp(given_logw - m)
+                terms = np.maximum(given_losses - v, 0.0) * scaled
+                assert logw.tobytes() == scaled.tobytes()
+                assert losses.tobytes() == terms.tobytes()
+                spread = math.sqrt(np.var(terms, ddof=1) / n)
+                assert se == (float(np.exp(m) * spread / beta) if spread > 0.0 else spread)
 
 
 class TestNaive:
@@ -507,7 +516,8 @@ class TestEstimate:
         estimate(portfolio_dist, linear, ISConfig(beta=beta, n=n, seed=seed, h=h))
         (losses, logw), = seen
         params = TransformParams(r=extrapolation_factor(beta, h), rho=linear.rho)
-        X, log_fx = _sample_with_log_density(n, portfolio_dist, seed)
+        X, log_fx = _joined(_drawn_blocks(n, portfolio_dist, seed), n)
+        X = X.T
         assert X.tobytes() == sample_inputs(n, portfolio_dist, seed).tobytes()
         Z = extrapolate(X, params)
         want_losses = np.asarray(linear(Z), dtype=float)

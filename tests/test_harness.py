@@ -535,6 +535,30 @@ class TestVarianceRatio:
         assert deep.cv_is > 0.0
 
 
+    @pytest.mark.parametrize("betas, rule, match", [
+        ((1e-3, 1e-6, 0.5), FixedH(2.6), "beta must be < 1/e"),
+        ((1e-2, 1e-9), AffineH(2.0, -0.09), "no outward extrapolation"),
+        ((1e-6, 1e-3), GridH((2.6, 0.5)), "no outward extrapolation"),
+    ])
+    def test_an_unusable_cell_is_refused_before_any_draw(self, portfolio_dist, linear,
+                                                         monkeypatch, betas, rule, match):
+        import tailshift.estimators as ez
+
+        drawn, real_draw = [], ez._drawn_blocks
+
+        def counted_draw(*args, **kw):
+            drawn.append(args)
+            return real_draw(*args, **kw)
+
+        monkeypatch.setattr(ez, "_drawn_blocks", counted_draw)
+        cfg = ExperimentConfig(dist=portfolio_dist, loss=linear, betas=betas, n=200,
+                               h_rule=rule, reps=3)
+        with pytest.raises(DomainError, match=match):
+            run_replications(cfg, "is")
+        with pytest.raises(DomainError, match=match):
+            variance_ratio_study(cfg)
+        assert drawn == []
+
     def test_one_replication_is_refused_before_any_draw(self, onedim_dist, linear, monkeypatch):
         # one replication has no cv: both columns would be nan
         import tailshift.estimators as ez
