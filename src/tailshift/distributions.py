@@ -276,15 +276,15 @@ class DistributionSpec:
         return self._alphas
 
 
-def _validate_vectors(x, dim, name="x"):
-    """Coerce to a float vector (dim,) or batch (n, dim)."""
+def _validate_vectors(x, dim=None, name="x"):
+    """Coerce to a float vector (d,) or batch (n, d): d is dim, or any d > 0 without dim."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 and dim == 1:
         x = x.reshape(1)
-    if x.ndim not in (1, 2) or x.shape[-1] != dim:
-        raise DomainError(
-            f"{name} must be a vector of {dim} components or a batch (n, {dim}), got shape {x.shape}"
-        )
+    if x.ndim not in (1, 2) or (x.shape[-1] == 0 if dim is None else x.shape[-1] != dim):
+        d = "d > 0" if dim is None else dim
+        raise DomainError(f"{name} must be a vector of {d} components or a batch (n, {d}), "
+                          f"got shape {x.shape}")
     return x
 
 
@@ -345,30 +345,21 @@ def _joined(parts, n):
     return outs
 
 
-_POW_SPECIAL = frozenset((-1.0, 0.0, 0.5, 1.0, 2.0))   # numpy's scalar pow fast path
-
-
 def _powers(base, exponents):
     """base ** exponents[:, None] for a (d, m) base, by one pow path at every m.
 
     The draw's t**(1/alpha) takes it (the densities take their powers by
-    exp, which has no fast path).  numpy's pow has a fast path (sqrt for
-    the exponent 0.5, square for 2, a division for -1) for an exponent it
-    sees as one scalar, and a (d, 1) exponent column looks like one only in
-    wide batches, so a sample's bits would depend on the width of its
-    batch.  The powers here equal the row-major formula, an (m, d) batch to
-    the power of the (d,) exponents, at every width.  The formula takes the
-    general pow for d > 1, and so does a column of exponents that the fast
-    path does not special-case; when one is special-cased, the exponents
-    are spelled out in full.  For d = 1 the formula's exponent is one
-    scalar.
+    exp, which has no fast path).  numpy's pow takes a fast path (sqrt for
+    0.5, square for 2, a division for -1) for an exponent it sees as one
+    scalar, as a (d, 1) column is in wide batches, so a sample's bits would
+    follow its batch's width.  Spelled out in full, (d, m), the exponents
+    take the general pow at every width, as the row-major formula (an (m, d)
+    batch to the power of the (d,) exponents) does for d > 1; for d = 1 the
+    formula's exponent is one scalar.
     """
     if len(exponents) == 1:
         return np.power(base, exponents[0])
-    e = exponents[:, None]
-    if not _POW_SPECIAL.isdisjoint(exponents.tolist()):
-        e = np.repeat(e, base.shape[1], axis=1)
-    return base ** e
+    return base ** np.repeat(exponents[:, None], base.shape[1], axis=1)
 
 
 def _sum_components(a):

@@ -34,7 +34,7 @@ from scipy.special import logsumexp
 
 from .distributions import _MAX_INDEX, _count, _drawn_blocks, _joined, _real
 from .errors import BadLossError, DomainError, EstimationError, FeasibilityError, TailMassError
-from .losses import LossModel
+from .losses import _check_input_dim
 from .transform import (
     TransformParams, _check_beta, _weighted_image, extrapolation_factor,
 )
@@ -281,8 +281,7 @@ def _estimates(dist, loss, config, method, hs):
     """
     if method not in ("is", "naive"):
         raise DomainError(f"method must be 'is' or 'naive', got {method!r}")
-    if not isinstance(loss, LossModel):
-        raise DomainError("loss must be a LossModel")
+    _check_input_dim(loss, dist.dim)
     if method == "naive":
         if config.n * config.beta < NAIVE_MIN_TAIL_COUNT:
             return [FeasibilityError(

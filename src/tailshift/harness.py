@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, EstimationError
 from .distributions import _count, _draw_size, _real
 from .estimators import ISConfig, _estimates
-from .losses import LossModel
+from .losses import LossModel, _check_input_dim
 from .transform import _check_beta, _check_stretch_level, extrapolation_factor
 
 __all__ = [
@@ -90,11 +90,6 @@ class GridH:
             raise DomainError(f"h grid values must be distinct, got {vals}")
         object.__setattr__(self, "values", vals)
 
-    def h_for(self, beta):
-        raise DomainError(
-            "an h grid does not fix h; run cross_validate_h first and use the selected value"
-        )
-
 
 pert_h_rule = AffineH(2.0, 0.6)   # the affine rule for the project network runs
 
@@ -121,6 +116,7 @@ class ExperimentConfig:
             raise DomainError(f"beta levels must be distinct, got {betas}")
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "n", _draw_size(self.n, self.dist.dim))
+        _check_input_dim(self.loss, self.dist.dim)
         for name, low in (("reps", 1), ("threads", 1), ("base_seed", 0)):
             object.__setattr__(self, name, _count(name, getattr(self, name), low))
 
@@ -369,9 +365,12 @@ def variance_ratio_study(config):
 
     The naive column is filled only where n * beta >= 5; levels whose naive
     rows run_replications tagged infeasible are reported as such.  reps < 2,
-    which has no cv, raises DomainError before any draw.
+    which has no cv, raises DomainError before any draw, and so does a GridH,
+    whose rows for every h the study would pool into one cv.
     """
     _cv_reps(config.reps)
+    if isinstance(config.h_rule, GridH):
+        raise DomainError("variance_ratio_study needs a fixed or affine h rule, got an h grid")
     is_table = run_replications(config, "is")
     naive_table = run_replications(config, "naive")
     out = []

@@ -51,9 +51,7 @@ def pert_completion_time(x):
 
 def linear_loss(x):
     """Sum of all components."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] == 0:
-        raise DomainError(f"linear_loss expects a nonempty vector or batch, got shape {x.shape}")
+    x = _validate_vectors(x)
     out = _sum_components(_component_major(x)).reshape(x.shape[:-1])
     return float(out) if out.ndim == 0 else out
 
@@ -233,6 +231,13 @@ class LossModel:
         if self.kind == "external" and not callable(self.func):
             raise DomainError("external losses need a callable")
 
+    @property
+    def dim(self):
+        """The input dimension the loss takes, or None for linear and external losses (any)."""
+        if self.kind == "relu_net":
+            return self.relu.dim
+        return PERT_DIM if self.kind == "pert7" else None
+
     @classmethod
     def pert7(cls, rho=1.0):
         return cls(kind="pert7", rho=rho)
@@ -269,3 +274,12 @@ class LossModel:
             return np.array([float(self.func(row)) for row in np.ascontiguousarray(x)])
         except Exception as exc:    # the user's code: any failure is a bad loss
             raise BadLossError(f"the external loss raised {type(exc).__name__}: {exc}") from exc
+
+
+def _check_input_dim(loss, dim):
+    """Refuse, as DomainError, a loss that is no LossModel or takes inputs of another dim."""
+    if not isinstance(loss, LossModel):
+        raise DomainError("loss must be a LossModel")
+    if loss.dim not in (None, dim):
+        raise DomainError(f"the {loss.kind} loss takes inputs of dimension {loss.dim}, "
+                          f"but the input model has dimension {dim}")

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    _component_major, _over_columns, _positive_finite, _real, _sum_components, joint_log_density,
+    _component_major, _over_columns, _positive_finite, _real, _sum_components, _validate_vectors,
+    joint_log_density,
 )
 from .errors import DomainError, TailMassError
 
@@ -89,14 +90,6 @@ class TransformParams:
         object.__setattr__(self, "rho", _positive_finite("rho", self.rho))
 
 
-def _checked(x):
-    """x as a component-major (d, n) array of nonempty vectors; _log1p_abs checks the values."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] == 0:
-        raise DomainError(f"x must be a nonempty vector or batch of vectors, got shape {np.shape(x)}")
-    return _component_major(x)
-
-
 def _log1p_abs(xc):
     """|x| and log1p|x| of a (d, m) block, and the (m,) max of log1p|x|.
 
@@ -116,12 +109,12 @@ def _log1p_abs(xc):
 def _stretch(x, params):
     """(extrapolate(x), log_jacobian(x)), taking log1p|x| and its max over components once.
 
-    The stretch runs over column blocks.
+    The stretch runs over column blocks; _log1p_abs checks the values.
     """
-    z, log_jac = _over_columns(_stretch_columns, (_checked(x),), params)
-    shape = np.shape(x)
-    log_jac = log_jac.reshape(shape[:-1])
-    return z.T.reshape(shape), (float(log_jac) if log_jac.ndim == 0 else log_jac)
+    x = _validate_vectors(x)
+    z, log_jac = _over_columns(_stretch_columns, (_component_major(x),), params)
+    log_jac = log_jac.reshape(x.shape[:-1])
+    return z.T.reshape(x.shape), (float(log_jac) if log_jac.ndim == 0 else log_jac)
 
 
 def _stretch_columns(xc, params):
@@ -219,8 +212,9 @@ def log_likelihood_ratio(x, dist, params):
     log f(extrapolate(x)) - log f(x) + log_jacobian(x), with f the joint
     input density.  Exactly 0.0 for r = 1.  Accepts (d,) or (n, d).
     """
+    x = _validate_vectors(x)
     log_fx = joint_log_density(x, dist)
     (logw,) = _over_columns(lambda xc, lf: _weighted_image(xc, lf, dist, params)[1:],
-                            (_checked(x), log_fx))
-    logw = logw.reshape(np.shape(x)[:-1])
+                            (_component_major(x), log_fx))
+    logw = logw.reshape(x.shape[:-1])
     return float(logw) if logw.ndim == 0 else logw

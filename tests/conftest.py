@@ -28,5 +28,20 @@ def linear():
     return LossModel.linear()
 
 
+@pytest.fixture
+def drawn(monkeypatch):
+    """The positional arguments of every draw (``_drawn_blocks``) an estimate starts, in order."""
+    import tailshift.estimators as ez
+
+    calls, real_draw = [], ez._drawn_blocks
+
+    def counted_draw(*args, **kw):
+        calls.append(args)
+        return real_draw(*args, **kw)
+
+    monkeypatch.setattr(ez, "_drawn_blocks", counted_draw)
+    return calls
+
+
 def rng_of(seed):
     return np.random.default_rng(seed)

@@ -99,16 +99,21 @@ class TestBlockedRows:
             assert jac[i] == log_jacobian(X[i], params)
 
     @pytest.mark.parametrize("rho", [1.0, 0.7])
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, (0.5, 0.9, 1.0, 2.0)])
     def test_rows_do_not_depend_on_the_batch_width(self, alpha, rho):
-        # the exponents numpy's pow special-cases for a scalar exponent; the
-        # densities and the stretch take their powers by exp, whose bits must
-        # not follow the batch width either
-        dist = DistributionSpec.from_alphas([alpha] * 4, CorrelationMatrix.tridiagonal(4, 0.1))
+        # the draw's t**(1/alpha) at exponents numpy's pow special-cases for a
+        # scalar exponent (2, 1 and 0.5), alone and beside an ordinary one in
+        # one block; the densities and the stretch take their powers by exp,
+        # whose bits must not follow the batch width either
+        dist = DistributionSpec.from_alphas(np.broadcast_to(alpha, 4),
+                                            CorrelationMatrix.tridiagonal(4, 0.1))
         params = TransformParams(r=3.0, rho=rho)
-        X = sample_inputs(_BLOCK + 1, dist, seed=19) * 1.5
+        draw = sample_inputs(_BLOCK + 1, dist, seed=19)
+        X = draw * 1.5
         funcs = (lambda x: joint_log_density(x, dist), lambda x: extrapolate(x, params),
                  lambda x: log_jacobian(x, params))
+        for width in (2, 7, _BLOCK):    # a one-sample draw takes numpy's own product for V
+            assert sample_inputs(width, dist, seed=19).tobytes() == draw[:width].tobytes(), width
         for func in funcs:
             batch = func(X)
             for width in (1, 2, 7, _BLOCK, _BLOCK + 1):

@@ -413,6 +413,23 @@ class TestEstimateCommand:
         assert f"config field '{field}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["is", "naive"])
+    @pytest.mark.parametrize("alphas, loss, want", [
+        ([0.9] * 3, {"kind": "pert7"}, "dimension 7, but the input model has dimension 3"),
+        ([0.6] * 5, "relu", "dimension 8, but the input model has dimension 5"),
+    ])
+    def test_a_loss_of_another_input_dimension_exits_1(self, tmp_path, capsys, method, alphas,
+                                                       loss, want):
+        if loss == "relu":
+            save_relu_params(synthetic_relu_params(dim=8, hidden=12, seed=5), tmp_path / "net.json")
+            loss = {"kind": "relu_net", "weights_file": "net.json"}
+        doc = dict(MINIMAL, dist={"alphas": alphas, "correlation": "identity"}, loss=loss,
+                   betas=[0.01], n=5000, method=method)
+        cfg, out = write_config(tmp_path, doc), tmp_path / "o"
+        assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert want in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_h_rejected_outside_crossval(self, tmp_path, capsys):
         doc = dict(MINIMAL, h={"grid": [2.0, 3.0]})
         cfg = write_config(tmp_path, doc)

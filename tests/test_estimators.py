@@ -425,6 +425,13 @@ class TestEstimate:
         with pytest.raises(DomainError):
             estimate(onedim_dist, linear, ISConfig(beta=1e-6, n=100, seed=0))
 
+    @pytest.mark.parametrize("method", ["is", "naive"])
+    def test_a_loss_of_another_input_dimension_is_refused_before_any_draw(self, drawn, method):
+        dist = DistributionSpec.from_alphas([0.9] * 3)
+        with pytest.raises(DomainError, match="dimension 7, but the input model has dimension 3"):
+            estimate(dist, LossModel.pert7(), ISConfig(beta=0.01, n=5000, seed=1, h=2.6), method)
+        assert drawn == []
+
     def test_rejects_unknown_method(self, onedim_dist, linear):
         with pytest.raises(DomainError):
             estimate(onedim_dist, linear,

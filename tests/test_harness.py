@@ -13,6 +13,7 @@ import pytest
 from tailshift import (
     AffineH,
     BadLossError,
+    CorrelationMatrix,
     DistributionSpec,
     DomainError,
     EstimationError,
@@ -36,6 +37,7 @@ from tailshift import (
     run_replications,
     sample_inputs,
     summarize,
+    synthetic_relu_params,
     variance_ratio_study,
 )
 from tailshift.distributions import _BLOCK
@@ -58,10 +60,6 @@ class TestHRules:
         beta = 10.0 ** -3.5
         assert math.isclose(rule.h_for(beta), 6.8354286952874959364, rel_tol=1e-13)
         assert rule.h_for(beta) == pert_h_rule.h_for(beta)
-
-    def test_grid_cannot_be_used_directly(self):
-        with pytest.raises(DomainError):
-            GridH((1.5, 2.5)).h_for(1e-6)
 
     def test_grid_rejects_empty(self):
         with pytest.raises(DomainError):
@@ -463,19 +461,8 @@ class TestCrossValidation:
             cross_validate_h(cfg, (0.1, 0.2), 1e-4, reps_cv=4)
 
     @pytest.mark.parametrize("beta", [1.5, 0.5, float("nan")])
-    def test_bad_level_is_refused_before_any_draw(self, onedim_dist, linear, beta,
-                                                  monkeypatch):
+    def test_bad_level_is_refused_before_any_draw(self, onedim_dist, linear, beta, drawn):
         # not "skipped" at every h: no h can stretch at such a level
-        import tailshift.estimators as ez
-
-        drawn = []
-        real_draw = ez._drawn_blocks
-
-        def counted_draw(*args, **kw):
-            drawn.append(args)
-            return real_draw(*args, **kw)
-
-        monkeypatch.setattr(ez, "_drawn_blocks", counted_draw)
         cfg = small_config(onedim_dist, linear, betas=(1e-4,), n=400)
         with pytest.raises(DomainError, match="beta"):
             cross_validate_h(cfg, (2.0, 3.0), beta, reps_cv=4)
@@ -483,18 +470,8 @@ class TestCrossValidation:
 
     @pytest.mark.parametrize("reps_cv", [1, 0, 2.5, True])
     def test_fewer_than_two_replications_are_refused_before_any_draw(
-            self, onedim_dist, linear, reps_cv, monkeypatch):
+            self, onedim_dist, linear, reps_cv, drawn):
         # one replication has no cv: every grid point would fail
-        import tailshift.estimators as ez
-
-        drawn = []
-        real_draw = ez._drawn_blocks
-
-        def counted_draw(*args, **kw):
-            drawn.append(args)
-            return real_draw(*args, **kw)
-
-        monkeypatch.setattr(ez, "_drawn_blocks", counted_draw)
         cfg = small_config(onedim_dist, linear, betas=(1e-4,), n=400)
         with pytest.raises(DomainError, match="reps_cv|2 replications"):
             cross_validate_h(cfg, (2.0, 3.0), 1e-4, reps_cv=reps_cv)
@@ -541,35 +518,28 @@ class TestVarianceRatio:
         ((1e-6, 1e-3), GridH((2.6, 0.5)), "no outward extrapolation"),
     ])
     def test_an_unusable_cell_is_refused_before_any_draw(self, portfolio_dist, linear,
-                                                         monkeypatch, betas, rule, match):
-        import tailshift.estimators as ez
-
-        drawn, real_draw = [], ez._drawn_blocks
-
-        def counted_draw(*args, **kw):
-            drawn.append(args)
-            return real_draw(*args, **kw)
-
-        monkeypatch.setattr(ez, "_drawn_blocks", counted_draw)
+                                                         drawn, betas, rule, match):
         cfg = ExperimentConfig(dist=portfolio_dist, loss=linear, betas=betas, n=200,
                                h_rule=rule, reps=3)
         with pytest.raises(DomainError, match=match):
             run_replications(cfg, "is")
-        with pytest.raises(DomainError, match=match):
+        # the study refuses an h grid, usable or not
+        with pytest.raises(DomainError, match="an h grid" if isinstance(rule, GridH) else match):
             variance_ratio_study(cfg)
         assert drawn == []
 
-    def test_one_replication_is_refused_before_any_draw(self, onedim_dist, linear, monkeypatch):
+    def test_an_h_grid_is_refused_before_any_draw(self, drawn):
+        # run_replications gives rows for every grid point, and the study read them
+        # as one level's: at beta = 1e-2 its cv_is was neither h = 2's nor h = 3's
+        dist = DistributionSpec.from_alphas([0.9] * 3, CorrelationMatrix.equicorrelated(3, 0.1))
+        cfg = ExperimentConfig(dist=dist, loss=LossModel.linear(), betas=(1e-2,), n=300,
+                               h_rule=GridH((2.0, 3.0)), reps=4)
+        with pytest.raises(DomainError, match="needs a fixed or affine h rule, got an h grid"):
+            variance_ratio_study(cfg)
+        assert drawn == []
+
+    def test_one_replication_is_refused_before_any_draw(self, onedim_dist, linear, drawn):
         # one replication has no cv: both columns would be nan
-        import tailshift.estimators as ez
-
-        drawn, real_draw = [], ez._drawn_blocks
-
-        def counted_draw(*args, **kw):
-            drawn.append(args)
-            return real_draw(*args, **kw)
-
-        monkeypatch.setattr(ez, "_drawn_blocks", counted_draw)
         cfg = ExperimentConfig(dist=onedim_dist, loss=linear, betas=(0.01,), n=500,
                                h_rule=FixedH(3.0), reps=1)
         with pytest.raises(DomainError, match="at least 2 replications"):
@@ -630,6 +600,16 @@ class TestExperimentConfig:
         with pytest.raises(DomainError, match="n must be at most"):
             estimate(portfolio_dist, linear,
                      ISConfig(beta=0.1, n=most // portfolio_dist.dim + 1, seed=1, h=2.0))
+
+    def test_rejects_a_loss_of_another_input_dimension(self, portfolio_dist, pert_dist):
+        kw = dict(betas=(0.1,), n=10, h_rule=FixedH(2.0))
+        with pytest.raises(DomainError, match="pert7 loss takes inputs of dimension 7, "
+                                              "but the input model has dimension 10"):
+            ExperimentConfig(dist=portfolio_dist, loss=LossModel.pert7(), **kw)
+        relu = LossModel.relu_net(synthetic_relu_params(8, 12, seed=5))
+        with pytest.raises(DomainError, match="dimension 8, but the input model has dimension 7"):
+            ExperimentConfig(dist=pert_dist, loss=relu, **kw)
+        assert ExperimentConfig(dist=pert_dist, loss=LossModel.pert7(), **kw).loss.dim == 7
 
     @pytest.mark.parametrize("beta", [2.0, 1.0, 0.0, -1e-3, float("nan")])
     def test_rejects_levels_outside_unit_interval(self, onedim_dist, linear, beta):

@@ -251,6 +251,13 @@ class TestLossModel:
         x = np.array([1.0, 0.5, 2.0, 0.1])
         assert L(x) == relu_net_loss(x, p)
 
+    def test_dim_is_the_input_dimension_a_loss_takes(self):
+        assert LossModel.pert7().dim == 7
+        assert LossModel.relu_net(synthetic_relu_params(dim=4, hidden=3, seed=1)).dim == 4
+        # these take any dimension
+        assert LossModel.linear().dim is None
+        assert LossModel.external(np.sum, rho=1.0).dim is None
+
     def test_external_dispatch_loops_rows(self):
         calls = []
 

@@ -269,6 +269,13 @@ def test_an_empty_batch_gives_an_empty_result(name):
     assert isinstance(out, np.ndarray) and out.shape == shape
 
 
+@pytest.mark.parametrize("name", sorted(_EMPTY_CASES))
+@pytest.mark.parametrize("shape", [(), (5, 12, 1), (5, 0)])
+def test_neither_a_vector_nor_a_batch_of_vectors_is_refused(name, shape):
+    with pytest.raises(DomainError, match=r"^x must be a vector of (\d+|d > 0) components or a"):
+        _EMPTY_CASES[name][0](np.ones(shape))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_one_bad_component_is_named_by_each_check(bad):
     x = np.random.default_rng(4).uniform(0.05, 40.0, (37, 12))
