@@ -16,14 +16,16 @@ reduces a short trailing axis slowly (a row max over a (1e5, 10) array takes
 about 12 times as long as the same max over the (10, 1e5) layout), and every
 density and the stretch reduce over the d components.
 
-The per-sample stages run over fixed blocks of columns (``_over_columns``):
-samples are independent until the tail sort, so a block is computed on its
-own and a large batch never holds more than one block's temporaries.  The
-draw is pulled in the same blocks (``_drawn_blocks``): an estimate weighs
-each block (stretch, image density and loss) at each h and drops it before it
-asks for the next, keeping only losses and log weights, which ``_joined``
-copies into n-vectors.  The kernels overwrite their own temporaries where
-that reads plainly, so a block holds about six (d, m) arrays at its peak.
+Every per-sample function enters by one door (``_per_sample``): it takes a
+vector (d,) or a batch (n, d), lays it out component-major and runs its
+kernel over fixed blocks of columns.  Samples are independent until the tail
+sort, so a block is computed on its own and a large batch never holds more
+than one block's temporaries.  The draw is pulled in the same blocks
+(``_drawn_blocks``): an estimate weighs each block (stretch, image density
+and loss) at each h and drops it before it asks for the next, keeping only
+losses and log weights, which ``_joined`` copies into n-vectors.  The
+kernels overwrite their own temporaries where that reads plainly, so a
+block holds about six (d, m) arrays at its peak.
 
 The linear algebra is numpy's: importing scipy.linalg would add about
 6.5 MB of resident memory to every process that imports the package.
@@ -276,28 +278,6 @@ class DistributionSpec:
         return self._alphas
 
 
-def _validate_vectors(x, dim=None, name="x"):
-    """Coerce to a float vector (d,) or batch (n, d): d is dim, or any d > 0 without dim."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0 and dim == 1:
-        x = x.reshape(1)
-    if x.ndim not in (1, 2) or (x.shape[-1] == 0 if dim is None else x.shape[-1] != dim):
-        d = "d > 0" if dim is None else dim
-        raise DomainError(f"{name} must be a vector of {d} components or a batch (n, {d}), "
-                          f"got shape {x.shape}")
-    return x
-
-
-def _component_major(x):
-    """A vector (d,) or batch (n, d) as the kernels' C-contiguous (d, n) layout.
-
-    A vector becomes one column (d, 1).  The kernels hand batches around as
-    F-ordered (n, d) views of (d, n) arrays, which pass through without a
-    copy; a C-ordered batch from a caller is copied once.
-    """
-    return np.ascontiguousarray(np.atleast_2d(x).T)
-
-
 # Columns per block.  A (10, 2048) float temporary is 160 KB, and a block
 # peaks at about six of them: under glibc's heap trim threshold, which
 # follows the largest freed n-vector (1.6 MB at n = 1e5).  A block of 8192
@@ -305,21 +285,32 @@ def _component_major(x):
 _BLOCK = 2048
 
 
-def _over_columns(kernel, columns, *args):
-    """kernel(*columns, *args) over blocks of _BLOCK columns, joined on the last axis.
+def _per_sample(kernel, x, *args, dim=None, name="x"):
+    """kernel(xc, *args) of a vector (d,) or a batch (n, d) x, over blocks of its columns.
 
-    columns are (..., n) arrays, sliced alike; kernel returns a tuple of
-    arrays over its block's columns, or None in place of one.  Up to
-    _BLOCK columns this is one call on the whole arrays.  Past that the
-    blocks run one after another and are joined (``_joined``), so their
-    temporaries stay small.  Samples are independent until the tail sort,
-    and the bounds depend on n alone.
+    The one door of every per-sample function: x must be a vector of dim
+    components (any d > 0 without dim) or a batch of such rows, never 0-d.
+    The kernel gets x component-major, as (d, m) blocks of _BLOCK columns of
+    a C-contiguous (d, n) array (the whole of it up to _BLOCK), and returns
+    an (m,) or a (d, m) array, joined over the blocks (``_joined``).  An (m,)
+    output comes back as a float for a vector and an (n,) array for a batch,
+    a (d, m) one in x's shape.  F-ordered (n, d) views of (d, n) arrays, as
+    the kernels hand batches around, enter without a copy; a C-ordered batch
+    is copied once.
     """
-    n = columns[0].shape[-1]
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or (x.shape[-1] == 0 if dim is None else x.shape[-1] != dim):
+        d = "d > 0" if dim is None else dim
+        raise DomainError(f"{name} must be a vector of {d} components or a batch (n, {d}), "
+                          f"got shape {x.shape}")
+    xc = np.ascontiguousarray(np.atleast_2d(x).T)
+    n = xc.shape[1]
     if n <= _BLOCK:
-        return kernel(*columns, *args)
-    return _joined((kernel(*(c[..., lo:lo + _BLOCK] for c in columns), *args)
-                    for lo in range(0, n, _BLOCK)), n)
+        out = kernel(xc, *args)
+    else:
+        (out,) = _joined(((kernel(xc[:, lo:lo + _BLOCK], *args),) for lo in range(0, n, _BLOCK)), n)
+    out = out.T.reshape(x.shape[:-1] + out.shape[:-1])
+    return float(out) if out.ndim == 0 else out
 
 
 def _joined(parts, n):
@@ -420,7 +411,7 @@ def copula_log_density(u, correlation):
 
     Parameters
     ----------
-    u : array_like, shape (..., d)
+    u : array_like, shape (d,) or (n, d)
         Copula coordinates, each strictly inside (0, 1).
     correlation : CorrelationMatrix
 
@@ -430,10 +421,9 @@ def copula_log_density(u, correlation):
         -0.5*log det(R) - 0.5 * z'(inv(R) - I)z with z the normal scores
         of u.  Exactly 0 when R is the identity.
     """
-    u = _validate_vectors(u, correlation.dim, name="u")
-    scores = _component_major(std_normal_quantile(u))
-    out = _copula_log_density_from_scores(scores, correlation).reshape(u.shape[:-1])
-    return float(out) if out.ndim == 0 else out
+    return _per_sample(lambda uc: _copula_log_density_from_scores(std_normal_quantile(uc),
+                                                                  correlation),
+                       u, dim=correlation.dim, name="u")
 
 
 def joint_log_density(x, dist):
@@ -442,23 +432,20 @@ def joint_log_density(x, dist):
     Accepts a single vector of shape (d,) or a batch of shape (n, d);
     returns a float or an (n,) array accordingly.
     """
-    x = _validate_vectors(x, dist.dim)
-    # the min is nan where x holds a nan; initial keeps an empty batch valid
-    if not (np.minimum.reduce(x, axis=None, initial=np.inf) > 0.0
-            and np.maximum.reduce(x, axis=None, initial=0.0) < np.inf):
-        raise DomainError("x components must be strictly positive and finite")
-    (out,) = _over_columns(_log_density_columns, (_component_major(x),), dist)
-    out = out.reshape(x.shape[:-1])
-    return float(out) if out.ndim == 0 else out
+    return _per_sample(_log_density_columns, x, dist, dim=dist.dim)
 
 
 def _log_density_columns(xc, dist):
-    """(joint log density,) of a component-major (d, m) block of valid x.
+    """Joint log density of a component-major (d, m) block of x, checked componentwise > 0.
 
     The powers x**alpha are exp(alpha log x), off the log x the density
     takes anyway: an exp costs a fraction of a pow, and has no fast path
     that would make a sample's bits depend on the width of its batch.
     """
+    # the min is nan where x holds a nan; initial keeps an empty batch valid
+    if not (np.minimum.reduce(xc, axis=None, initial=np.inf) > 0.0
+            and np.maximum.reduce(xc, axis=None, initial=0.0) < np.inf):
+        raise DomainError("x components must be strictly positive and finite")
     a = dist.alphas[:, None]
     terms = np.log(xc)
     p = np.multiply(terms, a)
@@ -468,8 +455,7 @@ def _log_density_columns(xc, dist):
     terms -= p
     marg = _sum_components(terms)
     del terms                   # a block keeps few (d, m) temporaries alive at once
-    cop = _copula_log_density_from_scores(_normal_scores(p), dist.correlation)
-    return (marg + cop,)
+    return marg + _copula_log_density_from_scores(_normal_scores(p), dist.correlation)
 
 
 def _drawn_blocks(n, dist, seed, with_density=True):

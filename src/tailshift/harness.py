@@ -83,7 +83,10 @@ class GridH:
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(_real("h grid values", v) for v in self.values)
+        try:
+            vals = tuple(_real("h grid values", v) for v in self.values)
+        except TypeError:                  # values is no sequence: a number, or an h rule
+            raise DomainError(f"h grid values must be a sequence, got {self.values!r}") from None
         if not vals:
             raise DomainError("h grid must not be empty")
         if len(set(vals)) != len(vals):
@@ -121,10 +124,18 @@ class ExperimentConfig:
             object.__setattr__(self, name, _count(name, getattr(self, name), low))
 
 
+def _method_code(method):
+    """The seed code of the method "is" or "naive"; any other method is a DomainError."""
+    if not isinstance(method, str) or method not in _METHOD_CODES:
+        raise DomainError(f"method must be one of {sorted(_METHOD_CODES)}, got {method!r}")
+    return _METHOD_CODES[method]
+
+
 def derive_seed(base_seed, beta_index, method, rep):
-    """Stable per-replication seed from (base seed, level, method, replication)."""
-    code = _METHOD_CODES[method]
-    ss = np.random.SeedSequence([int(base_seed), int(beta_index), code, int(rep)])
+    """Stable per-replication seed from (base seed, level, method, replication), indices >= 0."""
+    code = _method_code(method)
+    ss = np.random.SeedSequence([_count("base_seed", base_seed, 0),
+                                 _count("beta_index", beta_index, 0), code, _count("rep", rep, 0)])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -203,8 +214,7 @@ def run_replications(config, method):
     it at every grid point, where a failure at one h leaves the others as
     they were; the rows come in (beta, rep, h) order.
     """
-    if method not in _METHOD_CODES:
-        raise DomainError(f"method must be one of {sorted(_METHOD_CODES)}, got {method!r}")
+    _method_code(method)
 
     def replicate(beta, hs, rep, seed):
         one = ISConfig(beta=beta, n=config.n, seed=seed)
@@ -327,13 +337,14 @@ def cross_validate_h(config, grid, beta, reps_cv=20):
     importance replications at the one level beta, from the same derived
     seeds (common random numbers): one run_replications call under a GridH
     of the points that stretch outward draws each replication once and
-    weighs it at all of them.  A level outside (0, 1/e) or fewer than two
-    replications raise DomainError before any draw; grid points whose
-    r = h log log(1/beta) <= 1 are skipped; if every point fails, an
+    weighs it at all of them.  A grid that is no sequence of h values (a
+    number, or a fixed or affine rule), a level outside (0, 1/e) or fewer
+    than two replications raise DomainError before any draw; grid points
+    whose r = h log log(1/beta) <= 1 are skipped; if every point fails, an
     EstimationError is raised.
     """
     beta, reps_cv = _check_stretch_level(beta), _cv_reps(reps_cv)
-    values = (grid if isinstance(grid, GridH) else GridH(tuple(grid))).values
+    values = (grid if isinstance(grid, GridH) else GridH(grid)).values
     by_h = {}
     for h in values:
         try:

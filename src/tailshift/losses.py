@@ -2,8 +2,8 @@
 
 Built-ins: the 7-activity project completion time, the plain portfolio sum,
 and a one-hidden-layer ReLU network.  Arbitrary callables can be wrapped
-with an explicit scaling exponent rho.  All built-ins accept a vector (d,)
-or a batch (n, d) and return a float or an (n,) array.
+with an explicit scaling exponent rho.  Every loss takes a vector (d,) or a
+batch (n, d), and nothing else, and returns a float or an (n,) array.
 """
 
 from __future__ import annotations
@@ -14,10 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (
-    _component_major, _count, _matmul, _positive_finite, _real, _sum_components,
-    _validate_vectors,
-)
+from .distributions import _count, _matmul, _per_sample, _positive_finite, _real, _sum_components
 from .errors import BadLossError, DomainError, WeightsDimensionError, WeightsFormatError
 
 __all__ = [
@@ -42,18 +39,19 @@ def pert_completion_time(x):
     so the completion time is
     x1 + x7 + max(x5 + max(x2, x3), x6 + max(x3, x4)).
     """
-    x = _validate_vectors(x, PERT_DIM)
-    upper = x[..., 4] + np.maximum(x[..., 1], x[..., 2])
-    lower = x[..., 5] + np.maximum(x[..., 2], x[..., 3])
-    out = x[..., 0] + x[..., 6] + np.maximum(upper, lower)
-    return float(out) if out.ndim == 0 else out
+    return _per_sample(_pert_columns, x, dim=PERT_DIM)
+
+
+def _pert_columns(xc):
+    """Completion times of a component-major (7, m) block."""
+    upper = xc[4] + np.maximum(xc[1], xc[2])
+    lower = xc[5] + np.maximum(xc[2], xc[3])
+    return xc[0] + xc[6] + np.maximum(upper, lower)
 
 
 def linear_loss(x):
     """Sum of all components."""
-    x = _validate_vectors(x)
-    out = _sum_components(_component_major(x)).reshape(x.shape[:-1])
-    return float(out) if out.ndim == 0 else out
+    return _per_sample(_sum_components, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,13 +110,16 @@ def relu_net_loss(x, params):
     matrix-vector product, and its dot product for one row, round a row
     according to its position in the batch.
     """
-    x = _validate_vectors(x, params.dim)
-    hidden = _matmul(np.atleast_2d(x), params.W1.T)
+    return _per_sample(_relu_columns, x, params, dim=params.dim)
+
+
+def _relu_columns(xc, params):
+    """Network losses of a component-major (d, m) block, its hidden layer formed row-major."""
+    hidden = _matmul(xc.T, params.W1.T)
     hidden += params.b1
     np.maximum(hidden, 0.0, out=hidden)
     hidden *= params.w2
-    out = (_sum_components(hidden.T) + params.b2).reshape(x.shape[:-1])
-    return float(out) if out.ndim == 0 else out
+    return _sum_components(hidden.T) + params.b2
 
 
 def _params_to_dict(params):
@@ -265,15 +266,17 @@ class LossModel:
             return linear_loss(x)
         if self.kind == "relu_net":
             return relu_net_loss(x, self.relu)
-        x = np.asarray(x, dtype=float)
-        try:
-            if x.ndim == 1:
-                return float(self.func(x))
-            # built-in losses take the kernel's F-ordered batches as they are; a
-            # callable gets C-contiguous rows, as it would from its own arrays
-            return np.array([float(self.func(row)) for row in np.ascontiguousarray(x)])
-        except Exception as exc:    # the user's code: any failure is a bad loss
-            raise BadLossError(f"the external loss raised {type(exc).__name__}: {exc}") from exc
+        return _per_sample(_external_columns, x, self.func)
+
+
+def _external_columns(xc, func):
+    """func of each sample of a component-major (d, m) block, as a C-contiguous row."""
+    try:
+        # built-in losses take the kernel's blocks as they are; a callable gets
+        # C-contiguous rows, as it would from its own arrays
+        return np.array([float(func(row)) for row in np.ascontiguousarray(xc.T)])
+    except Exception as exc:    # the user's code: any failure is a bad loss
+        raise BadLossError(f"the external loss raised {type(exc).__name__}: {exc}") from exc
 
 
 def _check_input_dim(loss, dim):

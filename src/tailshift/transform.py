@@ -17,7 +17,8 @@ Jacobian determinant of the map.  One log-space pass over x yields the
 image, the log Jacobian and the log weight; ``extrapolate``,
 ``log_jacobian`` and ``log_likelihood_ratio`` are its projections.  The
 pass runs on the component-major (d, n) layout of ``distributions``, over
-its column blocks; a batch image comes back as an F-ordered (n, d) view.
+its column blocks (``_per_sample``); a batch image comes back as an
+F-ordered (n, d) view.
 An estimate weighs each block of the draw as it pulls it
 (``_weighted_image``: the stretch, the overflow check and the image density
 of one block), so it never holds an image of all n samples.
@@ -31,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    _component_major, _over_columns, _positive_finite, _real, _sum_components, _validate_vectors,
-    joint_log_density,
+    _log_density_columns, _per_sample, _positive_finite, _real, _sum_components, joint_log_density,
 )
 from .errors import DomainError, TailMassError
 
@@ -106,17 +106,6 @@ def _log1p_abs(xc):
     return ax, logs, M
 
 
-def _stretch(x, params):
-    """(extrapolate(x), log_jacobian(x)), taking log1p|x| and its max over components once.
-
-    The stretch runs over column blocks; _log1p_abs checks the values.
-    """
-    x = _validate_vectors(x)
-    z, log_jac = _over_columns(_stretch_columns, (_component_major(x),), params)
-    log_jac = log_jac.reshape(x.shape[:-1])
-    return z.T.reshape(x.shape), (float(log_jac) if log_jac.ndim == 0 else log_jac)
-
-
 def _stretch_columns(xc, params):
     """(image, log Jacobian) of a component-major (d, m) block of finite x.
 
@@ -159,7 +148,7 @@ def extrapolate(x, params):
     Raises TailMassError where the full factor r**(1/rho) overflows a
     float, and DomainError where log(r) / (rho * max_j log1p|x_j|) does.
     """
-    return _stretch(x, params)[0]
+    return _per_sample(lambda xc: _stretch_columns(xc, params)[0], x)
 
 
 def log_jacobian(x, params):
@@ -177,7 +166,7 @@ def log_jacobian(x, params):
     r = 1 and exactly log(r) in one dimension with rho = 1.  Raises as
     ``extrapolate`` does.
     """
-    return _stretch(x, params)[1]
+    return _per_sample(lambda xc: _stretch_columns(xc, params)[1], x)
 
 
 def _weighted_image(xc, log_fx, dist, params):
@@ -212,9 +201,6 @@ def log_likelihood_ratio(x, dist, params):
     log f(extrapolate(x)) - log f(x) + log_jacobian(x), with f the joint
     input density.  Exactly 0.0 for r = 1.  Accepts (d,) or (n, d).
     """
-    x = _validate_vectors(x)
-    log_fx = joint_log_density(x, dist)
-    (logw,) = _over_columns(lambda xc, lf: _weighted_image(xc, lf, dist, params)[1:],
-                            (_component_major(x), log_fx))
-    logw = logw.reshape(x.shape[:-1])
-    return float(logw) if logw.ndim == 0 else logw
+    return _per_sample(lambda xc: _weighted_image(xc, _log_density_columns(xc, dist), dist,
+                                                  params)[1],
+                       x, dim=dist.dim)

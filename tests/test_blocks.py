@@ -1,4 +1,4 @@
-"""The per-sample kernel over fixed column blocks, and the streamed draw."""
+"""The per-sample functions over fixed column blocks, and the streamed draw."""
 
 import tracemalloc
 import warnings
@@ -21,10 +21,12 @@ from tailshift import (
     ISConfig,
     LossModel,
     TransformParams,
+    copula_log_density,
     estimate,
     extrapolate,
     joint_log_density,
     log_jacobian,
+    log_likelihood_ratio,
     pert_h_rule,
     run_replications,
     sample_inputs,
@@ -49,37 +51,18 @@ def model(request, portfolio_dist, pert_dist):
 
 
 def _outputs(dist, loss, h):
+    """The bits of every per-sample function, and an estimate, on one N-sample draw."""
     X = sample_inputs(N, dist, seed=21)
+    params = TransformParams(r=3.0, rho=loss.rho)
     report = estimate(dist, loss, ISConfig(beta=1e-6, n=N, seed=21, h=h))
-    return X.tobytes(), joint_log_density(X * 1.5, dist).tobytes(), report
+    outs = (X, joint_log_density(X * 1.5, dist),
+            copula_log_density(X / (1.0 + X), dist.correlation),
+            extrapolate(X, params), log_jacobian(X, params), log_likelihood_ratio(X, dist, params),
+            loss(X), LossModel.external(loss, loss.rho)(X))
+    return [out.tobytes() for out in outs], report
 
 
-class TestOverColumns:
-    def test_one_block_is_one_call_on_the_whole_arrays(self):
-        a, calls = np.ones((3, _BLOCK)), []
-
-        def kernel(c, k):
-            calls.append((c, k))
-            return c * k, None
-
-        out = dz._over_columns(kernel, (a,), 2.0)
-        assert len(calls) == 1 and calls[0][0] is a and calls[0][1] == 2.0
-        assert out[0].tobytes() == (2.0 * a).tobytes() and out[1] is None
-
-    def test_blocks_are_joined_in_order(self):
-        widths = []
-
-        def kernel(c, r):
-            widths.append(c.shape[-1])
-            return c + 1.0, r[0], None
-
-        c, r = np.arange(2.0 * N).reshape(2, N), np.arange(3.0 * N).reshape(3, N)
-        got = dz._over_columns(kernel, (c, r))
-        assert widths == [_BLOCK, _BLOCK, _BLOCK, 17]
-        assert got[0].tobytes() == (c + 1.0).tobytes()
-        assert got[1].tobytes() == r[0].tobytes()
-        assert got[2] is None
-
+class TestPerSample:
     def test_blocks_give_the_bits_of_one_pass(self, model, monkeypatch):
         blocked = _outputs(*model)
         monkeypatch.setattr(dz, "_BLOCK", 10 * N)
@@ -183,13 +166,13 @@ def test_thread_counts_agree_on_blocked_replications(portfolio_dist, linear):
 
 
 def _whole_batch_draw(n, dist, seed):
-    """(X, log f(X)) with W and V formed whole, then the draw kernel over their column blocks.
+    """(X, log f(X)) with W and V formed whole, then the draw kernel on the whole of them.
 
     The streamed draw, and a draw in one wide block, must give these bits.
     """
     W = np.random.default_rng(seed).standard_normal((n, dist.dim))
     V = W @ dist.correlation.chol.T
-    X, log_fx = dz._over_columns(dz._draw_columns, (W.T, V.T), dist, True)
+    X, log_fx = dz._draw_columns(W.T, V.T, dist, True)
     return X.T, log_fx
 
 

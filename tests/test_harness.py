@@ -72,6 +72,11 @@ class TestHRules:
         with pytest.raises(DomainError, match="distinct"):
             GridH((2, 2.0))
 
+    @pytest.mark.parametrize("values", [2.0, FixedH(2.6), None])
+    def test_grid_rejects_values_that_are_no_sequence(self, values):
+        with pytest.raises(DomainError, match="^h grid values must be a sequence"):
+            GridH(values)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_grid_rejects_non_finite(self, bad):
         with pytest.raises(DomainError, match="finite"):
@@ -107,8 +112,27 @@ class TestDeriveSeed:
         assert len(seeds) == 5
 
     def test_rejects_unknown_method(self):
-        with pytest.raises(KeyError):
-            derive_seed(7, 0, "quasi", 0)
+        for method in ("quasi", "both", None):
+            with pytest.raises(DomainError, match="^method must be one of"):
+                derive_seed(7, 0, method, 0)
+
+    @pytest.mark.parametrize("args, name", [
+        ((-1, 0, "is", 0), "base_seed"), ((0, -1, "is", 0), "beta_index"),
+        ((0, 0, "is", -1), "rep"), ((0, 1.5, "is", 0), "beta_index"), ((0, 0, "is", True), "rep"),
+        (("7", 0, "is", 0), "base_seed")])
+    def test_rejects_an_index_that_is_no_count(self, args, name):
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            derive_seed(*args)
+
+    def test_valid_seeds_keep_their_bits(self):
+        # the per-replication scheme every table and manifest rerun depends on
+        assert derive_seed(7, 0, "is", 3) == 16713854078104471094
+        for base, bi, method, code, rep in [(0, 0, "is", 0, 0), (7, 2, "naive", 1, 3),
+                                            (2**64 + 5, 9, "is", 0, 10**6)]:
+            ss = np.random.SeedSequence([base, bi, code, rep])
+            assert derive_seed(base, bi, method, rep) == int(ss.generate_state(1, np.uint64)[0])
+            assert derive_seed(np.int64(base % 2**63), float(bi), method, np.uint32(rep)) == (
+                derive_seed(base % 2**63, bi, method, rep))
 
 
 class TestRelativeRmse:
@@ -475,6 +499,14 @@ class TestCrossValidation:
         cfg = small_config(onedim_dist, linear, betas=(1e-4,), n=400)
         with pytest.raises(DomainError, match="reps_cv|2 replications"):
             cross_validate_h(cfg, (2.0, 3.0), 1e-4, reps_cv=reps_cv)
+        assert drawn == []
+
+    @pytest.mark.parametrize("grid", [FixedH(2.6), AffineH(2.0, 0.6), 2.6])
+    def test_a_grid_that_is_no_sequence_is_refused_before_any_draw(
+            self, onedim_dist, linear, grid, drawn):
+        cfg = small_config(onedim_dist, linear, betas=(1e-4,), n=400)
+        with pytest.raises(DomainError, match="^h grid values must be a sequence"):
+            cross_validate_h(cfg, grid, 1e-4, reps_cv=4)
         assert drawn == []
 
     def test_empty_grid_rejected(self, onedim_dist, linear):

@@ -12,6 +12,7 @@ from tailshift import (
     CorrelationMatrix,
     DistributionSpec,
     DomainError,
+    LossModel,
     TailMassError,
     TransformParams,
     copula_log_density,
@@ -21,7 +22,10 @@ from tailshift import (
     linear_loss,
     log_jacobian,
     log_likelihood_ratio,
+    pert_completion_time,
+    relu_net_loss,
     sample_inputs,
+    synthetic_relu_params,
 )
 
 E = math.e
@@ -217,6 +221,8 @@ _LAYOUT_ALPHAS = [0.5, 0.9, 1.1, 1.4] * 3
 _LAYOUT_R = CorrelationMatrix.equicorrelated(12, 0.2)
 _LAYOUT_DIST = DistributionSpec.from_alphas(_LAYOUT_ALPHAS, _LAYOUT_R)
 _LAYOUT_PARAMS = TransformParams(r=3.0, rho=1.5)
+_LAYOUT_RELU = synthetic_relu_params(12, 9, seed=6)
+_LAYOUT_EXTERNAL = LossModel.external(lambda x: float(np.max(x) - np.min(x)), rho=1.0)
 _LAYOUT_CASES = {
     # name: (input built from a seeded generator, function of that input)
     "sample_inputs": (
@@ -238,6 +244,12 @@ _LAYOUT_CASES = {
     "log_likelihood_ratio": (
         lambda rng: rng.uniform(0.05, 40.0, (37, 12)),
         lambda x: log_likelihood_ratio(x, _LAYOUT_DIST, _LAYOUT_PARAMS)),
+    "linear_loss": (lambda rng: rng.uniform(-5.0, 40.0, (37, 12)), linear_loss),
+    "pert_completion_time": (lambda rng: rng.uniform(0.05, 40.0, (37, 7)), pert_completion_time),
+    "relu_net_loss": (
+        lambda rng: rng.uniform(-5.0, 40.0, (37, 12)),
+        lambda x: relu_net_loss(x, _LAYOUT_RELU)),
+    "external_loss": (lambda rng: rng.uniform(-5.0, 40.0, (37, 12)), _LAYOUT_EXTERNAL),
 }
 
 
@@ -253,19 +265,23 @@ def test_output_does_not_depend_on_input_memory_order(name):
 
 
 _EMPTY_CASES = {
-    # name: (function of a (0, 12) batch, shape of its result)
-    "joint_log_density": (lambda x: joint_log_density(x, _LAYOUT_DIST), (0,)),
-    "extrapolate": (lambda x: extrapolate(x, _LAYOUT_PARAMS), (0, 12)),
-    "log_jacobian": (lambda x: log_jacobian(x, _LAYOUT_PARAMS), (0,)),
-    "linear_loss": (linear_loss, (0,)),
-    "log_likelihood_ratio": (lambda x: log_likelihood_ratio(x, _LAYOUT_DIST, _LAYOUT_PARAMS), (0,)),
+    # name: (function of a (0, d) batch, d, shape of its result)
+    "joint_log_density": (lambda x: joint_log_density(x, _LAYOUT_DIST), 12, (0,)),
+    "extrapolate": (lambda x: extrapolate(x, _LAYOUT_PARAMS), 12, (0, 12)),
+    "log_jacobian": (lambda x: log_jacobian(x, _LAYOUT_PARAMS), 12, (0,)),
+    "linear_loss": (linear_loss, 12, (0,)),
+    "log_likelihood_ratio": (lambda x: log_likelihood_ratio(x, _LAYOUT_DIST, _LAYOUT_PARAMS), 12,
+                             (0,)),
+    "pert_completion_time": (pert_completion_time, 7, (0,)),
+    "relu_net_loss": (lambda x: relu_net_loss(x, _LAYOUT_RELU), 12, (0,)),
+    "external_loss": (_LAYOUT_EXTERNAL, 12, (0,)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_EMPTY_CASES))
 def test_an_empty_batch_gives_an_empty_result(name):
-    func, shape = _EMPTY_CASES[name]
-    out = func(np.zeros((0, 12)))
+    func, d, shape = _EMPTY_CASES[name]
+    out = func(np.zeros((0, d)))
     assert isinstance(out, np.ndarray) and out.shape == shape
 
 
@@ -274,6 +290,29 @@ def test_an_empty_batch_gives_an_empty_result(name):
 def test_neither_a_vector_nor_a_batch_of_vectors_is_refused(name, shape):
     with pytest.raises(DomainError, match=r"^x must be a vector of (\d+|d > 0) components or a"):
         _EMPTY_CASES[name][0](np.ones(shape))
+
+
+_ONE_DIM = DistributionSpec.from_alphas([1.0])
+_ONE_DIM_CASES = {
+    # name: function of a point in one dimension, a vector (1,) or a scalar
+    "joint_log_density": lambda x: joint_log_density(x, _ONE_DIM),
+    "copula_log_density": lambda u: copula_log_density(u, CorrelationMatrix.identity(1)),
+    "extrapolate": lambda x: extrapolate(x, _LAYOUT_PARAMS),
+    "log_jacobian": lambda x: log_jacobian(x, _LAYOUT_PARAMS),
+    "log_likelihood_ratio": lambda x: log_likelihood_ratio(x, _ONE_DIM, _LAYOUT_PARAMS),
+    "linear_loss": linear_loss,
+    "relu_net_loss": lambda x: relu_net_loss(x, synthetic_relu_params(1, 3, seed=2)),
+    "external_loss": _LAYOUT_EXTERNAL,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_DIM_CASES))
+def test_a_scalar_is_refused_in_one_dimension_too(name):
+    # one shape rule: a vector (1,) is a point, a 0-d x is neither a vector nor a batch
+    func = _ONE_DIM_CASES[name]
+    assert np.ndim(func(np.array([0.5]))) == (1 if name == "extrapolate" else 0)
+    with pytest.raises(DomainError, match=r"^[xu] must be a vector of (1|d > 0) components or a"):
+        func(0.5)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
