@@ -97,6 +97,27 @@ def _positive_finite(name, value):
     return _real(name, value, lambda x: x > 0.0, "be positive and finite")
 
 
+def _reals(name, x, ok=None, rule=None):
+    """x as a float array, from an array numpy can shape of an int, unsigned or float dtype.
+
+    ok, if given, tests the floats elementwise and must fail a nan; rule
+    words it as "{name} must {rule}".  A float array comes back as it is.
+    """
+    try:
+        x = np.asarray(x)
+    except ValueError:                     # a ragged nesting: numpy holds it only as objects
+        x = np.array(None)
+    if x.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be an array of real numbers, got dtype {x.dtype}")
+    x = x.astype(float, copy=False)
+    if ok is not None and not np.all(ok(x)):
+        raise DomainError(f"{name} must {rule}")
+    return x
+
+
+_INSIDE_UNIT = (lambda p: (p > 0.0) & (p < 1.0), "lie strictly inside (0, 1)")
+
+
 def _draw_size(n, dim):
     """n as an int, checked to be a count of (n, dim) float64 draws numpy can hold."""
     # numpy refuses an array whose size in bytes passes its index range
@@ -117,10 +138,7 @@ def std_normal_quantile(p):
         Quantiles, accurate to better than 1e-9 absolute error for
         p in [1e-300, 1 - 1e-12].
     """
-    p = np.asarray(p, dtype=float)
-    if p.size and (np.any(~np.isfinite(p)) or np.any(p <= 0.0) or np.any(p >= 1.0)):
-        raise DomainError("p must lie strictly inside (0, 1)")
-    out = ndtri(p)
+    out = ndtri(_reals("p", p, *_INSIDE_UNIT))
     return float(out) if out.ndim == 0 else out
 
 
@@ -135,17 +153,13 @@ class MarginalSpec:
 
     def quantile(self, u):
         """Inverse CDF: (-log(1 - u))**(1/alpha) for u in [0, 1)."""
-        u = np.asarray(u, dtype=float)
-        if u.size and (np.any(u < 0.0) or np.any(u >= 1.0)):
-            raise DomainError("u must lie in [0, 1)")
+        u = _reals("u", u, lambda u: (u >= 0.0) & (u < 1.0), "lie in [0, 1)")
         out = (-np.log1p(-u)) ** (1.0 / self.alpha)
         return float(out) if out.ndim == 0 else out
 
     def cdf(self, x):
         """CDF: 1 - exp(-x**alpha) for x >= 0."""
-        x = np.asarray(x, dtype=float)
-        if x.size and np.any(x < 0.0):
-            raise DomainError("x must be nonnegative")
+        x = _reals("x", x, lambda x: x >= 0.0, "be nonnegative")
         out = -np.expm1(-(x ** self.alpha))
         return float(out) if out.ndim == 0 else out
 
@@ -154,9 +168,7 @@ class MarginalSpec:
 
         x**alpha is exp(alpha log x), as in ``joint_log_density``.
         """
-        x = np.asarray(x, dtype=float)
-        if x.size and (np.any(x <= 0.0) or np.any(~np.isfinite(x))):
-            raise DomainError("x must be strictly positive and finite")
+        x = _reals("x", x, lambda x: (x > 0.0) & (x < np.inf), "be strictly positive and finite")
         a = self.alpha
         log_x = np.log(x)
         out = math.log(a) + (a - 1.0) * log_x - np.exp(a * log_x)
@@ -288,8 +300,8 @@ _BLOCK = 2048
 def _per_sample(kernel, x, *args, dim=None, name="x"):
     """kernel(xc, *args) of a vector (d,) or a batch (n, d) x, over blocks of its columns.
 
-    The one door of every per-sample function: x must be a vector of dim
-    components (any d > 0 without dim) or a batch of such rows, never 0-d.
+    The one door of every per-sample function: x must be a real (``_reals``)
+    vector of dim components (any d > 0 without dim) or a batch of such rows.
     The kernel gets x component-major, as (d, m) blocks of _BLOCK columns of
     a C-contiguous (d, n) array (the whole of it up to _BLOCK), and returns
     an (m,) or a (d, m) array, joined over the blocks (``_joined``).  An (m,)
@@ -298,7 +310,7 @@ def _per_sample(kernel, x, *args, dim=None, name="x"):
     the kernels hand batches around, enter without a copy; a C-ordered batch
     is copied once.
     """
-    x = np.asarray(x, dtype=float)
+    x = _reals(name, x)
     if x.ndim not in (1, 2) or (x.shape[-1] == 0 if dim is None else x.shape[-1] != dim):
         d = "d > 0" if dim is None else dim
         raise DomainError(f"{name} must be a vector of {d} components or a batch (n, {d}), "
@@ -421,9 +433,8 @@ def copula_log_density(u, correlation):
         -0.5*log det(R) - 0.5 * z'(inv(R) - I)z with z the normal scores
         of u.  Exactly 0 when R is the identity.
     """
-    return _per_sample(lambda uc: _copula_log_density_from_scores(std_normal_quantile(uc),
-                                                                  correlation),
-                       u, dim=correlation.dim, name="u")
+    return _per_sample(lambda uc: _copula_log_density_from_scores(
+        ndtri(_reals("u", uc, *_INSIDE_UNIT)), correlation), u, dim=correlation.dim, name="u")
 
 
 def joint_log_density(x, dist):

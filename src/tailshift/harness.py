@@ -12,14 +12,14 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from operator import attrgetter
 
 import numpy as np
 
 from .errors import DomainError, EstimationError
 from .distributions import _count, _draw_size, _real
-from .estimators import ISConfig, _estimates
+from .estimators import EstimateReport, ISConfig, _estimates
 from .losses import LossModel, _check_input_dim
 from .transform import _check_beta, _check_stretch_level, extrapolation_factor
 
@@ -139,21 +139,17 @@ def derive_seed(base_seed, beta_index, method, rep):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True)
-class ReplicationRow:
-    method: str
-    beta: float
-    h: float | None
-    n: int
+@dataclass(frozen=True, kw_only=True)
+class ReplicationRow(EstimateReport):
+    """One replication: its EstimateReport (nan estimates if it failed), index and status tag."""
+
     rep: int
-    seed: int
-    var_hat: float
-    cvar_hat: float
-    cvar_se: float
     status: str
 
 
-REPLICATION_COLUMNS = tuple(f.name for f in fields(ReplicationRow))
+REPLICATION_COLUMNS = (
+    "method", "beta", "h", "n", "rep", "seed", "var_hat", "cvar_hat", "cvar_se", "status",
+)
 
 
 @dataclass
@@ -219,10 +215,10 @@ def run_replications(config, method):
     def replicate(beta, hs, rep, seed):
         one = ISConfig(beta=beta, n=config.n, seed=seed)
         nan = float("nan")
-        return [ReplicationRow(method, beta, h, config.n, rep, seed, nan, nan, nan, got.status)
+        return [ReplicationRow(method=method, beta=beta, h=h, n=config.n, seed=seed, var_hat=nan,
+                               cvar_hat=nan, cvar_se=nan, rep=rep, status=got.status)
                 if isinstance(got, EstimationError) else
-                ReplicationRow(method, beta, got.h, config.n, rep, seed,
-                               got.var_hat, got.cvar_hat, got.cvar_se, "ok")
+                ReplicationRow(**vars(got), rep=rep, status="ok")
                 for h, got in zip(hs, _estimates(config.dist, config.loss, one, method, hs))]
 
     rule = config.h_rule if method == "is" else None
@@ -372,25 +368,21 @@ class VarianceRatioRow:
 
 
 def variance_ratio_study(config):
-    """Replication cv of the importance and naive methods, level by level.
+    """Replication cv (summarize's rel_rmse_cvar) of both methods, level by level.
 
     The naive column is filled only where n * beta >= 5; levels whose naive
     rows run_replications tagged infeasible are reported as such.  reps < 2,
     which has no cv, raises DomainError before any draw, and so does a GridH,
-    whose rows for every h the study would pool into one cv.
+    which gives a level one summary row per h, not one cv.
     """
     _cv_reps(config.reps)
     if isinstance(config.h_rule, GridH):
         raise DomainError("variance_ratio_study needs a fixed or affine h rule, got an h grid")
     is_table = run_replications(config, "is")
     naive_table = run_replications(config, "naive")
-    out = []
-    for beta in config.betas:
-        cv_is = _spread(is_table.values("cvar_hat", beta, "is"))
-        cv_naive = _spread(naive_table.values("cvar_hat", beta, "naive"))
-        if any(r.status == "infeasible" for r in naive_table.rows_for(beta, "naive")):
-            status = "infeasible"
-        else:
-            status = "failed" if math.isnan(cv_naive) else "ok"
-        out.append(VarianceRatioRow(beta=beta, cv_is=cv_is, cv_naive=cv_naive, naive_status=status))
-    return out
+    infeasible = {r.beta for r in naive_table.rows if r.status == "infeasible"}
+    # one summary row per level in each table, in the order of config.betas
+    return [VarianceRatioRow(beta=s["beta"], cv_is=s["rel_rmse_cvar"], cv_naive=v["rel_rmse_cvar"],
+                             naive_status="infeasible" if s["beta"] in infeasible
+                             else "failed" if math.isnan(v["rel_rmse_cvar"]) else "ok")
+            for s, v in zip(summarize(is_table), summarize(naive_table))]

@@ -68,6 +68,13 @@ class TestPerSample:
         monkeypatch.setattr(dz, "_BLOCK", 10 * N)
         assert _outputs(*model) == blocked
 
+    def test_a_float_batch_held_component_major_enters_without_a_copy(self):
+        # as an estimate hands each drawn block to the density and the loss
+        x = np.random.default_rng(5).uniform(0.5, 2.0, (7, 40)).T
+        seen = []
+        assert dz._per_sample(lambda xc: seen.append(xc) or xc[0], x).tobytes() == x[:, 0].tobytes()
+        assert np.shares_memory(seen[0], x)
+
 
 class TestBlockedRows:
     def test_rows_match_single_calls(self, model):

@@ -122,6 +122,32 @@ class TestParseConfig:
         assert f"config field '{field}': unknown entries" in captured.err
         assert captured.out == "" and not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("doc, want", [
+        (dict(MINIMAL, dist={"alphas": [1.0], "correlation": 0.5}),
+         "config field 'dist.correlation': must be a pattern name, a pattern object or a matrix"),
+        (dict(MINIMAL, dist={"alphas": [1.0], "correlation": "banded"}),
+         "config field 'dist.correlation.pattern': unknown pattern 'banded'"),
+        (dict(MINIMAL, loss={"kind": "quadratic"}),
+         "config field 'loss.kind': unknown kind 'quadratic'"),
+        (dict(MINIMAL, h={"value": 2.6}),
+         "config field 'h': must be a number or hold 'fixed', 'grid' or 'affine'"),
+        ([MINIMAL], "config parse error: top level must be an object"),
+        ({"resolved_config": [MINIMAL]}, "manifest holds no usable resolved_config"),
+        (dict(MINIMAL, method="quasi"), "config field 'method': must be 'is', 'naive' or 'both'"),
+        (dict(MINIMAL, dist={"alphas": [1.0, 1.0], "correlation": {"matrix": [[1.0]]}}),
+         "config field 'dist': 2 marginals but correlation matrix of dim 1"),
+        (dict(MINIMAL, dist={"alphas": [-1.0], "correlation": "identity"}),
+         "config field 'dist': alpha must be positive and finite"),
+    ], ids=["correlation no string or object", "unknown pattern", "unknown loss kind",
+            "h object of no known form", "top level no object", "manifest config no object",
+            "unknown method", "dimension mismatch", "negative alpha"])
+    def test_a_refused_config_exits_1_naming_its_fault(self, tmp_path, capsys, doc, want):
+        cfg = write_config(tmp_path, doc)
+        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert want in captured.err
+        assert captured.out == "" and not (tmp_path / "o").exists()
+
     def test_missing_field_is_named(self, tmp_path):
         doc = {k: v for k, v in MINIMAL.items() if k != "n"}
         with pytest.raises(ConfigError, match="n"):
@@ -555,6 +581,15 @@ class TestBenchmarkCommand:
         match = dict(zip(header, rows[-1]))
         assert (match["method"], match["n"], match["reps"]) == ("naive-match", "327680", "3")
         assert match["rel_rmse_cvar"] == "nan" and match["h"] == ""
+
+    def test_no_match_row_without_an_importance_cv(self, tmp_path):
+        # one replication has no cv, so there is no importance error to match
+        doc = dict(MINIMAL, method="both", betas=[0.1], n=80, reps=1)
+        cfg, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
+        header, *rows = read_csv(out / "summary.csv")
+        assert [(r[0], dict(zip(header, r))["rel_rmse_cvar"]) for r in rows] == [
+            ("is", "nan"), ("naive", "nan")]
 
     def test_is_only_has_no_match_row(self, tmp_path):
         doc = dict(MINIMAL, betas=[0.1], n=80, reps=3)

@@ -67,6 +67,11 @@ class TestStdNormalQuantile:
         want = np.array(list(NDTRI_ORACLE.values()))
         np.testing.assert_allclose(std_normal_quantile(p), want, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, "0.5", True, [[0.5], [0.5, 0.5]]])
+    def test_rejects_nan_strings_and_bools(self, p):
+        with pytest.raises(DomainError, match="^p must"):
+            std_normal_quantile(p)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             std_normal_quantile(0.0)
@@ -199,6 +204,17 @@ class TestMarginal:
         with pytest.raises(DomainError):
             m.log_density(-1.0)
 
+    @pytest.mark.parametrize("method, arg, value", [
+        ("quantile", "u", -0.1), ("quantile", "u", 1.0), ("quantile", "u", math.nan),
+        ("quantile", "u", "0.5"), ("quantile", "u", True), ("quantile", "u", [0.5, None]),
+        ("cdf", "x", -1.0), ("cdf", "x", math.nan), ("cdf", "x", "0.5"), ("cdf", "x", True),
+        ("log_density", "x", "0.5"), ("log_density", "x", [True]),
+    ])
+    def test_refuses_values_out_of_range_nan_strings_and_bools(self, method, arg, value):
+        # quantile and cdf gave nan for a nan, read "0.5" as 0.5 and True as 1
+        with pytest.raises(DomainError, match=f"^{arg} must"):
+            getattr(MarginalSpec(alpha=1.5), method)(value)
+
     def test_alpha_must_be_positive(self):
         with pytest.raises(DomainError):
             MarginalSpec(alpha=0.0)
@@ -243,6 +259,16 @@ class TestCorrelationMatrix:
         bad = np.array([[1.0, 0.2], [0.2, 0.9]])
         with pytest.raises(DomainError):
             CorrelationMatrix(bad)
+
+    @pytest.mark.parametrize("matrix, match", [
+        (np.ones((2, 3)), r"must be square, got shape \(2, 3\)"),
+        (np.ones(3), r"must be square, got shape \(3,\)"),
+        ([[1.0, math.nan], [math.nan, 1.0]], "entries must be finite"),
+        ([[1.0, math.inf], [math.inf, 1.0]], "entries must be finite"),
+    ])
+    def test_rejects_a_matrix_that_is_not_square_or_not_finite(self, matrix, match):
+        with pytest.raises(DomainError, match=f"^correlation matrix {match}"):
+            CorrelationMatrix(matrix)
 
     def test_hash_agrees_with_eq_on_signed_zeros(self):
         neg, pos = CorrelationMatrix.tridiagonal(3, -0.0), CorrelationMatrix.tridiagonal(3, 0.0)
@@ -303,6 +329,12 @@ class TestCopula:
         with pytest.raises(DomainError):
             copula_log_density(np.array([0.5, 1.0]), R)
 
+    @pytest.mark.parametrize("u", [[0.0, 0.5], [0.5, 1.0], [math.nan, 0.5], [0.5, -math.inf]])
+    def test_names_u_for_a_coordinate_outside_the_open_unit_interval(self, u):
+        # the kernel's normal quantile named its own argument p
+        with pytest.raises(DomainError, match=r"^u must lie strictly inside \(0, 1\)$"):
+            copula_log_density(np.array(u), CorrelationMatrix.identity(2))
+
     @given(
         st.integers(1, 12).flatmap(lambda d: st.tuples(
             st.just(d),
@@ -345,6 +377,17 @@ class TestCopula:
         a = copula_log_density(np.array([0.2, 0.7]), R)
         b = copula_log_density(np.array([0.7, 0.2]), R)
         assert math.isclose(a, b, rel_tol=1e-12)
+
+
+class TestDistributionSpec:
+    @pytest.mark.parametrize("marginals, dim, match", [
+        ((), 1, "at least one marginal is required"),
+        ((1.0, 2.0), 2, "marginals must be MarginalSpec instances"),
+        ((MarginalSpec(1.0),) * 2, 3, "2 marginals but correlation matrix of dim 3"),
+    ])
+    def test_rejects_marginals_that_do_not_fit_the_correlation(self, marginals, dim, match):
+        with pytest.raises(DomainError, match=f"^{match}$"):
+            DistributionSpec(marginals, CorrelationMatrix.identity(dim))
 
 
 class TestJointDensity:

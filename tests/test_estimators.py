@@ -333,6 +333,14 @@ class TestInputValidation:
             with pytest.raises(DomainError):
                 value_at_risk(unit_samples([1.0, 2.0]), beta)
 
+    @pytest.mark.parametrize("losses, logw", [
+        (np.ones(3), np.zeros(2)),
+        (np.ones((2, 2)), np.zeros((2, 2))),
+    ])
+    def test_rejects_losses_and_log_weights_of_unequal_length(self, losses, logw):
+        with pytest.raises(DomainError, match="^need equal-length 1-d losses and log weights"):
+            value_at_risk((losses, logw), 0.3)
+
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             value_at_risk([], 0.3)

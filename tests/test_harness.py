@@ -16,6 +16,7 @@ from tailshift import (
     CorrelationMatrix,
     DistributionSpec,
     DomainError,
+    EstimateReport,
     EstimationError,
     ExperimentConfig,
     FeasibilityError,
@@ -24,6 +25,7 @@ from tailshift import (
     ISConfig,
     LossModel,
     REPLICATION_COLUMNS,
+    ReplicationTable,
     SUMMARY_COLUMNS,
     TailMassError,
     TransformParams,
@@ -189,6 +191,15 @@ class TestRunReplications:
             small_config(onedim_dist, linear, betas=(0.1, 0.05), reps=3, threads=3), "is")
         assert serial.rows == threaded.rows
 
+    @pytest.mark.parametrize("method", ["is", "naive"])
+    def test_an_ok_row_is_the_estimate_report_of_its_seed(self, onedim_dist, linear, method):
+        cfg = small_config(onedim_dist, linear, reps=3)
+        for row in run_replications(cfg, method).rows:
+            one = ISConfig(beta=row.beta, n=cfg.n, seed=row.seed, h=5.0)
+            report = estimate(onedim_dist, linear, one, method)
+            assert isinstance(row, EstimateReport)
+            assert vars(row) == {**vars(report), "rep": row.rep, "status": "ok"}
+
     def test_naive_infeasible_levels_become_status_rows(self, onedim_dist, linear):
         # n = 60: beta 0.1 gives 6 expected tail points, beta 0.05 only 3
         cfg = small_config(onedim_dist, linear, betas=(0.1, 0.05), reps=4)
@@ -198,6 +209,15 @@ class TestRunReplications:
         assert all(r.status == "infeasible" for r in bad)
         assert all(math.isnan(r.var_hat) for r in bad)
         assert table.values("var_hat", 0.05).size == 0
+
+    def test_rows_and_values_of_one_level_and_method(self, onedim_dist, linear):
+        cfg = small_config(onedim_dist, linear, betas=(0.1, 0.05), reps=3)
+        tables = {m: run_replications(cfg, m) for m in ("is", "naive")}
+        both = ReplicationTable(rows=tables["is"].rows + tables["naive"].rows)
+        for m, table in tables.items():
+            assert both.rows_for(0.1, m) == table.rows_for(0.1) == table.rows[:3]
+            assert both.values("cvar_hat", 0.1, m).tolist() == [r.cvar_hat for r in table.rows[:3]]
+        assert both.rows_for(method="naive") == tables["naive"].rows
 
     def test_naive_rows_have_no_h(self, onedim_dist, linear):
         table = run_replications(small_config(onedim_dist, linear, reps=2), "naive")
@@ -542,6 +562,11 @@ class TestVarianceRatio:
         assert deep.naive_status == "infeasible"
         assert math.isnan(deep.cv_naive)
         assert deep.cv_is > 0.0
+        # the cvs are summarize's, as benchmark --method both reports them
+        for method, column in (("is", "cv_is"), ("naive", "cv_naive")):
+            summary = summarize(run_replications(cfg, method))
+            np.testing.assert_equal([getattr(r, column) for r in rows],
+                                    [s["rel_rmse_cvar"] for s in summary])
 
 
     @pytest.mark.parametrize("betas, rule, match", [

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from tailshift import (
     BadLossError,
+    DistributionSpec,
     DomainError,
     ExperimentConfig,
     FixedH,
@@ -233,6 +234,38 @@ class TestSyntheticParams:
     def test_all_nonnegative_mode(self):
         p = synthetic_relu_params(dim=5, hidden=7, seed=9, nonnegative="all")
         assert np.all(p.W1 >= 0) and np.all(p.w2 >= 0)
+
+
+def _weights_file(tmp_path, doc):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda tmp: ReluNetParams(W1=np.zeros(3), b1=np.zeros(3), w2=np.zeros(3)),
+     WeightsDimensionError, r"^W1 must be 2-d \(hidden, d\), got shape \(3,\)$"),
+    (lambda tmp: load_relu_params(_weights_file(tmp, [1.0, 2.0])),
+     WeightsFormatError, "net.json must hold a JSON object$"),
+    (lambda tmp: load_relu_params(_weights_file(tmp, {"dims": {"d": 2}, "W1": [], "b1": [],
+                                                      "w2": [], "b2": 0.0})),
+     WeightsFormatError, "net.json: 'dims' must hold 'd' and 'hidden'$"),
+    (lambda tmp: synthetic_relu_params(2, 3, seed=0, nonnegative="hidden"),
+     ValueError, "^nonnegative must be 'output' or 'all', got 'hidden'$"),
+    (lambda tmp: LossModel("quadratic"), DomainError, "^unknown loss kind 'quadratic'$"),
+    (lambda tmp: LossModel("relu_net"), DomainError, "^relu_net losses need ReluNetParams$"),
+    (lambda tmp: LossModel("external", func=3.0), DomainError,
+     "^external losses need a callable$"),
+    # the bare function in place of its LossModel
+    (lambda tmp: estimate(DistributionSpec.from_alphas([1.0]), linear_loss,
+                          ISConfig(beta=0.1, n=10, seed=0, h=2.0)),
+     DomainError, "^loss must be a LossModel$"),
+], ids=["W1 not 2-d", "weights no object", "dims without d and hidden", "bad nonnegative",
+        "unknown kind", "relu_net without params", "external without callable",
+        "no LossModel"])
+def test_malformed_losses_and_weights_are_refused(tmp_path, call, error, match):
+    with pytest.raises(error, match=match):
+        call(tmp_path)
 
 
 class TestLossModel:

@@ -292,6 +292,19 @@ def test_neither_a_vector_nor_a_batch_of_vectors_is_refused(name, shape):
         _EMPTY_CASES[name][0](np.ones(shape))
 
 
+@pytest.mark.parametrize("name", sorted(set(_LAYOUT_CASES) - {"sample_inputs"}))
+@pytest.mark.parametrize("kind", ["str", "bool", "object", "complex", "ragged"])
+def test_an_input_of_no_real_numbers_is_refused(name, kind):
+    # numpy read strings as numbers and bools as 0 and 1, and raised its own
+    # ValueError for a ragged nesting
+    make, func = _LAYOUT_CASES[name]
+    x = make(np.random.default_rng(17))
+    x = {"str": x.astype(str), "bool": x > 1.0, "object": x.astype(object), "complex": x + 0j,
+         "ragged": [x[0].tolist(), x[1, 1:].tolist()]}[kind]
+    with pytest.raises(DomainError, match=r"^[xu] must be an array of real numbers, got dtype"):
+        func(x)
+
+
 _ONE_DIM = DistributionSpec.from_alphas([1.0])
 _ONE_DIM_CASES = {
     # name: function of a point in one dimension, a vector (1,) or a scalar
