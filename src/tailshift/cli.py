@@ -33,7 +33,7 @@ from .harness import (  # noqa: F401  (REPLICATION_COLUMNS is re-exported)
     ReplicationTable, VarianceRatioRow, _cv_reps, cross_validate_h, run_replications, summarize,
     variance_ratio_study, write_rows_csv,
 )
-from .losses import LossModel, _params_from_dict, _params_to_dict, load_relu_params
+from .losses import LossModel, _params_from_dict, _params_to_dict, _weight_array, load_relu_params
 from .transform import _check_stretch_level, extrapolation_factor
 
 _LOSS_KINDS = ("pert7", "linear", "relu_net")
@@ -98,7 +98,9 @@ def _parse_correlation(spec, dim):
                           field="dist.correlation")
     try:
         if "matrix" in spec:
-            return CorrelationMatrix(_entries(spec, "dist.correlation", ("matrix",))["matrix"])
+            # entry by entry: numpy would read a string as a number and a bool among floats as one
+            matrix = _entries(spec, "dist.correlation", ("matrix",))["matrix"]
+            return CorrelationMatrix(_weight_array("matrix", matrix))
         pattern = _require(spec, "pattern", str, where="dist.correlation")
         if pattern not in _PATTERNS:
             raise ConfigError(f"unknown pattern {pattern!r}, expected one of {_PATTERNS}",

@@ -22,8 +22,8 @@ kernel over fixed blocks of columns.  Samples are independent until the tail
 sort, so a block is computed on its own and a large batch never holds more
 than one block's temporaries.  The draw is pulled in the same blocks
 (``_drawn_blocks``): an estimate weighs each block (stretch, image density
-and loss) at each h and drops it before it asks for the next, keeping only
-losses and log weights, which ``_joined`` copies into n-vectors.  The
+and loss) at each (h) cell and drops it before it asks for the next, keeping
+only losses and log weights, which it writes into that cell's row of n.  The
 kernels overwrite their own temporaries where that reads plainly, so a
 block holds about six (d, m) arrays at its peak.
 
@@ -193,10 +193,7 @@ class CorrelationMatrix:
     """
 
     def __init__(self, matrix):
-        try:
-            R = np.array(matrix, dtype=float, order="C")
-        except (TypeError, ValueError):
-            raise DomainError("correlation matrix entries must be numbers") from None
+        R = np.array(_reals("correlation matrix", matrix), order="C")   # a copy, made read-only
         if R.ndim != 2 or R.shape[0] != R.shape[1]:
             raise DomainError(f"correlation matrix must be square, got shape {R.shape}")
         if not np.all(np.isfinite(R)):
@@ -328,10 +325,9 @@ def _per_sample(kernel, x, *args, dim=None, name="x"):
 def _joined(parts, n):
     """The per-block tuples of parts, one per _BLOCK columns of n, joined on the last axis.
 
-    Each part is a tuple of (..., m) arrays, or None in place of one, and is made
-    only when the join reaches it.  Up to _BLOCK columns the one part comes back as
-    it is; past that each part is copied into outputs of n columns and dropped before
-    the next is made (a None past the first part leaves its columns unwritten).
+    Each part is a tuple of (..., m) arrays, made only when the join reaches it.  Up to _BLOCK
+    columns the one part comes back as it is; past that each part is copied into outputs of
+    n columns and dropped before the next is made.
     """
     parts = iter(parts)
     if n <= _BLOCK:
@@ -340,10 +336,9 @@ def _joined(parts, n):
     for lo in range(0, n, _BLOCK):
         part = next(parts)
         if outs is None:
-            outs = tuple(None if p is None else np.empty(p.shape[:-1] + (n,)) for p in part)
+            outs = tuple(np.empty(p.shape[:-1] + (n,)) for p in part)
         for out, p in zip(outs, part):
-            if p is not None:
-                out[..., lo:lo + _BLOCK] = p
+            out[..., lo:lo + _BLOCK] = p
         del part, p                  # the next block may reuse this one's memory
     return outs
 
@@ -539,5 +534,7 @@ def sample_inputs(n, dist, seed):
     ``_drawn_blocks``, joined, as an F-ordered view of the (d, n) draw.
     """
     n = _draw_size(n, dist.dim)        # _joined's range takes no float n past one block
-    X, _ = _joined(_drawn_blocks(n, dist, seed, with_density=False), n)
+    # the (X,) of each (X, None) block, by map: a generator expression would hold each block
+    # until the next one is drawn
+    (X,) = _joined(map(lambda b: b[:1], _drawn_blocks(n, dist, seed, with_density=False)), n)
     return X.T

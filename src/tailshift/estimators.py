@@ -4,12 +4,12 @@ The estimators consume weighted loss samples (loss, log weight).  With all
 log weights zero they reduce to the plain empirical estimators, so the
 naive path is the weighted path with unit weights.
 
-``estimate`` weighs each drawn block before it asks for the next
-(``_weigh``: the stretch, the image density and the loss of one block), so
-what it holds whole is n-vectors, never an (n, d) array: the losses and
-log weights, checked where they were weighed, which the tail overwrites,
-and the tail sort's arrays.  The public estimators check and copy their
-samples (``_as_arrays``), so they never write the caller's arrays.
+The kernel (``_estimates``) weighs one draw at a list of (h, transform)
+cells, made and checked once per level (``_cells``).  It weighs each drawn
+block at every cell before it draws the next (``_weigh``), into the cell's
+rows of losses and log weights, which the tail overwrites: it never holds
+an (n, d) array.  The public estimators check and copy their samples
+(``_as_arrays``), so they never write the caller's arrays.
 
 Conventions, fixed here and relied on by the tests:
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .distributions import _MAX_INDEX, _count, _drawn_blocks, _joined, _real
+from .distributions import _MAX_INDEX, _count, _drawn_blocks, _real, _reals
 from .errors import BadLossError, DomainError, EstimationError, FeasibilityError, TailMassError
 from .losses import _check_input_dim
 from .transform import (
@@ -69,11 +69,12 @@ def _as_arrays(samples):
     arrays (losses, log_weights).
     """
     if isinstance(samples, tuple) and len(samples) == 2:
-        losses = np.array(samples[0], dtype=float)
-        logw = np.array(samples[1], dtype=float)
+        losses, logw = samples
     else:
         pairs = [(s.loss, s.log_weight) for s in samples]
-        losses, logw = np.array(pairs, dtype=float).reshape(len(pairs), 2).T.copy()
+        losses, logw = [p[0] for p in pairs], [p[1] for p in pairs]
+    # np.array copies: _reals hands a float array back as it is
+    losses, logw = np.array(_reals("losses", losses)), np.array(_reals("log weights", logw))
     if losses.ndim != 1 or losses.shape != logw.shape:
         raise DomainError(
             f"need equal-length 1-d losses and log weights, got {losses.shape} and {logw.shape}"
@@ -267,53 +268,50 @@ def estimate(dist, loss, config, method="is"):
         whose cvar and standard error would say nothing), or the stretch
         sends samples past the float range.
     """
-    (got,) = _estimates(dist, loss, config, method, (config.h,))
+    _check_input_dim(loss, dist.dim)
+    (got,) = _estimates(dist, loss, config, method, _cells(config.beta, (config.h,), method, loss))
     if isinstance(got, EstimationError):
         raise got
     return got
 
 
-def _estimates(dist, loss, config, method, hs):
-    """estimate at every h of hs (not config.h) from one draw: its report or its error, per h.
-
-    Each block is weighed (``_weigh``) at every h not yet failed, or once for the naive method,
-    and dropped before the next is drawn: what is whole is the losses and log weights per h.
-    """
+def _cells(beta, hs, method, loss):
+    """The checked (h, TransformParams) cells of hs at level beta; [(None, None)] if naive."""
     if method not in ("is", "naive"):
         raise DomainError(f"method must be 'is' or 'naive', got {method!r}")
-    _check_input_dim(loss, dist.dim)
     if method == "naive":
-        if config.n * config.beta < NAIVE_MIN_TAIL_COUNT:
-            return [FeasibilityError(
-                f"naive estimation infeasible: n*beta = {config.n * config.beta:.4g} < "
-                f"{NAIVE_MIN_TAIL_COUNT:g}; increase n or use the importance method"
-            )]
-        hs = params = (None,)
-    else:
-        if any(h is None for h in hs):
-            raise DomainError("the importance method needs h")
-        hs = [_real("h", h) for h in hs]
-        params = [TransformParams(r=extrapolation_factor(config.beta, h), rho=loss.rho)
-                  for h in hs]
-    errors = [None] * len(hs)
+        return [(None, None)]
+    if any(h is None for h in hs):
+        raise DomainError("the importance method needs h")
+    hs = [_real("h", h) for h in hs]
+    return [(h, TransformParams(r=extrapolation_factor(beta, h), rho=loss.rho)) for h in hs]
 
-    def weighed(blocks):
-        for xc, log_fx in blocks:
-            part = []
-            for i, p in enumerate(params):
+
+def _estimates(dist, loss, config, method, cells):
+    """estimate at every cell (``_cells``) from one draw: its report or its error, per cell.
+
+    Each block is weighed (``_weigh``) into the rows of every cell not yet failed, then dropped.
+    """
+    if method == "naive" and config.n * config.beta < NAIVE_MIN_TAIL_COUNT:
+        return [FeasibilityError(
+            f"naive estimation infeasible: n*beta = {config.n * config.beta:.4g} < "
+            f"{NAIVE_MIN_TAIL_COUNT:g}; increase n or use the importance method"
+        )]
+    errors, lo = [None] * len(cells), 0
+    for xc, log_fx in _drawn_blocks(config.n, dist, config.seed, with_density=method == "is"):
+        if lo == 0:             # the draw checks n against (n, d) before the rows are made
+            losses, logw = np.empty((len(cells), config.n)), np.empty((len(cells), config.n))
+        cols = slice(lo, lo + xc.shape[1])
+        for i, (_, params) in enumerate(cells):
+            if errors[i] is None:
                 try:
-                    part += (None, None) if errors[i] else _weigh(xc, log_fx, dist, loss, p)
+                    losses[i, cols], logw[i, cols] = _weigh(xc, log_fx, dist, loss, params)
                 except EstimationError as exc:
                     errors[i] = exc
-                    part += (None, None)
-            del xc, log_fx              # the next block may reuse this one's memory
-            yield part
-
-    # the draw checks n against (n, d) on its first block, before _joined makes an n-vector
-    blocks = _drawn_blocks(config.n, dist, config.seed, with_density=method == "is")
-    joined = _joined(weighed(blocks), config.n)
-    return [_report(config, method, h, losses, logw) if error is None else error
-            for h, error, losses, logw in zip(hs, errors, joined[::2], joined[1::2])]
+        lo = cols.stop
+        del xc, log_fx                  # the next block may reuse this one's memory
+    return [_report(config, method, h, losses[i], logw[i]) if errors[i] is None else errors[i]
+            for i, (h, _) in enumerate(cells)]
 
 
 def _report(config, method, h, losses, logw):

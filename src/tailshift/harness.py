@@ -18,8 +18,8 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import DomainError, EstimationError
-from .distributions import _count, _draw_size, _real
-from .estimators import EstimateReport, ISConfig, _estimates
+from .distributions import _count, _draw_size, _real, _reals
+from .estimators import EstimateReport, ISConfig, _cells, _estimates
 from .losses import LossModel, _check_input_dim
 from .transform import _check_beta, _check_stretch_level, extrapolation_factor
 
@@ -212,25 +212,24 @@ def run_replications(config, method):
     """
     _method_code(method)
 
-    def replicate(beta, hs, rep, seed):
-        one = ISConfig(beta=beta, n=config.n, seed=seed)
+    def replicate(beta, cells, rep, seed):
+        results = _estimates(config.dist, config.loss, ISConfig(beta=beta, n=config.n, seed=seed),
+                             method, cells)
         nan = float("nan")
         return [ReplicationRow(method=method, beta=beta, h=h, n=config.n, seed=seed, var_hat=nan,
                                cvar_hat=nan, cvar_se=nan, rep=rep, status=got.status)
                 if isinstance(got, EstimationError) else
                 ReplicationRow(**vars(got), rep=rep, status="ok")
-                for h, got in zip(hs, _estimates(config.dist, config.loss, one, method, hs))]
+                for (h, _), got in zip(cells, results)]
 
     rule = config.h_rule if method == "is" else None
     tasks = []
     for bi, beta in enumerate(config.betas):
         # without a rule h stays None, which the importance method refuses
         hs = rule.values if isinstance(rule, GridH) else (rule.h_for(beta) if rule else None,)
-        for h in hs:
-            if h is not None:          # a missing h is left to the kernel's "needs h"
-                extrapolation_factor(beta, h)
+        cells = _cells(beta, hs, method, config.loss)
         for rep in range(config.reps):
-            tasks.append((beta, hs, rep, derive_seed(config.base_seed, bi, method, rep)))
+            tasks.append((beta, cells, rep, derive_seed(config.base_seed, bi, method, rep)))
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             per_task = list(pool.map(lambda t: replicate(*t), tasks))
@@ -247,7 +246,7 @@ def relative_rmse(values, reference=None):
     variation).  With a reference: sqrt(mean((v - reference)^2)) divided by
     the mean of the values.
     """
-    v = np.asarray(values, dtype=float)
+    v = _reals("values", values)
     if v.ndim != 1 or v.size == 0:
         raise DomainError("values must be a nonempty 1-d collection")
     if np.any(~np.isfinite(v)):

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _count, _matmul, _per_sample, _positive_finite, _real, _sum_components
+from .distributions import (
+    _REALS, _count, _matmul, _per_sample, _positive_finite, _real, _sum_components,
+)
 from .errors import BadLossError, DomainError, WeightsDimensionError, WeightsFormatError
 
 __all__ = [
@@ -274,9 +276,20 @@ def _external_columns(xc, func):
     try:
         # built-in losses take the kernel's blocks as they are; a callable gets
         # C-contiguous rows, as it would from its own arrays
-        return np.array([float(func(row)) for row in np.ascontiguousarray(xc.T)])
+        return np.array([_loss_value(func(row)) for row in np.ascontiguousarray(xc.T)])
     except Exception as exc:    # the user's code: any failure is a bad loss
         raise BadLossError(f"the external loss raised {type(exc).__name__}: {exc}") from exc
+
+
+def _loss_value(value):
+    """value as a float: a real number (nan and inf too) or a 0-d real array; else a TypeError."""
+    if type(value) is float:               # the common case, at the least cost per row
+        return value
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]                  # its numpy scalar
+    if isinstance(value, bool) or not isinstance(value, _REALS):
+        raise TypeError(f"it returned {type(value).__name__}, not a real number")
+    return float(value)
 
 
 def _check_input_dim(loss, dim):

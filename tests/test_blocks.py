@@ -204,7 +204,8 @@ class TestStreamedDraw:
 
         monkeypatch.setattr(ez, "_tail", recording_tail)
         # one draw, streamed into the stretch and weighed at both h
-        got = ez._estimates(dist, loss, ISConfig(beta=beta, n=n, seed=seed), "is", hs)
+        got = ez._estimates(dist, loss, ISConfig(beta=beta, n=n, seed=seed), "is",
+                            ez._cells(beta, hs, "is", loss))
         assert len(got) == len(hs)     # errors where one or two samples leave an empty tail
         assert seen == want
         assert sample_inputs(n, dist, seed).tobytes() == X.tobytes()

@@ -416,6 +416,19 @@ class TestEstimateCommand:
         assert "W1 entries must be finite numbers, got '1.5'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("matrix, got", [
+        ([["1", "0.3"], ["0.3", True]], "'1'"),
+        ([[1.0, 0.3], [0.3, True]], "True"),
+    ], ids=["strings and a bool", "a bool among floats"])
+    def test_a_correlation_matrix_of_strings_or_bools_exits_1(self, tmp_path, capsys, matrix, got):
+        doc = dict(MINIMAL, dist={"alphas": [1.0, 1.0], "correlation": {"matrix": matrix}})
+        out = tmp_path / "o"
+        assert main(["estimate", "--config", str(write_config(tmp_path, doc)), "--out",
+                     str(out)]) == 1
+        assert (f"config field 'dist.correlation': matrix entries must be finite numbers, "
+                f"got {got}") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_rho_is_not_a_weights_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(MINIMAL, loss={"kind": "pert7", "rho": -1}))
         assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

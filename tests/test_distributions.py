@@ -270,6 +270,13 @@ class TestCorrelationMatrix:
         with pytest.raises(DomainError, match=f"^correlation matrix {match}"):
             CorrelationMatrix(matrix)
 
+    @pytest.mark.parametrize("matrix", [
+        [["1", "0.5"], ["0.5", "1"]], [[True, False], [False, True]], [[1.0, 0.5], [0.5]],
+    ], ids=["strings", "bools", "ragged"])
+    def test_rejects_a_matrix_that_is_no_array_of_real_numbers(self, matrix):
+        with pytest.raises(DomainError, match="^correlation matrix must be an array of real"):
+            CorrelationMatrix(matrix)
+
     def test_hash_agrees_with_eq_on_signed_zeros(self):
         neg, pos = CorrelationMatrix.tridiagonal(3, -0.0), CorrelationMatrix.tridiagonal(3, 0.0)
         assert neg == pos and hash(neg) == hash(pos)

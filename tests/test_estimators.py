@@ -357,6 +357,21 @@ class TestInputValidation:
         with pytest.raises(DomainError, match=f"^{name} must be finite, got"):
             call(s, bad)
 
+    @pytest.mark.parametrize("samples, name", [
+        ((["1", "2", "3"], [0, 0, 0]), "losses"),
+        (([True, False, True], [0, 0, 0]), "losses"),
+        (([1.0, 2.0, 3.0], ["0", "0", "0"]), "log weights"),
+        ([WeightedLossSample("1"), WeightedLossSample("2"), WeightedLossSample("3")], "losses"),
+        ([WeightedLossSample(1.0, False), WeightedLossSample(2.0, True)], "log weights"),
+    ], ids=["string losses", "bool losses", "string log weights", "string sample losses",
+            "bool sample log weights"])
+    def test_samples_of_strings_or_bools_are_refused(self, samples, name):
+        for call in (lambda: value_at_risk(samples, 0.4), lambda: cvar(samples, 0.4, 1.0),
+                     lambda: cvar_standard_error(samples, 0.4, 1.0),
+                     lambda: tail_probability(samples, 1.0)):
+            with pytest.raises(DomainError, match=f"^{name} must be an array of real numbers"):
+                call()
+
     @pytest.mark.parametrize("as_pairs", [False, True], ids=["arrays", "samples"])
     def test_public_tail_functions_leave_their_inputs_alone(self, as_pairs):
         rng = np.random.default_rng(2)

@@ -166,6 +166,11 @@ class TestRelativeRmse:
             relative_rmse([1.0, float("nan")])
         assert relative_rmse([1.0], reference=0.5) == 0.5  # one value is fine with a reference
 
+    @pytest.mark.parametrize("values", [["1", "2"], [True, False, True]], ids=["strings", "bools"])
+    def test_values_of_strings_or_bools_are_refused(self, values):
+        with pytest.raises(DomainError, match="^values must be an array of real numbers, got"):
+            relative_rmse(values)
+
     @pytest.mark.parametrize("reference", [math.nan, math.inf, "2", True])
     def test_reference_keeps_the_real_number_rule(self, reference):
         with pytest.raises(DomainError, match="^reference must be finite, got"):
@@ -300,6 +305,24 @@ class TestRunReplications:
             assert got == want and {r.status for r in got} == {"ok"}
             assert (np.array([(r.var_hat, r.cvar_hat, r.cvar_se) for r in got]).tobytes()
                     == np.array([(r.var_hat, r.cvar_hat, r.cvar_se) for r in want]).tobytes())
+
+    def test_a_study_derives_each_cells_transform_once_per_level(self, onedim_dist, linear,
+                                                                monkeypatch):
+        import tailshift.estimators as ez
+
+        calls, real = [], ez.extrapolation_factor
+
+        def counted(beta, h):
+            calls.append((beta, h))
+            return real(beta, h)
+
+        monkeypatch.setattr(ez, "extrapolation_factor", counted)
+        grid = (4.0, 5.0, 6.0)
+        cfg = small_config(onedim_dist, linear, h_rule=GridH(grid), reps=4)
+        table = run_replications(cfg, "is")
+        assert [(r.rep, r.h) for r in table.rows] == [(rep, h) for rep in range(4) for h in grid]
+        # each (beta, h) cell is made once and handed to all four replications
+        assert calls == [(0.1, h) for h in grid]
 
     def test_raising_loss_rows_are_tagged_bad_loss(self, onedim_dist, linear):
         # the loss is called once per row, rep by rep: it raises once, inside rep 1

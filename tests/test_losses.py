@@ -332,6 +332,24 @@ class TestLossModel:
                 LossModel.external(func, rho=1.0)(X)
             assert isinstance(info.value.__cause__, cause)
 
+    @pytest.mark.parametrize("value, kind", [
+        ("1.5", "str"), (True, "bool"), (np.bool_(False), "bool"), (np.array(True), "bool"),
+        (None, "NoneType"), (1 + 0j, "complex"), (np.complex128(1.0), "complex128"),
+        (np.array([1.0, 2.0]), "ndarray"), (np.array([1.5]), "ndarray"),
+    ], ids=["str", "bool", "numpy bool", "0-d bool array", "None", "complex", "numpy complex",
+            "array", "one-element array"])
+    def test_an_external_value_that_is_no_real_number_is_a_bad_loss(self, value, kind):
+        with pytest.raises(BadLossError, match=f"returned {kind}, not a real number") as info:
+            LossModel.external(lambda r: value, rho=1.0)(np.ones((2, 3)))
+        assert isinstance(info.value.__cause__, TypeError)
+
+    @pytest.mark.parametrize("value", [1.5, 2, np.float32(1.5), np.int64(2), np.uint8(2),
+                                       np.array(1.5), np.array(2), math.nan, -math.inf])
+    def test_an_external_real_value_passes_as_a_float(self, value):
+        got = LossModel.external(lambda r: value, rho=1.0)(np.ones((2, 3)))
+        assert got.dtype == float
+        assert np.array_equal(got, [float(value)] * 2, equal_nan=True)
+
     def test_rho_override(self):
         assert LossModel.linear(rho=0.5).rho == 0.5
         with pytest.raises(DomainError):
