@@ -100,19 +100,23 @@ def _positive_finite(name, value):
 def _reals(name, x, ok=None, rule=None):
     """x as a float array, from an array numpy can shape of an int, unsigned or float dtype.
 
+    A bool among numbers in a list is refused too; an ndarray is judged by its dtype alone.
     ok, if given, tests the floats elementwise and must fail a nan; rule
     words it as "{name} must {rule}".  A float array comes back as it is.
     """
     try:
-        x = np.asarray(x)
+        a = np.asarray(x)
     except ValueError:                     # a ragged nesting: numpy holds it only as objects
-        x = np.array(None)
-    if x.dtype.kind not in "iuf":
-        raise DomainError(f"{name} must be an array of real numbers, got dtype {x.dtype}")
-    x = x.astype(float, copy=False)
-    if ok is not None and not np.all(ok(x)):
+        a = np.array(None)
+    if a.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be an array of real numbers, got dtype {a.dtype}")
+    if not isinstance(x, np.ndarray) and any(isinstance(v, (bool, np.bool_))
+                                             for v in np.array(x, dtype=object).flat):
+        raise DomainError(f"{name} must be an array of real numbers, got a bool among them")
+    a = a.astype(float, copy=False)
+    if ok is not None and not np.all(ok(a)):
         raise DomainError(f"{name} must {rule}")
-    return x
+    return a
 
 
 _INSIDE_UNIT = (lambda p: (p > 0.0) & (p < 1.0), "lie strictly inside (0, 1)")

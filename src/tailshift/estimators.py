@@ -53,6 +53,8 @@ __all__ = [
 
 NAIVE_MIN_TAIL_COUNT = 5.0
 
+_METHOD_CODES = {"is": 0, "naive": 1}
+
 
 @dataclass(frozen=True)
 class WeightedLossSample:
@@ -74,15 +76,14 @@ def _as_arrays(samples):
         pairs = [(s.loss, s.log_weight) for s in samples]
         losses, logw = [p[0] for p in pairs], [p[1] for p in pairs]
     # np.array copies: _reals hands a float array back as it is
-    losses, logw = np.array(_reals("losses", losses)), np.array(_reals("log weights", logw))
+    losses = np.array(_reals("losses", losses, np.isfinite, "be finite"))
+    logw = np.array(_reals("log weights", logw, lambda w: w < np.inf, "not be nan or +inf"))
     if losses.ndim != 1 or losses.shape != logw.shape:
         raise DomainError(
             f"need equal-length 1-d losses and log weights, got {losses.shape} and {logw.shape}"
         )
     if losses.size == 0:
         raise DomainError("need at least one sample")
-    if np.any(~np.isfinite(losses)) or np.any(np.isnan(logw)) or np.any(logw == np.inf):
-        raise DomainError("losses must be finite and log weights must not be nan or +inf")
     return losses, logw
 
 
@@ -275,11 +276,16 @@ def estimate(dist, loss, config, method="is"):
     return got
 
 
+def _method_code(method):
+    """The seed code of the method "is" or "naive"; any other method is a DomainError."""
+    if not isinstance(method, str) or method not in _METHOD_CODES:
+        raise DomainError(f"method must be one of {sorted(_METHOD_CODES)}, got {method!r}")
+    return _METHOD_CODES[method]
+
+
 def _cells(beta, hs, method, loss):
     """The checked (h, TransformParams) cells of hs at level beta; [(None, None)] if naive."""
-    if method not in ("is", "naive"):
-        raise DomainError(f"method must be 'is' or 'naive', got {method!r}")
-    if method == "naive":
+    if _method_code(method) == _METHOD_CODES["naive"]:
         return [(None, None)]
     if any(h is None for h in hs):
         raise DomainError("the importance method needs h")

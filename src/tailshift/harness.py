@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, EstimationError
 from .distributions import _count, _draw_size, _real, _reals
-from .estimators import EstimateReport, ISConfig, _cells, _estimates
+from .estimators import EstimateReport, ISConfig, _cells, _estimates, _method_code
 from .losses import LossModel, _check_input_dim
 from .transform import _check_beta, _check_stretch_level, extrapolation_factor
 
@@ -44,8 +44,6 @@ __all__ = [
     "variance_ratio_study",
 ]
 
-_METHOD_CODES = {"is": 0, "naive": 1}
-
 SUMMARY_COLUMNS = (
     "method", "beta", "h", "n", "reps", "rel_rmse_var", "rel_rmse_cvar", "mean_cvar",
 )
@@ -56,6 +54,9 @@ class FixedH:
     """The same h at every level."""
 
     value: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", _real("h", self.value))
 
     def h_for(self, beta):
         return self.value
@@ -70,6 +71,10 @@ class AffineH:
 
     intercept: float
     slope: float
+
+    def __post_init__(self):
+        for name in ("intercept", "slope"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
 
     def h_for(self, beta):
         beta = _real("beta", beta, lambda b: 0.0 < b <= 1.0, "lie in (0, 1]")
@@ -120,15 +125,12 @@ class ExperimentConfig:
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "n", _draw_size(self.n, self.dist.dim))
         _check_input_dim(self.loss, self.dist.dim)
+        rule = self.h_rule
+        if not (rule is None or isinstance(rule, GridH) or hasattr(rule, "h_for")):
+            raise DomainError(f"h_rule must be None, a GridH or a rule with h_for such as FixedH, "
+                              f"got {rule!r}")
         for name, low in (("reps", 1), ("threads", 1), ("base_seed", 0)):
             object.__setattr__(self, name, _count(name, getattr(self, name), low))
-
-
-def _method_code(method):
-    """The seed code of the method "is" or "naive"; any other method is a DomainError."""
-    if not isinstance(method, str) or method not in _METHOD_CODES:
-        raise DomainError(f"method must be one of {sorted(_METHOD_CODES)}, got {method!r}")
-    return _METHOD_CODES[method]
 
 
 def derive_seed(base_seed, beta_index, method, rep):
@@ -203,15 +205,13 @@ def run_replications(config, method):
     Other estimation failures inside a replication are recorded the same
     way rather than aborting: "tail-mass" (too little weighted mass, or no
     sample above var) and "bad-loss" (the loss raised or returned a
-    non-finite value).  An importance (beta, h) cell that cannot stretch
-    outward raises DomainError before any draw.
+    non-finite value).  An unknown method, or an importance (beta, h) cell
+    that cannot stretch outward, raises DomainError before any draw.
 
     An importance run under a GridH draws each replication once and weighs
     it at every grid point, where a failure at one h leaves the others as
     they were; the rows come in (beta, rep, h) order.
     """
-    _method_code(method)
-
     def replicate(beta, cells, rep, seed):
         results = _estimates(config.dist, config.loss, ISConfig(beta=beta, n=config.n, seed=seed),
                              method, cells)
@@ -246,11 +246,9 @@ def relative_rmse(values, reference=None):
     variation).  With a reference: sqrt(mean((v - reference)^2)) divided by
     the mean of the values.
     """
-    v = _reals("values", values)
+    v = _reals("values", values, np.isfinite, "be finite")
     if v.ndim != 1 or v.size == 0:
         raise DomainError("values must be a nonempty 1-d collection")
-    if np.any(~np.isfinite(v)):
-        raise DomainError("values must be finite")
     mean = float(v.mean())
     if mean == 0.0:
         raise DomainError("relative error undefined: mean of values is zero")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    _REALS, _count, _matmul, _per_sample, _positive_finite, _real, _sum_components,
+    _REALS, _count, _matmul, _per_sample, _positive_finite, _real, _reals, _sum_components,
 )
 from .errors import BadLossError, DomainError, WeightsDimensionError, WeightsFormatError
 
@@ -69,9 +69,13 @@ class ReluNetParams:
     b2: float = 0.0
 
     def __post_init__(self):
-        W1 = np.asarray(self.W1, dtype=float)
-        b1 = np.asarray(self.b1, dtype=float)
-        w2 = np.asarray(self.w2, dtype=float)
+        try:
+            # copies, made read-only below: the caller's own arrays stay writable
+            W1, b1, w2 = (np.array(_reals(k, getattr(self, k), np.isfinite, "be finite numbers"))
+                          for k in ("W1", "b1", "w2"))
+            b2 = _real("b2", self.b2)
+        except DomainError as exc:
+            raise WeightsFormatError(str(exc)) from exc
         if W1.ndim != 2:
             raise WeightsDimensionError(f"W1 must be 2-d (hidden, d), got shape {W1.shape}")
         hidden = W1.shape[0]
@@ -79,17 +83,9 @@ class ReluNetParams:
             raise WeightsDimensionError(f"b1 must have shape ({hidden},), got {b1.shape}")
         if w2.shape != (hidden,):
             raise WeightsDimensionError(f"w2 must have shape ({hidden},), got {w2.shape}")
-        if not (np.all(np.isfinite(W1)) and np.all(np.isfinite(b1)) and np.all(np.isfinite(w2))):
-            raise WeightsFormatError("network weights must be finite numbers")
-        try:
-            b2 = _real("b2", self.b2)
-        except DomainError as exc:
-            raise WeightsFormatError(str(exc)) from None
-        for arr in (W1, b1, w2):
+        for name, arr in (("W1", W1), ("b1", b1), ("w2", w2)):
             arr.setflags(write=False)
-        object.__setattr__(self, "W1", W1)
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "w2", w2)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "b2", b2)
 
     @property

@@ -277,6 +277,11 @@ class TestCorrelationMatrix:
         with pytest.raises(DomainError, match="^correlation matrix must be an array of real"):
             CorrelationMatrix(matrix)
 
+    def test_rejects_a_bool_among_numbers(self):
+        # numpy reads [[1.0, 0.5], [0.5, True]] as floats, with True as 1.0
+        with pytest.raises(DomainError, match="^correlation matrix must be an array of real numbers"):
+            CorrelationMatrix([[1.0, 0.5], [0.5, True]])
+
     def test_hash_agrees_with_eq_on_signed_zeros(self):
         neg, pos = CorrelationMatrix.tridiagonal(3, -0.0), CorrelationMatrix.tridiagonal(3, 0.0)
         assert neg == pos and hash(neg) == hash(pos)
@@ -449,6 +454,12 @@ class TestJointDensity:
     def test_rejects_wrong_dimension(self, pert_dist):
         with pytest.raises(DomainError):
             joint_log_density(np.ones(6), pert_dist)
+
+    @pytest.mark.parametrize("x", [[1.0] * 6 + [True], [[1.0] * 7, [1.0] * 6 + [np.True_]]],
+                             ids=["vector", "batch"])
+    def test_refuses_a_bool_among_numbers_in_a_list(self, pert_dist, x):
+        with pytest.raises(DomainError, match="^x must be an array of real numbers"):
+            joint_log_density(x, pert_dist)
 
 
 def _study(betas):

@@ -372,6 +372,31 @@ class TestInputValidation:
             with pytest.raises(DomainError, match=f"^{name} must be an array of real numbers"):
                 call()
 
+    @pytest.mark.parametrize("samples, name", [
+        (([1.0, True, 3.0], [0, 0, 0]), "losses"),
+        (([1.0, 2.0, 3.0], [0.0, np.False_, 0.0]), "log weights"),
+        ([WeightedLossSample(1.0), WeightedLossSample(True), WeightedLossSample(3.0)], "losses"),
+    ], ids=["bool among losses", "numpy bool among log weights", "bool sample loss"])
+    def test_a_bool_among_numbers_is_refused(self, samples, name):
+        # numpy reads the list as floats, with True as 1.0: value_at_risk would return 1.0
+        for call in (lambda: value_at_risk(samples, 0.4), lambda: tail_probability(samples, 1.0)):
+            with pytest.raises(DomainError, match=f"^{name} must be an array of real numbers"):
+                call()
+
+    @pytest.mark.parametrize("losses, logw, match", [
+        ([1.0, np.nan, 3.0], [0.0, 0.0, 0.0], "^losses must be finite$"),
+        ([1.0, -np.inf, 3.0], [0.0, 0.0, 0.0], "^losses must be finite$"),
+        ([1.0, 2.0, 3.0], [0.0, np.nan, 0.0], "^log weights must not be nan or [+]inf$"),
+        ([1.0, 2.0, 3.0], [0.0, np.inf, 0.0], "^log weights must not be nan or [+]inf$"),
+    ], ids=["nan loss", "-inf loss", "nan log weight", "+inf log weight"])
+    def test_samples_out_of_range_name_their_array(self, losses, logw, match):
+        with pytest.raises(DomainError, match=match):
+            value_at_risk((losses, logw), 0.4)
+
+    def test_a_zero_weight_sample_is_admitted(self):
+        # log weight -inf: a weight of zero, which carries no tail mass
+        assert value_at_risk(([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, -np.inf]), 0.3) == 2.0
+
     @pytest.mark.parametrize("as_pairs", [False, True], ids=["arrays", "samples"])
     def test_public_tail_functions_leave_their_inputs_alone(self, as_pairs):
         rng = np.random.default_rng(2)
@@ -459,6 +484,12 @@ class TestEstimate:
         with pytest.raises(DomainError):
             estimate(onedim_dist, linear,
                      ISConfig(beta=0.1, n=100, seed=0), method="quasi")
+
+    @pytest.mark.parametrize("method", ["quasi", None, ["is"]])
+    def test_an_unknown_method_names_the_methods(self, onedim_dist, linear, method):
+        # the same message as run_replications and derive_seed give
+        with pytest.raises(DomainError, match=r"^method must be one of \['is', 'naive'\], got"):
+            estimate(onedim_dist, linear, ISConfig(beta=0.1, n=100, seed=0, h=2.6), method=method)
 
     def test_non_finite_loss_raises_bad_loss(self, onedim_dist):
         def loss(x):

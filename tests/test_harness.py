@@ -84,6 +84,21 @@ class TestHRules:
         with pytest.raises(DomainError, match="finite"):
             GridH((2.0, bad))
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda: AffineH(2.0, True), "slope"), (lambda: AffineH("2", 0.6), "intercept"),
+        (lambda: AffineH(2.0, math.nan), "slope"), (lambda: FixedH(True), "h"),
+        (lambda: FixedH("2.6"), "h"), (lambda: FixedH(math.inf), "h"),
+    ], ids=["bool slope", "string intercept", "nan slope", "bool h", "string h", "inf h"])
+    def test_fixed_and_affine_rules_keep_the_real_number_rule(self, make, name):
+        # AffineH(2.0, True) would run with slope 1, AffineH("2", 0.6) fail in h_for
+        with pytest.raises(DomainError, match=f"^{name} must be finite, got"):
+            make()
+
+    def test_fixed_and_affine_rules_read_ints_as_floats(self):
+        assert type(FixedH(3).value) is float and FixedH(np.int64(3)).h_for(0.1) == 3.0
+        rule = AffineH(np.int32(2), 0)
+        assert (type(rule.intercept), type(rule.slope)) == (float, float)
+
     def test_pert_rule_endpoints(self):
         assert pert_h_rule.h_for(1.0) == 2.0
         assert math.isclose(pert_h_rule.h_for(math.exp(-5.0)), 5.0, rel_tol=1e-14)
@@ -169,6 +184,13 @@ class TestRelativeRmse:
     @pytest.mark.parametrize("values", [["1", "2"], [True, False, True]], ids=["strings", "bools"])
     def test_values_of_strings_or_bools_are_refused(self, values):
         with pytest.raises(DomainError, match="^values must be an array of real numbers, got"):
+            relative_rmse(values)
+
+    @pytest.mark.parametrize("values", [[1.0, True, 3.0], [2.0, np.True_]],
+                             ids=["bool", "numpy bool"])
+    def test_a_bool_among_numbers_is_refused(self, values):
+        # numpy reads [1.0, True, 3.0] as floats, with True as 1.0
+        with pytest.raises(DomainError, match="^values must be an array of real numbers"):
             relative_rmse(values)
 
     @pytest.mark.parametrize("reference", [math.nan, math.inf, "2", True])
@@ -366,6 +388,17 @@ class TestRunReplications:
     def test_rejects_unknown_method(self, onedim_dist, linear):
         with pytest.raises(DomainError):
             run_replications(small_config(onedim_dist, linear), "quasi")
+
+    @pytest.mark.parametrize("method", ["quasi", "both", None])
+    def test_an_unknown_method_is_refused_before_any_draw(self, onedim_dist, linear, method,
+                                                          monkeypatch):
+        import tailshift.estimators as ez
+
+        drawn = []
+        monkeypatch.setattr(ez, "_drawn_blocks", lambda *a, **kw: drawn.append(a) or iter(()))
+        with pytest.raises(DomainError, match="^method must be one of"):
+            run_replications(small_config(onedim_dist, linear), method)
+        assert drawn == []
 
     def test_missing_h_rule_reaches_estimate(self, onedim_dist, linear):
         # estimate owns the "needs h" rule; a naive table needs no rule at all
@@ -651,6 +684,20 @@ class TestExperimentConfig:
         with pytest.raises(DomainError):
             ExperimentConfig(dist=onedim_dist, loss=linear, betas=(0.1,),
                              n=10, h_rule=FixedH(2.0), reps=0)
+
+    @pytest.mark.parametrize("rule", [2.6, "2.6", (2.0, 3.0)], ids=["number", "string", "tuple"])
+    def test_rejects_an_h_rule_that_is_no_rule(self, onedim_dist, linear, rule):
+        # a bare number would surface only in run_replications, as an AttributeError
+        with pytest.raises(DomainError, match="^h_rule must be None, a GridH or a rule"):
+            ExperimentConfig(dist=onedim_dist, loss=linear, betas=(0.1,), n=10, h_rule=rule)
+
+    def test_takes_any_rule_with_h_for(self, onedim_dist, linear):
+        class Five:
+            def h_for(self, beta):
+                return 5                       # an int: the rows still carry the float 5.0
+        cfg = ExperimentConfig(dist=onedim_dist, loss=linear, betas=(0.1,), n=60,
+                               h_rule=Five(), reps=2)
+        assert [(r.h, type(r.h)) for r in run_replications(cfg, "is").rows] == [(5.0, float)] * 2
 
     @pytest.mark.parametrize("field", ["n", "reps", "threads", "base_seed"])
     def test_rejects_fractional_counts(self, onedim_dist, linear, field):

@@ -126,6 +126,26 @@ class TestReluNet:
             ReluNetParams(W1=np.array([[np.nan, 0.0]]), b1=np.zeros(1),
                           w2=np.ones(1), b2=0.0)
 
+    @pytest.mark.parametrize("weights, name", [
+        (dict(W1=[["1", "2"]], b1=["0"], w2=[1.0]), "W1"),
+        (dict(W1=[[1.0, 2.0]], b1=[0.0], w2=[True]), "w2"),
+        (dict(W1=[[1.0, True]], b1=[0.0], w2=[1.0]), "W1"),
+        (dict(W1=[[1.0, 2.0]], b1=np.array([False]), w2=[1.0]), "b1"),
+        (dict(W1=[[1.0, 2.0]], b1=[0.0], w2=[np.inf]), "w2"),
+    ], ids=["string W1", "bool w2", "bool among W1", "bool array b1", "inf w2"])
+    def test_params_reject_weights_that_are_no_finite_numbers(self, weights, name):
+        # numpy would read the strings and the bools as numbers, and the loss would use them
+        with pytest.raises(WeightsFormatError, match=f"^{name} must be"):
+            ReluNetParams(**weights)
+
+    def test_params_leave_the_callers_arrays_writable(self):
+        W1, b1, w2 = np.eye(2), np.zeros(2), np.ones(2)
+        p = ReluNetParams(W1=W1, b1=b1, w2=w2)
+        assert all(a.flags.writeable for a in (W1, b1, w2))
+        assert not any(a.flags.writeable for a in (p.W1, p.b1, p.w2))
+        W1[0, 0] = 7.0
+        assert p.W1[0, 0] == 1.0
+
     @pytest.mark.parametrize("b2", [True, "1.5", math.inf, None])
     def test_params_reject_a_b2_that_is_no_real_number(self, b2):
         with pytest.raises(WeightsFormatError, match="b2 must be finite"):
