@@ -384,9 +384,9 @@ def _normal_scores(p):
 
     The tail probability exp(-p) goes to ndtri_exp in log form, so the score
     stays accurate even when the CDF is within one ulp of 1; ndtri_exp
-    switches to its own near-zero form for small p.
+    switches to its own near-zero form for small p.  p is overwritten with z.
     """
-    z = ndtri_exp(-p)
+    z = ndtri_exp(np.negative(p, out=p), out=p)
     return np.negative(z, out=z)
 
 

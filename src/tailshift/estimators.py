@@ -8,7 +8,8 @@ The kernel (``_estimates``) weighs one draw at a list of (h, transform)
 cells, made and checked once per level (``_cells``).  It weighs each drawn
 block at every cell before it draws the next (``_weigh``), into the cell's
 rows of losses and log weights, which the tail overwrites: it never holds
-an (n, d) array.  The public estimators check and copy their samples
+an (n, d) array.  The cells share the r-free half of a block's stretch
+(``_stretch_base``).  The public estimators check and copy their samples
 (``_as_arrays``), so they never write the caller's arrays.
 
 Conventions, fixed here and relied on by the tests:
@@ -36,7 +37,7 @@ from .distributions import _MAX_INDEX, _count, _drawn_blocks, _real, _reals
 from .errors import BadLossError, DomainError, EstimationError, FeasibilityError, TailMassError
 from .losses import _check_input_dim
 from .transform import (
-    TransformParams, _check_beta, _weighted_image, extrapolation_factor,
+    TransformParams, _check_beta, _stretch_base, _weighted_image, extrapolation_factor,
 )
 
 __all__ = [
@@ -148,7 +149,11 @@ def _tail(losses, logw, beta, var=None):
     n_above = int(np.count_nonzero(excess))     # loss - var > 0 exactly where loss > var
     shifted = float(scaled @ excess)
     excess *= scaled
-    spread = math.sqrt(np.var(excess, ddof=1) / n) if n > 1 else math.nan
+    spread = math.nan
+    if n > 1:                   # np.var(excess, ddof=1)'s steps, in place on the excess
+        excess -= np.add.reduce(excess, keepdims=True) / n
+        np.square(excess, out=excess)
+        spread = math.sqrt(np.add.reduce(excess) / (n - 1) / n)
     with np.errstate(over="ignore"):
         # exp(m) may be inf where nothing lies above var, and inf * 0 is nan
         c = var if shifted == 0.0 else float(var + np.exp(m) * shifted / (n * beta))
@@ -217,19 +222,19 @@ class EstimateReport:
     cvar_se: float
 
 
-def _weigh(xc, log_fx, dist, loss, params):
+def _weigh(xc, log_fx, dist, loss, params, base=None):
     """(losses, log weights) of a drawn component-major (d, m) block X with its log f(X).
 
     The one step from a drawn block to the tail's inputs.  The importance
-    method (params) stretches and weighs the block (``_weighted_image``)
-    and calls the loss on its image; the naive method (params None) calls
-    the loss on X, with log weights 0.  An estimate weighs each
-    block as it is drawn, so it never holds an (n, d) array.
+    method (params) stretches and weighs the block (``_weighted_image``, off
+    its ``_stretch_base``) and calls the loss on its image; the naive method
+    (params None) calls the loss on X, with log weights 0.  An estimate weighs
+    each block as it is drawn, so it never holds an (n, d) array.
     """
     if params is None:
         z, logw = xc, np.zeros(xc.shape[1])
     else:
-        z, logw = _weighted_image(xc, log_fx, dist, params)
+        z, logw = _weighted_image(xc, log_fx, dist, params, base)
     losses = np.asarray(loss(z.T), dtype=float)
     if not np.all(np.isfinite(losses)):
         bad = int(np.count_nonzero(~np.isfinite(losses)))
@@ -269,7 +274,9 @@ def estimate(dist, loss, config, method="is"):
         whose cvar and standard error would say nothing), or the stretch
         sends samples past the float range.
     """
-    _check_input_dim(loss, dist.dim)
+    _check_input_dim(loss, dist)
+    if not isinstance(config, ISConfig):
+        raise DomainError("config must be an ISConfig")
     (got,) = _estimates(dist, loss, config, method, _cells(config.beta, (config.h,), method, loss))
     if isinstance(got, EstimationError):
         raise got
@@ -297,6 +304,7 @@ def _estimates(dist, loss, config, method, cells):
     """estimate at every cell (``_cells``) from one draw: its report or its error, per cell.
 
     Each block is weighed (``_weigh``) into the rows of every cell not yet failed, then dropped.
+    Its ``_stretch_base`` is made once, while an importance cell is live: all cells share loss.rho.
     """
     if method == "naive" and config.n * config.beta < NAIVE_MIN_TAIL_COUNT:
         return [FeasibilityError(
@@ -308,14 +316,15 @@ def _estimates(dist, loss, config, method, cells):
         if lo == 0:             # the draw checks n against (n, d) before the rows are made
             losses, logw = np.empty((len(cells), config.n)), np.empty((len(cells), config.n))
         cols = slice(lo, lo + xc.shape[1])
+        base = _stretch_base(xc, loss.rho) if method == "is" and None in errors else None
         for i, (_, params) in enumerate(cells):
             if errors[i] is None:
                 try:
-                    losses[i, cols], logw[i, cols] = _weigh(xc, log_fx, dist, loss, params)
+                    losses[i, cols], logw[i, cols] = _weigh(xc, log_fx, dist, loss, params, base)
                 except EstimationError as exc:
                     errors[i] = exc
         lo = cols.stop
-        del xc, log_fx                  # the next block may reuse this one's memory
+        del xc, log_fx, base            # the next block may reuse this one's memory
     return [_report(config, method, h, losses[i], logw[i]) if errors[i] is None else errors[i]
             for i, (h, _) in enumerate(cells)]
 

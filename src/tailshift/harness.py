@@ -123,8 +123,8 @@ class ExperimentConfig:
         if len(set(betas)) != len(betas):
             raise DomainError(f"beta levels must be distinct, got {betas}")
         object.__setattr__(self, "betas", betas)
+        _check_input_dim(self.loss, self.dist)
         object.__setattr__(self, "n", _draw_size(self.n, self.dist.dim))
-        _check_input_dim(self.loss, self.dist.dim)
         rule = self.h_rule
         if not (rule is None or isinstance(rule, GridH) or hasattr(rule, "h_for")):
             raise DomainError(f"h_rule must be None, a GridH or a rule with h_for such as FixedH, "

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    _REALS, _count, _matmul, _per_sample, _positive_finite, _real, _reals, _sum_components,
+    _REALS, DistributionSpec, _count, _matmul, _per_sample, _positive_finite, _real, _reals,
+    _sum_components,
 )
 from .errors import BadLossError, DomainError, WeightsDimensionError, WeightsFormatError
 
@@ -288,10 +289,12 @@ def _loss_value(value):
     return float(value)
 
 
-def _check_input_dim(loss, dim):
-    """Refuse, as DomainError, a loss that is no LossModel or takes inputs of another dim."""
+def _check_input_dim(loss, dist):
+    """Refuse, as DomainError, a dist or loss of the wrong type, or a loss of another input dim."""
+    if not isinstance(dist, DistributionSpec):
+        raise DomainError("dist must be a DistributionSpec")
     if not isinstance(loss, LossModel):
         raise DomainError("loss must be a LossModel")
-    if loss.dim not in (None, dim):
+    if loss.dim not in (None, dist.dim):
         raise DomainError(f"the {loss.kind} loss takes inputs of dimension {loss.dim}, "
-                          f"but the input model has dimension {dim}")
+                          f"but the input model has dimension {dist.dim}")

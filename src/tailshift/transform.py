@@ -22,6 +22,8 @@ F-ordered (n, d) view.
 An estimate weighs each block of the draw as it pulls it
 (``_weighted_image``: the stretch, the overflow check and the image density
 of one block), so it never holds an image of all n samples.
+The stretch's r-free half (``_stretch_base``) is made once for a block
+weighed at many h, and its per-r half (``_stretch_columns``) once per h.
 """
 
 from __future__ import annotations
@@ -106,37 +108,46 @@ def _log1p_abs(xc):
     return ax, logs, M
 
 
-def _stretch_columns(xc, params):
-    """(image, log Jacobian) of a component-major (d, m) block of finite x.
+def _stretch_base(xc, rho):
+    """The r-free half of the stretch of a component-major (d, m) block, shared by every r at rho.
 
-    The image takes r**e_i as r**(1/rho) * exp((log1p|x_i| - M) * c), with
-    c = log(r) / (rho * M) the constant of the Jacobian, since an exp costs
-    a fraction of a pow.  The dominant component has log1p|x_i| = M and
-    exp(0) = 1, so it moves by r**(1/rho) exactly.  A full factor past the
-    float range raises TailMassError, and a c past it (every component of
-    a sample within about log(r) / rho / 1.8e308 of 0) DomainError.
+    (log1p|x| - M, |x| / (1 + |x|), rho * M, rho * min M, sum_i e_i(x)), M the max of log1p|x|.
     """
     ax, logs, M = _log1p_abs(xc)
+    with np.errstate(over="ignore", divide="ignore"):   # a zero rho * M is refused per r
+        rho_m = rho * M
+        esum = _sum_components(logs) / rho_m
+    frac = np.divide(ax, np.add(ax, 1.0), out=ax)
+    least = rho * float(np.minimum.reduce(M, initial=np.inf))
+    return np.subtract(logs, M, out=logs), frac, rho_m, least, esum
+
+
+def _stretch_columns(xc, params, base=None):
+    """(image, log Jacobian) of a component-major (d, m) block of finite x, off its base.
+
+    The per-r half of the stretch (``_stretch_base`` is made when base is None).  The image
+    takes r**e_i as r**(1/rho) * exp((log1p|x_i| - M) * c), with c = log(r) / (rho * M) the
+    constant of the Jacobian, since an exp costs a fraction of a pow.  The dominant component
+    has log1p|x_i| = M and exp(0) = 1, so it moves by r**(1/rho) exactly.  A full factor past
+    the float range raises TailMassError, and a c past it (every component of a sample within
+    about log(r) / rho / 1.8e308 of 0) DomainError.
+    """
+    shifted, frac, rho_m, least, esum = _stretch_base(xc, params.rho) if base is None else base
     logr = math.log(params.r)
     try:
         full = params.r ** (1.0 / params.rho)
     except OverflowError:
         raise TailMassError(_past_the_float_range(params)) from None
     # c is largest at the smallest M; Python floats, so no numpy warning
-    least = params.rho * float(np.minimum.reduce(M, initial=np.inf))
     if least == 0.0 or logr / least == math.inf:
         raise DomainError("x is too close to 0 for the stretch: log(r) / (rho * max_j "
                           "log1p|x_j|) overflows")
-    c = logr / (params.rho * M)
-    z = np.subtract(logs, M)
-    z *= c
+    c = logr / rho_m
+    z = np.multiply(shifted, c)
     np.exp(z, out=z)
     z *= full
     z *= xc
-    esum = _sum_components(logs) / (params.rho * M)
-    log_diag = np.add(ax, 1.0, out=logs)
-    np.divide(ax, log_diag, out=log_diag)
-    log_diag *= c
+    log_diag = np.multiply(frac, c)
     np.log1p(log_diag, out=log_diag)
     log_jac = _sum_components(log_diag) + esum * logr - np.maximum.reduce(log_diag, axis=0)
     return z, log_jac
@@ -169,7 +180,7 @@ def log_jacobian(x, params):
     return _per_sample(lambda xc: _stretch_columns(xc, params)[1], x)
 
 
-def _weighted_image(xc, log_fx, dist, params):
+def _weighted_image(xc, log_fx, dist, params, base=None):
     """(image, log weights) of a component-major (d, m) block of x with its log density log_fx.
 
     The per-block weighing of the importance path: an estimate hands each
@@ -179,7 +190,7 @@ def _weighted_image(xc, log_fx, dist, params):
     far out that its density overflows into a nan or +inf log weight.
     """
     with np.errstate(over="ignore", invalid="ignore"):    # reported below
-        zc, log_jac = _stretch_columns(xc, params)
+        zc, log_jac = _stretch_columns(xc, params, base)
         # x >= 0 (drawn, or checked by log_likelihood_ratio), and so is its image:
         # its max is inf exactly where it overflows
         logw = (joint_log_density(zc.T, dist) - log_fx + log_jac

@@ -294,6 +294,29 @@ class TestStandardError:
                 assert se == (float(np.exp(m) * spread / beta) if spread > 0.0 else spread)
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 1.0, 2.5, 1e-3, 7.0]) | st.floats(0.0, 1e6),
+                    min_size=2, max_size=300),
+           st.lists(st.sampled_from([-np.inf, 0.0, -1.0]) | st.floats(-50.0, 50.0),
+                    min_size=2, max_size=300))
+    def test_tail_spread_has_the_bits_of_np_var(self, losses, logw):
+        # ties (a few repeated values) and zero weights (-inf log weights) among the inputs
+        import tailshift.estimators as ez
+        n = min(len(losses), len(logw))
+        losses, logw = np.array(losses[:n]), np.array(logw[:n])
+        v = float(np.median(losses))
+        m = logw.max() if logw.max() > -np.inf else 0.0
+        terms = np.maximum(losses - v, 0.0) * np.exp(logw - m)
+        spread = math.sqrt(np.var(terms, ddof=1) / n)
+        _, _, se, _ = ez._tail(losses, logw, 0.5, v)
+        assert np.float64(se).tobytes() == np.float64(
+            float(np.exp(m) * spread / 0.5) if spread > 0.0 else spread).tobytes()
+
+    def test_one_sample_has_a_nan_spread(self):
+        import tailshift.estimators as ez
+        assert math.isnan(ez._tail(np.array([3.0]), np.array([0.0]), 0.5, 1.0)[2])
+
+
 class TestNaive:
     def test_counting_example(self):
         assert naive_var_cvar(np.arange(1.0, 11.0), 0.2) == (8.0, 9.5)
@@ -490,6 +513,17 @@ class TestEstimate:
         # the same message as run_replications and derive_seed give
         with pytest.raises(DomainError, match=r"^method must be one of \['is', 'naive'\], got"):
             estimate(onedim_dist, linear, ISConfig(beta=0.1, n=100, seed=0, h=2.6), method=method)
+
+    @pytest.mark.parametrize("dist", [None, [1.0]], ids=["none", "alphas"])
+    def test_a_dist_that_is_no_distribution_spec_is_named(self, linear, dist):
+        with pytest.raises(DomainError, match="^dist must be a DistributionSpec$"):
+            estimate(dist, linear, ISConfig(beta=0.1, n=10, seed=0, h=2.6))
+
+    @pytest.mark.parametrize("config", [None, {"beta": 0.1, "n": 10, "seed": 0, "h": 2.6}],
+                             ids=["none", "dict"])
+    def test_a_config_that_is_no_isconfig_is_named(self, onedim_dist, linear, config):
+        with pytest.raises(DomainError, match="^config must be an ISConfig$"):
+            estimate(onedim_dist, linear, config)
 
     def test_non_finite_loss_raises_bad_loss(self, onedim_dist):
         def loss(x):

@@ -328,6 +328,31 @@ class TestRunReplications:
             assert (np.array([(r.var_hat, r.cvar_hat, r.cvar_se) for r in got]).tobytes()
                     == np.array([(r.var_hat, r.cvar_hat, r.cvar_se) for r in want]).tobytes())
 
+    def test_a_grid_shares_one_stretch_base_per_block(self, portfolio_dist, linear, monkeypatch):
+        # d = 10 and three blocks, the last one short: every h of the grid reads
+        # its stretch off one base per drawn block and keeps the bits of its
+        # FixedH run
+        import tailshift.transform as tz
+
+        calls, real = [], tz._log1p_abs
+
+        def counted(xc):
+            calls.append(xc.shape[1])
+            return real(xc)
+
+        monkeypatch.setattr(tz, "_log1p_abs", counted)
+        grid, n = (1.5, 2.0, 2.6, 3.5, 4.6), 2 * _BLOCK + 17
+        cfg = ExperimentConfig(dist=portfolio_dist, loss=linear, betas=(1e-6,), n=n,
+                               h_rule=GridH(grid), reps=2, base_seed=11)
+        rows = run_replications(cfg, "is").rows
+        assert calls == [_BLOCK, _BLOCK, 17] * 2
+        for h in grid:
+            got = [r for r in rows if r.h == h]
+            want = run_replications(replace(cfg, h_rule=FixedH(h)), "is").rows
+            assert got == want and {r.status for r in got} == {"ok"}
+            assert (np.array([(r.var_hat, r.cvar_hat, r.cvar_se) for r in got]).tobytes()
+                    == np.array([(r.var_hat, r.cvar_hat, r.cvar_se) for r in want]).tobytes())
+
     def test_a_study_derives_each_cells_transform_once_per_level(self, onedim_dist, linear,
                                                                 monkeypatch):
         import tailshift.estimators as ez
@@ -684,6 +709,12 @@ class TestExperimentConfig:
         with pytest.raises(DomainError):
             ExperimentConfig(dist=onedim_dist, loss=linear, betas=(0.1,),
                              n=10, h_rule=FixedH(2.0), reps=0)
+
+    @pytest.mark.parametrize("dist", [None, [1.0], "onedim"], ids=["none", "alphas", "name"])
+    def test_rejects_a_dist_that_is_no_distribution_spec(self, linear, dist):
+        # None used to surface as an AttributeError on dist.dim
+        with pytest.raises(DomainError, match="^dist must be a DistributionSpec$"):
+            ExperimentConfig(dist=dist, loss=linear, betas=(0.1,), n=10, h_rule=FixedH(2.0))
 
     @pytest.mark.parametrize("rule", [2.6, "2.6", (2.0, 3.0)], ids=["number", "string", "tuple"])
     def test_rejects_an_h_rule_that_is_no_rule(self, onedim_dist, linear, rule):
