@@ -33,7 +33,7 @@ from .harness import (  # noqa: F401  (REPLICATION_COLUMNS is re-exported)
     ReplicationTable, VarianceRatioRow, _cv_reps, cross_validate_h, run_replications, summarize,
     variance_ratio_study, write_rows_csv,
 )
-from .losses import LossModel, _params_from_dict, _params_to_dict, _weight_array, load_relu_params
+from .losses import LossModel, _params_from_dict, _params_to_dict, load_relu_params
 from .transform import _check_stretch_level, extrapolation_factor
 
 _LOSS_KINDS = ("pert7", "linear", "relu_net")
@@ -98,9 +98,7 @@ def _parse_correlation(spec, dim):
                           field="dist.correlation")
     try:
         if "matrix" in spec:
-            # entry by entry: numpy would read a string as a number and a bool among floats as one
-            matrix = _entries(spec, "dist.correlation", ("matrix",))["matrix"]
-            return CorrelationMatrix(_weight_array("matrix", matrix))
+            return CorrelationMatrix(_entries(spec, "dist.correlation", ("matrix",))["matrix"])
         pattern = _require(spec, "pattern", str, where="dist.correlation")
         if pattern not in _PATTERNS:
             raise ConfigError(f"unknown pattern {pattern!r}, expected one of {_PATTERNS}",
@@ -174,15 +172,6 @@ def _parse_h_rule(spec):
 _TOP_KEYS = {"dist", "loss", "betas", "n", "reps", "h", "seed", "method", "threads"}
 
 
-def _check_levels(betas):
-    """Refuse a level outside (0, 1/e), where the importance method cannot stretch outward."""
-    try:
-        for b in betas:
-            _check_stretch_level(b)
-    except DomainError as exc:
-        raise ConfigError(str(exc), field="betas") from None
-
-
 def parse_config(path, overrides=None):
     """Read and validate a run configuration (or a manifest) from JSON.
 
@@ -237,12 +226,9 @@ def parse_config(path, overrides=None):
     method = doc.get("method", "is")
     if method not in ("is", "naive", "both"):
         raise ConfigError(f"must be 'is', 'naive' or 'both', got {method!r}", field="method")
-    if method != "naive":
-        _check_levels(betas)
 
+    # the importance method's needs (a level below 1/e, an h) are _check_h_rule's, per command
     h_rule, h_resolved = _parse_h_rule(doc["h"]) if "h" in doc else (None, None)
-    if h_rule is None and method != "naive":
-        raise ConfigError("required for the importance method", field="h")
 
     n = _require(doc, "n", (int, float))
     reps, seed, threads = (_require({key: default, **doc}, key, (int, float))
@@ -302,7 +288,11 @@ def _check_h_rule(command, spec):
     exp, rule = spec.experiment, spec.experiment.h_rule
     if command not in ("crossval", "varratio") and "is" not in spec.methods:
         return
-    _check_levels(exp.betas)
+    try:
+        for beta in exp.betas:
+            _check_stretch_level(beta)
+    except DomainError as exc:
+        raise ConfigError(str(exc), field="betas") from None
     if command in ("crossval", "varratio"):
         try:
             _cv_reps(exp.reps)

@@ -75,6 +75,13 @@ def _count(name, value, low, high=None):
     return value
 
 
+def _instance(name, value, cls):
+    """Refuse, as DomainError naming it, a value that is not a cls: every model argument's rule."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise DomainError(f"{name} must be {article} {cls.__name__}")
+
+
 _REALS = (float, int, np.floating, np.integer)   # a bool is an int, refused apart
 
 
@@ -100,19 +107,23 @@ def _positive_finite(name, value):
 def _reals(name, x, ok=None, rule=None):
     """x as a float array, from an array numpy can shape of an int, unsigned or float dtype.
 
-    A bool among numbers in a list is refused too; an ndarray is judged by its dtype alone.
-    ok, if given, tests the floats elementwise and must fail a nan; rule
-    words it as "{name} must {rule}".  A float array comes back as it is.
+    The one reader of array arguments.  An ndarray is judged by its dtype alone; of a list
+    (or a scalar) the first entry refused is named: a bool, or, where numpy reads no numbers,
+    one that is no real number.  ok, if given, tests the floats elementwise and must fail a
+    nan; rule words it as "{name} must {rule}".  A float array comes back as it is.
     """
     try:
         a = np.asarray(x)
     except ValueError:                     # a ragged nesting: numpy holds it only as objects
         a = np.array(None)
+    else:
+        if not isinstance(x, np.ndarray):
+            numbers = a.dtype.kind in "iuf"
+            for v in np.array(x, dtype=object).flat:
+                if isinstance(v, (bool, np.bool_)) or not (numbers or isinstance(v, _REALS)):
+                    raise DomainError(f"{name} must be an array of real numbers, got {v!r}")
     if a.dtype.kind not in "iuf":
         raise DomainError(f"{name} must be an array of real numbers, got dtype {a.dtype}")
-    if not isinstance(x, np.ndarray) and any(isinstance(v, (bool, np.bool_))
-                                             for v in np.array(x, dtype=object).flat):
-        raise DomainError(f"{name} must be an array of real numbers, got a bool among them")
     a = a.astype(float, copy=False)
     if ok is not None and not np.all(ok(a)):
         raise DomainError(f"{name} must {rule}")
@@ -432,6 +443,7 @@ def copula_log_density(u, correlation):
         -0.5*log det(R) - 0.5 * z'(inv(R) - I)z with z the normal scores
         of u.  Exactly 0 when R is the identity.
     """
+    _instance("correlation", correlation, CorrelationMatrix)
     return _per_sample(lambda uc: _copula_log_density_from_scores(
         ndtri(_reals("u", uc, *_INSIDE_UNIT)), correlation), u, dim=correlation.dim, name="u")
 
@@ -442,6 +454,7 @@ def joint_log_density(x, dist):
     Accepts a single vector of shape (d,) or a batch of shape (n, d);
     returns a float or an (n,) array accordingly.
     """
+    _instance("dist", dist, DistributionSpec)
     return _per_sample(_log_density_columns, x, dist, dim=dist.dim)
 
 
@@ -537,6 +550,7 @@ def sample_inputs(n, dist, seed):
     X = (-log Phi(-V))**(1/alpha) for correlated normals V: the blocks of
     ``_drawn_blocks``, joined, as an F-ordered view of the (d, n) draw.
     """
+    _instance("dist", dist, DistributionSpec)
     n = _draw_size(n, dist.dim)        # _joined's range takes no float n past one block
     # the (X,) of each (X, None) block, by map: a generator expression would hold each block
     # until the next one is drawn

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .distributions import _MAX_INDEX, _count, _drawn_blocks, _real, _reals
+from .distributions import _MAX_INDEX, _count, _drawn_blocks, _instance, _real, _reals
 from .errors import BadLossError, DomainError, EstimationError, FeasibilityError, TailMassError
 from .losses import _check_input_dim
 from .transform import (
@@ -149,11 +149,7 @@ def _tail(losses, logw, beta, var=None):
     n_above = int(np.count_nonzero(excess))     # loss - var > 0 exactly where loss > var
     shifted = float(scaled @ excess)
     excess *= scaled
-    spread = math.nan
-    if n > 1:                   # np.var(excess, ddof=1)'s steps, in place on the excess
-        excess -= np.add.reduce(excess, keepdims=True) / n
-        np.square(excess, out=excess)
-        spread = math.sqrt(np.add.reduce(excess) / (n - 1) / n)
+    spread = math.sqrt(np.var(excess, ddof=1) / n) if n > 1 else math.nan
     with np.errstate(over="ignore"):
         # exp(m) may be inf where nothing lies above var, and inf * 0 is nan
         c = var if shifted == 0.0 else float(var + np.exp(m) * shifted / (n * beta))
@@ -275,8 +271,7 @@ def estimate(dist, loss, config, method="is"):
         sends samples past the float range.
     """
     _check_input_dim(loss, dist)
-    if not isinstance(config, ISConfig):
-        raise DomainError("config must be an ISConfig")
+    _instance("config", config, ISConfig)
     (got,) = _estimates(dist, loss, config, method, _cells(config.beta, (config.h,), method, loss))
     if isinstance(got, EstimationError):
         raise got
@@ -303,8 +298,9 @@ def _cells(beta, hs, method, loss):
 def _estimates(dist, loss, config, method, cells):
     """estimate at every cell (``_cells``) from one draw: its report or its error, per cell.
 
-    Each block is weighed (``_weigh``) into the rows of every cell not yet failed, then dropped.
-    Its ``_stretch_base`` is made once, while an importance cell is live: all cells share loss.rho.
+    Each block is weighed (``_weigh``) into the rows of every cell not yet failed, then dropped;
+    no block is drawn once every cell has failed.  Its ``_stretch_base`` is made once for the
+    importance method: all cells share loss.rho.
     """
     if method == "naive" and config.n * config.beta < NAIVE_MIN_TAIL_COUNT:
         return [FeasibilityError(
@@ -316,7 +312,7 @@ def _estimates(dist, loss, config, method, cells):
         if lo == 0:             # the draw checks n against (n, d) before the rows are made
             losses, logw = np.empty((len(cells), config.n)), np.empty((len(cells), config.n))
         cols = slice(lo, lo + xc.shape[1])
-        base = _stretch_base(xc, loss.rho) if method == "is" and None in errors else None
+        base = _stretch_base(xc, loss.rho) if method == "is" else None
         for i, (_, params) in enumerate(cells):
             if errors[i] is None:
                 try:
@@ -325,6 +321,8 @@ def _estimates(dist, loss, config, method, cells):
                     errors[i] = exc
         lo = cols.stop
         del xc, log_fx, base            # the next block may reuse this one's memory
+        if None not in errors:          # every cell has failed: the rest of the draw goes unused
+            break
     return [_report(config, method, h, losses[i], logw[i]) if errors[i] is None else errors[i]
             for i, (h, _) in enumerate(cells)]
 

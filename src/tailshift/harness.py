@@ -18,7 +18,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import DomainError, EstimationError
-from .distributions import _count, _draw_size, _real, _reals
+from .distributions import _count, _draw_size, _instance, _real, _reals
 from .estimators import EstimateReport, ISConfig, _cells, _estimates, _method_code
 from .losses import LossModel, _check_input_dim
 from .transform import _check_beta, _check_stretch_level, extrapolation_factor
@@ -206,7 +206,8 @@ def run_replications(config, method):
     way rather than aborting: "tail-mass" (too little weighted mass, or no
     sample above var) and "bad-loss" (the loss raised or returned a
     non-finite value).  An unknown method, or an importance (beta, h) cell
-    that cannot stretch outward, raises DomainError before any draw.
+    that cannot stretch outward, raises DomainError before any draw, as
+    does a config that is no ExperimentConfig.
 
     An importance run under a GridH draws each replication once and weighs
     it at every grid point, where a failure at one h leaves the others as
@@ -222,6 +223,7 @@ def run_replications(config, method):
                 ReplicationRow(**vars(got), rep=rep, status="ok")
                 for (h, _), got in zip(cells, results)]
 
+    _instance("config", config, ExperimentConfig)
     rule = config.h_rule if method == "is" else None
     tasks = []
     for bi, beta in enumerate(config.betas):
@@ -271,6 +273,7 @@ def summarize(table):
     Relative errors follow the no-reference convention; a column with fewer
     than two successful replications, or a zero mean, reports a nan error.
     """
+    _instance("table", table, ReplicationTable)
     groups = {}                        # first-seen order of the (method, beta, h) keys
     for r in table.rows:
         groups.setdefault((r.method, r.beta, r.h), []).append(r)
@@ -336,6 +339,7 @@ def cross_validate_h(config, grid, beta, reps_cv=20):
     whose r = h log log(1/beta) <= 1 are skipped; if every point fails, an
     EstimationError is raised.
     """
+    _instance("config", config, ExperimentConfig)
     beta, reps_cv = _check_stretch_level(beta), _cv_reps(reps_cv)
     values = (grid if isinstance(grid, GridH) else GridH(grid)).values
     by_h = {}
@@ -372,6 +376,7 @@ def variance_ratio_study(config):
     which has no cv, raises DomainError before any draw, and so does a GridH,
     which gives a level one summary row per h, not one cv.
     """
+    _instance("config", config, ExperimentConfig)
     _cv_reps(config.reps)
     if isinstance(config.h_rule, GridH):
         raise DomainError("variance_ratio_study needs a fixed or affine h rule, got an h grid")

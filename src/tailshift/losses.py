@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    _REALS, DistributionSpec, _count, _matmul, _per_sample, _positive_finite, _real, _reals,
-    _sum_components,
+    _REALS, DistributionSpec, _count, _instance, _matmul, _per_sample, _positive_finite, _real,
+    _reals, _sum_components,
 )
 from .errors import BadLossError, DomainError, WeightsDimensionError, WeightsFormatError
 
@@ -109,6 +109,7 @@ def relu_net_loss(x, params):
     matrix-vector product, and its dot product for one row, round a row
     according to its position in the batch.
     """
+    _instance("params", params, ReluNetParams)
     return _per_sample(_relu_columns, x, params, dim=params.dim)
 
 
@@ -131,13 +132,6 @@ def _params_to_dict(params):
     }
 
 
-def _weight_array(key, value):
-    """A (nested) list of JSON numbers as a float array: a string or a bool entry is refused."""
-    entries = np.array(value, dtype=object)
-    return np.array([_real(f"{key} entries", v, rule="be finite numbers") for v in entries.flat],
-                    dtype=float).reshape(entries.shape)
-
-
 def _params_from_dict(doc, where):
     """Validate the JSON weights layout; where names its source in error messages."""
     if not isinstance(doc, dict):
@@ -151,7 +145,8 @@ def _params_from_dict(doc, where):
     try:
         # a DomainError from _count is a ValueError: a malformed count, not a shape
         d, hidden = _count("dims.d", dims["d"], 0), _count("dims.hidden", dims["hidden"], 0)
-        W1, b1, w2 = (_weight_array(key, doc[key]) for key in ("W1", "b1", "w2"))
+        W1, b1, w2 = (_reals(key, doc[key], np.isfinite, "be finite numbers")
+                      for key in ("W1", "b1", "w2"))
     except (TypeError, ValueError) as exc:
         raise WeightsFormatError(f"{where} holds non-numeric entries: {exc}") from None
     if W1.ndim == 1:
@@ -291,10 +286,8 @@ def _loss_value(value):
 
 def _check_input_dim(loss, dist):
     """Refuse, as DomainError, a dist or loss of the wrong type, or a loss of another input dim."""
-    if not isinstance(dist, DistributionSpec):
-        raise DomainError("dist must be a DistributionSpec")
-    if not isinstance(loss, LossModel):
-        raise DomainError("loss must be a LossModel")
+    _instance("dist", dist, DistributionSpec)
+    _instance("loss", loss, LossModel)
     if loss.dim not in (None, dist.dim):
         raise DomainError(f"the {loss.kind} loss takes inputs of dimension {loss.dim}, "
                           f"but the input model has dimension {dist.dim}")

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    _log_density_columns, _per_sample, _positive_finite, _real, _sum_components, joint_log_density,
+    DistributionSpec, _instance, _log_density_columns, _per_sample, _positive_finite, _real,
+    _sum_components, joint_log_density,
 )
 from .errors import DomainError, TailMassError
 
@@ -159,6 +160,7 @@ def extrapolate(x, params):
     Raises TailMassError where the full factor r**(1/rho) overflows a
     float, and DomainError where log(r) / (rho * max_j log1p|x_j|) does.
     """
+    _instance("params", params, TransformParams)
     return _per_sample(lambda xc: _stretch_columns(xc, params)[0], x)
 
 
@@ -177,6 +179,7 @@ def log_jacobian(x, params):
     r = 1 and exactly log(r) in one dimension with rho = 1.  Raises as
     ``extrapolate`` does.
     """
+    _instance("params", params, TransformParams)
     return _per_sample(lambda xc: _stretch_columns(xc, params)[1], x)
 
 
@@ -212,6 +215,8 @@ def log_likelihood_ratio(x, dist, params):
     log f(extrapolate(x)) - log f(x) + log_jacobian(x), with f the joint
     input density.  Exactly 0.0 for r = 1.  Accepts (d,) or (n, d).
     """
+    _instance("dist", dist, DistributionSpec)
+    _instance("params", params, TransformParams)
     return _per_sample(lambda xc: _weighted_image(xc, _log_density_columns(xc, dist), dist,
                                                   params)[1],
                        x, dim=dist.dim)

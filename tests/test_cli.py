@@ -83,10 +83,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="positive definite"):
             parse_config(write_config(tmp_path, doc))
 
-    def test_beta_threshold_for_importance(self, tmp_path):
+    def test_beta_threshold_for_importance(self, tmp_path, capsys):
         doc = dict(MINIMAL, betas=[0.5])
-        with pytest.raises(ConfigError, match="beta must be < 1/e"):
-            parse_config(write_config(tmp_path, doc))
+        # the command refuses the level for its importance runs, before any output
+        out = tmp_path / "o"
+        assert main(["estimate", "--config", str(write_config(tmp_path, doc)), "--out",
+                     str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config field 'betas'" in err and "beta must be < 1/e" in err
+        assert not out.exists()
         # the same level is acceptable for the naive method
         ok = dict(doc, method="naive", n=100)
         assert parse_config(write_config(tmp_path, ok)).method == "naive"
@@ -153,10 +158,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="n"):
             parse_config(write_config(tmp_path, doc))
 
-    def test_h_required_for_importance_only(self, tmp_path):
+    def test_h_required_for_importance_only(self, tmp_path, capsys):
         doc = {k: v for k, v in MINIMAL.items() if k != "h"}
-        with pytest.raises(ConfigError, match="h"):
-            parse_config(write_config(tmp_path, doc))
+        out = tmp_path / "o"
+        assert main(["estimate", "--config", str(write_config(tmp_path, doc)), "--out",
+                     str(out)]) == 1
+        assert "config field 'h'" in capsys.readouterr().err and not out.exists()
         assert parse_config(write_config(tmp_path, dict(doc, method="naive"))).method == "naive"
 
     def test_scientific_notation_n(self, tmp_path):
@@ -413,7 +420,7 @@ class TestEstimateCommand:
         cfg = write_config(tmp_path, dict(MINIMAL, loss=loss))
         out = tmp_path / "o"
         assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "W1 entries must be finite numbers, got '1.5'" in capsys.readouterr().err
+        assert "W1 must be an array of real numbers, got '1.5'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("matrix, got", [
@@ -425,8 +432,8 @@ class TestEstimateCommand:
         out = tmp_path / "o"
         assert main(["estimate", "--config", str(write_config(tmp_path, doc)), "--out",
                      str(out)]) == 1
-        assert (f"config field 'dist.correlation': matrix entries must be finite numbers, "
-                f"got {got}") in capsys.readouterr().err
+        assert (f"config field 'dist.correlation': correlation matrix must be an array of real "
+                f"numbers, got {got}") in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_rho_is_not_a_weights_error(self, tmp_path, capsys):

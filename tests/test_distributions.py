@@ -1,6 +1,7 @@
 """Marginals, copula, joint density, quantiles, sampling."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -501,6 +502,22 @@ class TestRealArguments:
     def test_refuses_bools_strings_and_huge_ints(self, call):
         # a DomainError, not numpy's or Python's own OverflowError, TypeError or ValueError
         with pytest.raises(DomainError, match="must"):
+            call()
+
+    @pytest.mark.parametrize("call, want", [
+        (lambda: CorrelationMatrix([[1.0, "0.5"], ["0.5", 1.0]]),
+         "correlation matrix must be an array of real numbers, got '0.5'"),
+        (lambda: CorrelationMatrix([[1.0, 0.5], [0.5, True]]),
+         "correlation matrix must be an array of real numbers, got True"),
+        (lambda: std_normal_quantile([0.5, None, "x"]),
+         "p must be an array of real numbers, got None"),
+        (lambda: joint_log_density([[1.0, 2.0], [np.True_, 3.0]], DistributionSpec.from_alphas(
+            [1.0, 1.0])), f"x must be an array of real numbers, got {np.True_!r}"),
+        (lambda: MarginalSpec(1.0).cdf("1.5"), "x must be an array of real numbers, got '1.5'"),
+    ], ids=["string in a matrix", "bool in a matrix", "None in a vector", "numpy bool in a batch",
+            "string scalar"])
+    def test_a_list_names_the_first_entry_it_refuses(self, call, want):
+        with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
             call()
 
 

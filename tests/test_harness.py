@@ -410,6 +410,26 @@ class TestRunReplications:
         assert [repr(r) for r in table.rows_for(1e-3)] == [repr(r) for r in alone.rows]
         assert [r.status for r in table.rows_for(1e-6)] == ["tail-mass"] * 3
 
+    def test_a_replication_draws_no_block_once_every_cell_has_failed(self, portfolio_dist,
+                                                                     monkeypatch):
+        # at rho 0.0026 and 1e-6 the stretch overflows in the first block: the
+        # other blocks of the draw would be weighed at no cell
+        import tailshift.distributions as dz
+
+        calls, real = [], dz._draw_rows
+
+        def counted(rng, m, n, dist, with_density):
+            calls.append(m)
+            return real(rng, m, n, dist, with_density)
+
+        monkeypatch.setattr(dz, "_draw_rows", counted)
+        loss, n = LossModel.linear(rho=0.0026), 3 * _BLOCK + 17
+        cfg = small_config(portfolio_dist, loss, betas=(1e-6,), n=n, h_rule=FixedH(2.6), reps=2)
+        assert [r.status for r in run_replications(cfg, "is").rows] == ["tail-mass"] * 2
+        with pytest.raises(TailMassError, match="smaller h or a larger rho"):
+            estimate(portfolio_dist, loss, ISConfig(beta=1e-6, n=n, seed=1, h=2.6))
+        assert calls == [_BLOCK] * 3
+
     def test_rejects_unknown_method(self, onedim_dist, linear):
         with pytest.raises(DomainError):
             run_replications(small_config(onedim_dist, linear), "quasi")
@@ -463,6 +483,22 @@ class TestRunReplications:
         assert float(got[6]) == want.var_hat  # repr round-trips exactly
         assert float(got[7]) == want.cvar_hat
         assert int(got[5]) == want.seed
+
+
+@pytest.mark.parametrize("bad", [None, ISConfig(beta=1e-3, n=10, seed=0, h=2.6)],
+                         ids=["None", "an ISConfig"])
+@pytest.mark.parametrize("call, match", [
+    (lambda bad: run_replications(bad, "is"), "^config must be an ExperimentConfig$"),
+    (lambda bad: variance_ratio_study(bad), "^config must be an ExperimentConfig$"),
+    (lambda bad: cross_validate_h(bad, GridH((2.0, 3.0)), 1e-3, reps_cv=2),
+     "^config must be an ExperimentConfig$"),
+    (lambda bad: summarize(bad), "^table must be a ReplicationTable$"),
+], ids=["run_replications", "variance_ratio_study", "cross_validate_h", "summarize"])
+def test_a_config_or_table_of_another_type_is_named_before_any_draw(call, match, bad, drawn):
+    # each raised a raw AttributeError, or cross_validate_h a TypeError from replace
+    with pytest.raises(DomainError, match=match):
+        call(bad)
+    assert drawn == []
 
 
 class TestSummarize:

@@ -305,6 +305,32 @@ def test_an_input_of_no_real_numbers_is_refused(name, kind):
         func(x)
 
 
+_MODEL_CASES = {
+    # name: (function of its model argument, that argument's name and type)
+    "extrapolate": (lambda m: extrapolate(np.ones(12), m), "params", "a TransformParams"),
+    "log_jacobian": (lambda m: log_jacobian(np.ones(12), m), "params", "a TransformParams"),
+    "log_likelihood_ratio dist": (lambda m: log_likelihood_ratio(np.ones(12), m, _LAYOUT_PARAMS),
+                                  "dist", "a DistributionSpec"),
+    "log_likelihood_ratio params": (lambda m: log_likelihood_ratio(np.ones(12), _LAYOUT_DIST, m),
+                                    "params", "a TransformParams"),
+    "joint_log_density": (lambda m: joint_log_density(np.ones(12), m), "dist",
+                          "a DistributionSpec"),
+    "sample_inputs": (lambda m: sample_inputs(5, m, seed=0), "dist", "a DistributionSpec"),
+    "copula_log_density": (lambda m: copula_log_density(np.full(12, 0.5), m), "correlation",
+                           "a CorrelationMatrix"),
+    "relu_net_loss": (lambda m: relu_net_loss(np.ones(12), m), "params", "a ReluNetParams"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MODEL_CASES))
+@pytest.mark.parametrize("model", [None, 2.0, "dist"], ids=["None", "number", "string"])
+def test_a_model_argument_of_another_type_is_named(name, model):
+    # each raised a raw AttributeError on the model's missing dim, rho or W1
+    func, arg, kind = _MODEL_CASES[name]
+    with pytest.raises(DomainError, match=f"^{arg} must be {kind}$"):
+        func(model)
+
+
 _ONE_DIM = DistributionSpec.from_alphas([1.0])
 _ONE_DIM_CASES = {
     # name: function of a point in one dimension, a vector (1,) or a scalar
