@@ -21,6 +21,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
@@ -33,10 +34,11 @@ from .harness import (  # noqa: F401  (REPLICATION_COLUMNS is re-exported)
     ReplicationTable, VarianceRatioRow, _cv_reps, cross_validate_h, run_replications, summarize,
     variance_ratio_study, write_rows_csv,
 )
-from .losses import LossModel, _params_from_dict, _params_to_dict, load_relu_params
+from .losses import _KINDS, LossModel, _params_from_dict, _params_to_dict, load_relu_params
 from .transform import _check_stretch_level, extrapolation_factor
 
-_LOSS_KINDS = ("pert7", "linear", "relu_net")
+_LOSS_KINDS = tuple(k for k in _KINDS if k != "external")    # a config names no callable
+_METHODS = ("is", "naive", "both")
 _PATTERNS = ("tridiagonal", "equicorrelated", "identity")
 
 VARRATIO_COLUMNS = tuple(f.name for f in fields(VarianceRatioRow))
@@ -51,7 +53,7 @@ class RunSpec:
     """A parsed configuration: experiment plus method choice."""
 
     experiment: ExperimentConfig
-    method: str                  # "is", "naive" or "both"
+    method: str                  # one of _METHODS
     resolved: dict               # JSON-ready config that rebuilds this spec
 
     @property
@@ -90,13 +92,22 @@ def _number(value, field):
         raise ConfigError(f"expected a finite number, got {value!r}", field=field) from None
 
 
+@contextmanager
+def _refused(field=None):
+    """Turn a DomainError the library raises in the body into a ConfigError naming field."""
+    try:
+        yield
+    except DomainError as exc:
+        raise ConfigError(str(exc), field=field) from None
+
+
 def _parse_correlation(spec, dim):
     if isinstance(spec, str):
         spec = {"pattern": spec}
     if not isinstance(spec, dict):
         raise ConfigError("must be a pattern name, a pattern object or a matrix object",
                           field="dist.correlation")
-    try:
+    with _refused("dist.correlation"):
         if "matrix" in spec:
             return CorrelationMatrix(_entries(spec, "dist.correlation", ("matrix",))["matrix"])
         pattern = _require(spec, "pattern", str, where="dist.correlation")
@@ -111,8 +122,6 @@ def _parse_correlation(spec, dim):
         if pattern == "tridiagonal":
             return CorrelationMatrix.tridiagonal(dim, c)
         return CorrelationMatrix.equicorrelated(dim, c)
-    except DomainError as exc:
-        raise ConfigError(str(exc), field="dist.correlation") from None
 
 
 def _parse_loss(spec, base_dir):
@@ -122,27 +131,26 @@ def _parse_loss(spec, base_dir):
     # relu_net reads its weights inline or from a file, not both
     weights = ("weights" if "weights" in spec else "weights_file",) if kind == "relu_net" else ()
     _entries(spec, "loss", ("kind", "rho", *weights))
-    rho = _number(spec.get("rho", 1.0), "loss.rho")
-    resolved = {"kind": kind, "rho": rho}
+    rho = {"rho": _number(spec["rho"], "loss.rho")} if "rho" in spec else {}
+    params = None
     try:
-        if kind == "pert7":
-            return LossModel.pert7(rho=rho), resolved
-        if kind == "linear":
-            return LossModel.linear(rho=rho), resolved
         if "weights" in spec:
             params = _params_from_dict(spec["weights"], "inline weights")
-        else:
+        elif kind == "relu_net":
             rel = Path(_require(spec, "weights_file", str, where="loss"))
             path = rel if rel.is_absolute() else base_dir / rel
             params = load_relu_params(path)
-        resolved["weights"] = _params_to_dict(params)
-        return LossModel.relu_net(params, rho=rho), resolved
+        loss = LossModel(kind=kind, relu=params, **rho)
     except FileNotFoundError as exc:
         raise ConfigError(f"weights file not found: {exc}", field="loss.weights_file") from None
     except DomainError as exc:        # before ValueError, which it subclasses
         raise ConfigError(str(exc), field="loss") from None
     except (WeightsFileError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad network weights: {exc}", field="loss") from None
+    resolved = {"kind": kind, "rho": loss.rho}
+    if params is not None:
+        resolved["weights"] = _params_to_dict(params)
+    return loss, resolved
 
 
 def _parse_h_rule(spec):
@@ -212,10 +220,8 @@ def parse_config(path, overrides=None):
     alphas = [_number(a, "dist.alphas") for a in alphas_spec]
     correlation = _parse_correlation(
         _require(dist_doc, "correlation", None, where="dist"), len(alphas))
-    try:
+    with _refused("dist"):
         dist = DistributionSpec.from_alphas(alphas, correlation)
-    except DomainError as exc:
-        raise ConfigError(str(exc), field="dist") from None
 
     loss, loss_resolved = _parse_loss(_require(doc, "loss", dict), path.parent)
 
@@ -224,23 +230,21 @@ def parse_config(path, overrides=None):
              for b in (betas_spec if isinstance(betas_spec, list) else [betas_spec])]
 
     method = doc.get("method", "is")
-    if method not in ("is", "naive", "both"):
+    if method not in _METHODS:
         raise ConfigError(f"must be 'is', 'naive' or 'both', got {method!r}", field="method")
 
     # the importance method's needs (a level below 1/e, an h) are _check_h_rule's, per command
     h_rule, h_resolved = _parse_h_rule(doc["h"]) if "h" in doc else (None, None)
 
     n = _require(doc, "n", (int, float))
-    reps, seed, threads = (_require({key: default, **doc}, key, (int, float))
-                           for key, default in (("reps", 50), ("seed", 0), ("threads", 1)))
-    # ExperimentConfig owns the study rules: whole counts, distinct levels in (0, 1)
-    try:
-        experiment = ExperimentConfig(
-            dist=dist, loss=loss, betas=tuple(betas), n=n, h_rule=h_rule,
-            reps=reps, base_seed=seed, threads=threads,
-        )
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
+    counts = {name: _require(doc, key, (int, float))
+              for key, name in (("reps", "reps"), ("seed", "base_seed"), ("threads", "threads"))
+              if key in doc}
+    # ExperimentConfig owns the study rules and the counts' defaults: whole counts, distinct
+    # levels in (0, 1)
+    with _refused():
+        experiment = ExperimentConfig(dist=dist, loss=loss, betas=tuple(betas), n=n,
+                                      h_rule=h_rule, **counts)
 
     resolved = {
         "dist": {
@@ -288,16 +292,12 @@ def _check_h_rule(command, spec):
     exp, rule = spec.experiment, spec.experiment.h_rule
     if command not in ("crossval", "varratio") and "is" not in spec.methods:
         return
-    try:
+    with _refused("betas"):
         for beta in exp.betas:
             _check_stretch_level(beta)
-    except DomainError as exc:
-        raise ConfigError(str(exc), field="betas") from None
     if command in ("crossval", "varratio"):
-        try:
+        with _refused("reps"):
             _cv_reps(exp.reps)
-        except DomainError as exc:
-            raise ConfigError(str(exc), field="reps") from None
     if command == "crossval":
         if not isinstance(rule, GridH):
             raise ConfigError("crossval needs an h grid ({'grid': [...]})", field="h")
@@ -305,11 +305,9 @@ def _check_h_rule(command, spec):
     if rule is None or isinstance(rule, GridH):
         raise ConfigError(f"{command} runs the importance method, which needs a fixed or "
                           "affine h (or --h); an h grid only works with crossval", field="h")
-    for beta in exp.betas:
-        try:
+    with _refused("h"):
+        for beta in exp.betas:
             extrapolation_factor(beta, rule.h_for(beta))
-        except DomainError as exc:
-            raise ConfigError(str(exc), field="h") from None
 
 
 def cmd_estimate(spec, out_dir):
@@ -424,7 +422,7 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None, help="override the base seed")
         p.add_argument("--threads", type=int, default=None, help="worker threads for replications")
         p.add_argument("--out", default=".", help="directory for CSV and manifest outputs")
-        p.add_argument("--method", choices=("is", "naive", "both"), default=None,
+        p.add_argument("--method", choices=_METHODS, default=None,
                        help="override the configured method")
         p.add_argument("--beta", type=float, action="append", default=None,
                        help="override the beta levels (repeatable)")

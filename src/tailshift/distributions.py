@@ -110,8 +110,10 @@ def _reals(name, x, ok=None, rule=None):
     The one reader of array arguments.  An ndarray is judged by its dtype alone; of a list
     (or a scalar) the first entry refused is named: a bool, or, where numpy reads no numbers,
     one that is no real number.  ok, if given, tests the floats elementwise and must fail a
-    nan; rule words it as "{name} must {rule}".  A float array comes back as it is.
+    nan; rule words it as "{name} must {rule}", and names the first entry of a list (or
+    the scalar) that it fails.  A float array comes back as it is.
     """
+    entries = None
     try:
         a = np.asarray(x)
     except ValueError:                     # a ragged nesting: numpy holds it only as objects
@@ -119,14 +121,16 @@ def _reals(name, x, ok=None, rule=None):
     else:
         if not isinstance(x, np.ndarray):
             numbers = a.dtype.kind in "iuf"
-            for v in np.array(x, dtype=object).flat:
+            entries = np.array(x, dtype=object).ravel()
+            for v in entries:
                 if isinstance(v, (bool, np.bool_)) or not (numbers or isinstance(v, _REALS)):
                     raise DomainError(f"{name} must be an array of real numbers, got {v!r}")
     if a.dtype.kind not in "iuf":
         raise DomainError(f"{name} must be an array of real numbers, got dtype {a.dtype}")
     a = a.astype(float, copy=False)
-    if ok is not None and not np.all(ok(a)):
-        raise DomainError(f"{name} must {rule}")
+    if ok is not None and not np.all(good := ok(a)):
+        got = "" if entries is None else f", got {entries[np.argmin(good)]!r}"
+        raise DomainError(f"{name} must {rule}{got}")
     return a
 
 

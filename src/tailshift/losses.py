@@ -203,6 +203,9 @@ def synthetic_relu_params(dim, hidden, seed, nonnegative="output"):
     return ReluNetParams(W1=W1, b1=b1, w2=w2, b2=0.0)
 
 
+_KINDS = ("pert7", "linear", "relu_net", "external")
+
+
 @dataclass(frozen=True)
 class LossModel:
     """A loss with the metadata the sampler needs.
@@ -218,7 +221,7 @@ class LossModel:
     func: object = None
 
     def __post_init__(self):
-        if self.kind not in ("pert7", "linear", "relu_net", "external"):
+        if self.kind not in _KINDS:
             raise DomainError(f"unknown loss kind {self.kind!r}")
         object.__setattr__(self, "rho", _positive_finite("rho", self.rho))
         if self.kind == "relu_net" and not isinstance(self.relu, ReluNetParams):

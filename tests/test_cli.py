@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 import tailshift
 from tailshift import (
     ConfigError,
+    ExperimentConfig,
     ISConfig,
     LossModel,
     WeightsFileError,
@@ -143,15 +145,45 @@ class TestParseConfig:
          "config field 'dist': 2 marginals but correlation matrix of dim 1"),
         (dict(MINIMAL, dist={"alphas": [-1.0], "correlation": "identity"}),
          "config field 'dist': alpha must be positive and finite"),
+        (dict(MINIMAL, dist={"alphas": [1.0] * 3,
+                             "correlation": {"pattern": "tridiagonal", "c": 0.9}}),
+         "config field 'dist.correlation': correlation matrix is not positive definite"),
+        (dict(MINIMAL, dist={"alphas": [1.0, 1.0],
+                             "correlation": {"matrix": [[1.0, 1.5], [1.5, 1.0]]}}),
+         "config field 'dist.correlation': correlation matrix is not positive definite"),
+        # a study rule names no one field
+        (dict(MINIMAL, betas=[1e-3, 1e-3]), "error: beta levels must be distinct"),
+        (dict(MINIMAL, reps=0), "error: reps must be positive, got 0"),
+        (dict(MINIMAL, loss={"kind": "relu_net", "weights": {
+            "dims": {"d": 1, "hidden": 2}, "W1": [math.nan, 1.0], "b1": [0, 0], "w2": [1.0, 1.0],
+            "b2": 0.0}}),
+         "config field 'loss': bad network weights: inline weights holds non-numeric entries: "
+         "W1 must be finite numbers, got nan"),
     ], ids=["correlation no string or object", "unknown pattern", "unknown loss kind",
             "h object of no known form", "top level no object", "manifest config no object",
-            "unknown method", "dimension mismatch", "negative alpha"])
+            "unknown method", "dimension mismatch", "negative alpha",
+            "pattern not positive definite", "matrix not positive definite", "repeated levels",
+            "no replications", "nan network weight"])
     def test_a_refused_config_exits_1_naming_its_fault(self, tmp_path, capsys, doc, want):
         cfg = write_config(tmp_path, doc)
         assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         captured = capsys.readouterr()
         assert want in captured.err
         assert captured.out == "" and not (tmp_path / "o").exists()
+
+    def test_omitted_counts_and_rho_take_the_library_defaults(self, tmp_path):
+        doc = {k: v for k, v in MINIMAL.items() if k != "seed"}
+        assert not {"reps", "seed", "threads"} & set(doc) and "rho" not in doc["loss"]
+        default = {f.name: f.default for f in (*fields(ExperimentConfig), *fields(LossModel))}
+        want = (default["reps"], default["base_seed"], default["threads"], default["rho"])
+        exp = parse_config(write_config(tmp_path, doc)).experiment
+        assert (exp.reps, exp.base_seed, exp.threads, exp.loss.rho) == want
+        out = tmp_path / "o"
+        assert main(["estimate", "--config", str(write_config(tmp_path, doc)), "--out",
+                     str(out)]) == 0
+        resolved = json.loads((out / "manifest.json").read_text())["resolved_config"]
+        assert (resolved["reps"], resolved["seed"], resolved["threads"],
+                resolved["loss"]["rho"]) == want
 
     def test_missing_field_is_named(self, tmp_path):
         doc = {k: v for k, v in MINIMAL.items() if k != "n"}

@@ -407,10 +407,10 @@ class TestInputValidation:
                 call()
 
     @pytest.mark.parametrize("losses, logw, match", [
-        ([1.0, np.nan, 3.0], [0.0, 0.0, 0.0], "^losses must be finite$"),
-        ([1.0, -np.inf, 3.0], [0.0, 0.0, 0.0], "^losses must be finite$"),
-        ([1.0, 2.0, 3.0], [0.0, np.nan, 0.0], "^log weights must not be nan or [+]inf$"),
-        ([1.0, 2.0, 3.0], [0.0, np.inf, 0.0], "^log weights must not be nan or [+]inf$"),
+        ([1.0, np.nan, 3.0], [0.0, 0.0, 0.0], "^losses must be finite, got nan$"),
+        ([1.0, -np.inf, 3.0], [0.0, 0.0, 0.0], "^losses must be finite, got -inf$"),
+        ([1.0, 2.0, 3.0], [0.0, np.nan, 0.0], "^log weights must not be nan or [+]inf, got nan$"),
+        ([1.0, 2.0, 3.0], [0.0, np.inf, 0.0], "^log weights must not be nan or [+]inf, got inf$"),
     ], ids=["nan loss", "-inf loss", "nan log weight", "+inf log weight"])
     def test_samples_out_of_range_name_their_array(self, losses, logw, match):
         with pytest.raises(DomainError, match=match):
