@@ -16,7 +16,7 @@ import numpy as np
 
 from tailshift import (
     CorrelationMatrix, DistributionSpec, ExperimentConfig, FixedH, LossModel,
-    relative_rmse, run_replications, variance_ratio_study,
+    relative_rmse, run_replications, summarize,
 )
 
 dist = DistributionSpec.from_alphas(
@@ -34,15 +34,20 @@ for beta in betas:
     vals = table.values("cvar_hat", beta)
     print(f"{beta:<12.3e}  {vals.mean():9.2f}    {relative_rmse(vals):.4f}")
 
-# The naive side of the same comparison.  At beta = 1e-3.5 the naive
+# The naive side of the same comparison, summarized level by level as
+# `tailshift benchmark --method both` writes it.  At beta = 1e-3.5 the naive
 # estimator needs roughly 200x the samples for a similar error; deeper
 # levels are flagged infeasible outright at n = 1000.
+naive = run_replications(config, "naive")
 print()
 print("variance ratio at n = 1000:")
-for row in variance_ratio_study(config):
-    cv_naive = f"{row.cv_naive:.4f}" if np.isfinite(row.cv_naive) else "-"
-    print(f"  beta={row.beta:<12.3e} cv_is={row.cv_is:.4f}  "
-          f"cv_naive={cv_naive}  ({row.naive_status})")
+for s, v in zip(summarize(table), summarize(naive)):
+    cv = v["rel_rmse_cvar"]
+    status = ("infeasible" if any(r.status == "infeasible" for r in naive.rows_for(s["beta"]))
+              else "failed" if np.isnan(cv) else "ok")
+    cv_naive = f"{cv:.4f}" if np.isfinite(cv) else "-"
+    print(f"  beta={s['beta']:<12.3e} cv_is={s['rel_rmse_cvar']:.4f}  "
+          f"cv_naive={cv_naive}  ({status})")
 
 naive_big = ExperimentConfig(
     dist=dist, loss=LossModel.linear(), betas=(betas[0],), n=200_000,

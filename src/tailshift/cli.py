@@ -22,8 +22,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
-from operator import attrgetter
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -31,8 +30,7 @@ from .distributions import CorrelationMatrix, DistributionSpec, _count, _real
 from .errors import ConfigError, DomainError, EstimationError, WeightsFileError
 from .harness import (  # noqa: F401  (REPLICATION_COLUMNS is re-exported)
     AffineH, ExperimentConfig, FixedH, GridH, REPLICATION_COLUMNS, SUMMARY_COLUMNS,
-    ReplicationTable, VarianceRatioRow, _cv_reps, cross_validate_h, run_replications, summarize,
-    variance_ratio_study, write_rows_csv,
+    ReplicationTable, _cv_reps, cross_validate_h, run_replications, summarize, write_rows_csv,
 )
 from .losses import _KINDS, LossModel, _params_from_dict, _params_to_dict, load_relu_params
 from .transform import _check_stretch_level, extrapolation_factor
@@ -41,7 +39,7 @@ _LOSS_KINDS = tuple(k for k in _KINDS if k != "external")    # a config names no
 _METHODS = ("is", "naive", "both")
 _PATTERNS = ("tridiagonal", "equicorrelated", "identity")
 
-VARRATIO_COLUMNS = tuple(f.name for f in fields(VarianceRatioRow))
+VARRATIO_COLUMNS = ("beta", "cv_is", "cv_naive", "naive_status")
 CROSSVAL_COLUMNS = ("h", "cv", "n_ok", "status", "selected")
 
 _MATCH_MAX_FACTOR = 64           # the naive-match search stops past max(factor * n, cap)
@@ -132,13 +130,15 @@ def _parse_loss(spec, base_dir):
     weights = ("weights" if "weights" in spec else "weights_file",) if kind == "relu_net" else ()
     _entries(spec, "loss", ("kind", "rho", *weights))
     rho = {"rho": _number(spec["rho"], "loss.rho")} if "rho" in spec else {}
+    # outside the try: a ConfigError is a ValueError, which the try words as bad weights
+    if weights == ("weights_file",):
+        rel = Path(_require(spec, "weights_file", str, where="loss"))
+        path = rel if rel.is_absolute() else base_dir / rel
     params = None
     try:
         if "weights" in spec:
             params = _params_from_dict(spec["weights"], "inline weights")
         elif kind == "relu_net":
-            rel = Path(_require(spec, "weights_file", str, where="loss"))
-            path = rel if rel.is_absolute() else base_dir / rel
             params = load_relu_params(path)
         loss = LossModel(kind=kind, relu=params, **rho)
     except FileNotFoundError as exc:
@@ -393,12 +393,18 @@ def _naive_matching_n(spec, summary_rows):
 
 def cmd_varratio(spec, out_dir):
     """Replication cv of both methods at every beta."""
-    rows = variance_ratio_study(spec.experiment)
+    is_table, naive_table = (run_replications(spec.experiment, m) for m in ("is", "naive"))
+    infeasible = {r.beta for r in naive_table.rows if r.status == "infeasible"}
+    # summarize's rel_rmse_cvar, as benchmark --method both reports it: one summary row per
+    # level in each table, in the config's order
+    rows = [(s["beta"], s["rel_rmse_cvar"], v["rel_rmse_cvar"],
+             "infeasible" if s["beta"] in infeasible
+             else "failed" if math.isnan(v["rel_rmse_cvar"]) else "ok")
+            for s, v in zip(summarize(is_table), summarize(naive_table))]
     out = out_dir / "varratio.csv"
-    write_rows_csv(out, VARRATIO_COLUMNS, map(attrgetter(*VARRATIO_COLUMNS), rows))
-    for r in rows:
-        print(f"beta={r.beta:<12g} cv_is={r.cv_is:<10.4g} cv_naive={r.cv_naive:<10.4g} "
-              f"({r.naive_status})")
+    write_rows_csv(out, VARRATIO_COLUMNS, rows)
+    for beta, cv_is, cv_naive, status in rows:
+        print(f"beta={beta:<12g} cv_is={cv_is:<10.4g} cv_naive={cv_naive:<10.4g} ({status})")
     return 0, [out]
 
 

@@ -40,8 +40,6 @@ __all__ = [
     "CrossValEntry",
     "CrossValResult",
     "cross_validate_h",
-    "VarianceRatioRow",
-    "variance_ratio_study",
 ]
 
 SUMMARY_COLUMNS = (
@@ -359,32 +357,3 @@ def cross_validate_h(config, grid, beta, reps_cv=20):
     entries = tuple(by_h[h] for h in values)
     return CrossValResult(beta=beta, selected_h=_select_h(entries), entries=entries)
 
-
-@dataclass(frozen=True)
-class VarianceRatioRow:
-    beta: float
-    cv_is: float
-    cv_naive: float          # nan when not feasible or failed
-    naive_status: str        # "ok", "infeasible", "failed"
-
-
-def variance_ratio_study(config):
-    """Replication cv (summarize's rel_rmse_cvar) of both methods, level by level.
-
-    The naive column is filled only where n * beta >= 5; levels whose naive
-    rows run_replications tagged infeasible are reported as such.  reps < 2,
-    which has no cv, raises DomainError before any draw, and so does a GridH,
-    which gives a level one summary row per h, not one cv.
-    """
-    _instance("config", config, ExperimentConfig)
-    _cv_reps(config.reps)
-    if isinstance(config.h_rule, GridH):
-        raise DomainError("variance_ratio_study needs a fixed or affine h rule, got an h grid")
-    is_table = run_replications(config, "is")
-    naive_table = run_replications(config, "naive")
-    infeasible = {r.beta for r in naive_table.rows if r.status == "infeasible"}
-    # one summary row per level in each table, in the order of config.betas
-    return [VarianceRatioRow(beta=s["beta"], cv_is=s["rel_rmse_cvar"], cv_naive=v["rel_rmse_cvar"],
-                             naive_status="infeasible" if s["beta"] in infeasible
-                             else "failed" if math.isnan(v["rel_rmse_cvar"]) else "ok")
-            for s, v in zip(summarize(is_table), summarize(naive_table))]

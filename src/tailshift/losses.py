@@ -148,7 +148,7 @@ def _params_from_dict(doc, where):
         W1, b1, w2 = (_reals(key, doc[key], np.isfinite, "be finite numbers")
                       for key in ("W1", "b1", "w2"))
     except (TypeError, ValueError) as exc:
-        raise WeightsFormatError(f"{where} holds non-numeric entries: {exc}") from None
+        raise WeightsFormatError(f"{where}: {exc}") from None
     if W1.ndim == 1:
         if W1.size != hidden * d:
             raise WeightsDimensionError(

@@ -157,13 +157,24 @@ class TestParseConfig:
         (dict(MINIMAL, loss={"kind": "relu_net", "weights": {
             "dims": {"d": 1, "hidden": 2}, "W1": [math.nan, 1.0], "b1": [0, 0], "w2": [1.0, 1.0],
             "b2": 0.0}}),
-         "config field 'loss': bad network weights: inline weights holds non-numeric entries: "
-         "W1 must be finite numbers, got nan"),
+         "error: config field 'loss': bad network weights: inline weights: "
+         "W1 must be finite numbers, got nan\n"),
+        (dict(MINIMAL, loss={"kind": "relu_net", "weights": {
+            "dims": {"d": 1.5, "hidden": 2}, "W1": [1.0, 1.0], "b1": [0, 0], "w2": [1.0, 1.0],
+            "b2": 0.0}}),
+         "error: config field 'loss': bad network weights: inline weights: "
+         "dims.d must be a whole number, got 1.5\n"),
+        # one field prefix: the weights file's own, not the weights' as well
+        (dict(MINIMAL, loss={"kind": "relu_net"}),
+         "error: config field 'loss.weights_file': required entry is missing\n"),
+        (dict(MINIMAL, loss={"kind": "relu_net", "weights_file": 3}),
+         "error: config field 'loss.weights_file': expected <class 'str'>, got int\n"),
     ], ids=["correlation no string or object", "unknown pattern", "unknown loss kind",
             "h object of no known form", "top level no object", "manifest config no object",
             "unknown method", "dimension mismatch", "negative alpha",
             "pattern not positive definite", "matrix not positive definite", "repeated levels",
-            "no replications", "nan network weight"])
+            "no replications", "nan network weight", "fractional network dims",
+            "no weights file", "weights file no string"])
     def test_a_refused_config_exits_1_naming_its_fault(self, tmp_path, capsys, doc, want):
         cfg = write_config(tmp_path, doc)
         assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
@@ -681,6 +692,15 @@ class TestVarratioCommand:
         assert tuple(rows[0]) == VARRATIO_COLUMNS
         assert [r[3] for r in rows[1:]] == ["ok", "infeasible"]
         assert "cv_naive" not in capsys.readouterr().err
+        # the cvs are the rel_rmse_cvar that benchmark --method both writes, digit for digit
+        bench = tmp_path / "bench"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(bench),
+                     "--method", "both"]) == 0
+        head, *body = read_csv(bench / "summary.csv")
+        summary = {(r[0], r[1]): r[head.index("rel_rmse_cvar")] for r in body}
+        assert [(r[1], r[2]) for r in rows[1:]] == [
+            (summary["is", r[0]], summary["naive", r[0]]) for r in rows[1:]]
+        assert rows[1][2] != "nan" and rows[2][2] == "nan"
 
     def test_one_replication_exits_1(self, tmp_path, capsys):
         # one replication has no cv: the table would be nan, and the naive level "failed"
@@ -691,10 +711,14 @@ class TestVarratioCommand:
         assert "config field 'reps'" in err and "at least 2 replications" in err
         assert not out.exists()
 
-    def test_grid_rejected(self, tmp_path):
+    def test_grid_rejected(self, tmp_path, capsys):
+        # an h grid gives a level one summary row per h, not one cv
         doc = dict(MINIMAL, h={"grid": [2.0, 3.0]})
-        cfg = write_config(tmp_path, doc)
-        assert main(["varratio", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        cfg, out = write_config(tmp_path, doc), tmp_path / "o"
+        assert main(["varratio", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config field 'h'" in err and "an h grid only works with crossval" in err
+        assert not out.exists()
 
     def test_naive_config_without_h_exits_1(self, tmp_path, capsys):
         # varratio runs the importance method whatever the configured method

@@ -13,7 +13,6 @@ import pytest
 from tailshift import (
     AffineH,
     BadLossError,
-    CorrelationMatrix,
     DistributionSpec,
     DomainError,
     EstimateReport,
@@ -40,7 +39,6 @@ from tailshift import (
     sample_inputs,
     summarize,
     synthetic_relu_params,
-    variance_ratio_study,
 )
 from tailshift.distributions import _BLOCK
 from tailshift.harness import _select_h, CrossValEntry
@@ -445,6 +443,19 @@ class TestRunReplications:
             run_replications(small_config(onedim_dist, linear), method)
         assert drawn == []
 
+    @pytest.mark.parametrize("betas, rule, match", [
+        ((1e-3, 1e-6, 0.5), FixedH(2.6), "beta must be < 1/e"),
+        ((1e-2, 1e-9), AffineH(2.0, -0.09), "no outward extrapolation"),
+        ((1e-6, 1e-3), GridH((2.6, 0.5)), "no outward extrapolation"),
+    ])
+    def test_an_unusable_cell_is_refused_before_any_draw(self, portfolio_dist, linear,
+                                                         drawn, betas, rule, match):
+        cfg = ExperimentConfig(dist=portfolio_dist, loss=linear, betas=betas, n=200,
+                               h_rule=rule, reps=3)
+        with pytest.raises(DomainError, match=match):
+            run_replications(cfg, "is")
+        assert drawn == []
+
     def test_missing_h_rule_reaches_estimate(self, onedim_dist, linear):
         # estimate owns the "needs h" rule; a naive table needs no rule at all
         cfg = small_config(onedim_dist, linear, h_rule=None, reps=2)
@@ -489,11 +500,10 @@ class TestRunReplications:
                          ids=["None", "an ISConfig"])
 @pytest.mark.parametrize("call, match", [
     (lambda bad: run_replications(bad, "is"), "^config must be an ExperimentConfig$"),
-    (lambda bad: variance_ratio_study(bad), "^config must be an ExperimentConfig$"),
     (lambda bad: cross_validate_h(bad, GridH((2.0, 3.0)), 1e-3, reps_cv=2),
      "^config must be an ExperimentConfig$"),
     (lambda bad: summarize(bad), "^table must be a ReplicationTable$"),
-], ids=["run_replications", "variance_ratio_study", "cross_validate_h", "summarize"])
+], ids=["run_replications", "cross_validate_h", "summarize"])
 def test_a_config_or_table_of_another_type_is_named_before_any_draw(call, match, bad, drawn):
     # each raised a raw AttributeError, or cross_validate_h a TypeError from replace
     with pytest.raises(DomainError, match=match):
@@ -665,60 +675,6 @@ class TestCrossValidation:
         # each replication is weighed block by block at every h: what is whole is
         # each h's losses and log weights, never the reps draws of X
         assert peak < reps * n * portfolio_dist.dim * 8
-
-
-class TestVarianceRatio:
-    def test_mixed_feasibility(self, onedim_dist, linear):
-        cfg = ExperimentConfig(dist=onedim_dist, loss=linear, betas=(0.1, 1e-4),
-                               n=200, h_rule=FixedH(3.0), reps=6, base_seed=9)
-        rows = variance_ratio_study(cfg)
-        assert [r.beta for r in rows] == [0.1, 1e-4]
-        feasible, deep = rows
-        assert feasible.naive_status == "ok"
-        assert feasible.cv_naive > 0.0
-        assert deep.naive_status == "infeasible"
-        assert math.isnan(deep.cv_naive)
-        assert deep.cv_is > 0.0
-        # the cvs are summarize's, as benchmark --method both reports them
-        for method, column in (("is", "cv_is"), ("naive", "cv_naive")):
-            summary = summarize(run_replications(cfg, method))
-            np.testing.assert_equal([getattr(r, column) for r in rows],
-                                    [s["rel_rmse_cvar"] for s in summary])
-
-
-    @pytest.mark.parametrize("betas, rule, match", [
-        ((1e-3, 1e-6, 0.5), FixedH(2.6), "beta must be < 1/e"),
-        ((1e-2, 1e-9), AffineH(2.0, -0.09), "no outward extrapolation"),
-        ((1e-6, 1e-3), GridH((2.6, 0.5)), "no outward extrapolation"),
-    ])
-    def test_an_unusable_cell_is_refused_before_any_draw(self, portfolio_dist, linear,
-                                                         drawn, betas, rule, match):
-        cfg = ExperimentConfig(dist=portfolio_dist, loss=linear, betas=betas, n=200,
-                               h_rule=rule, reps=3)
-        with pytest.raises(DomainError, match=match):
-            run_replications(cfg, "is")
-        # the study refuses an h grid, usable or not
-        with pytest.raises(DomainError, match="an h grid" if isinstance(rule, GridH) else match):
-            variance_ratio_study(cfg)
-        assert drawn == []
-
-    def test_an_h_grid_is_refused_before_any_draw(self, drawn):
-        # run_replications gives rows for every grid point, and the study read them
-        # as one level's: at beta = 1e-2 its cv_is was neither h = 2's nor h = 3's
-        dist = DistributionSpec.from_alphas([0.9] * 3, CorrelationMatrix.equicorrelated(3, 0.1))
-        cfg = ExperimentConfig(dist=dist, loss=LossModel.linear(), betas=(1e-2,), n=300,
-                               h_rule=GridH((2.0, 3.0)), reps=4)
-        with pytest.raises(DomainError, match="needs a fixed or affine h rule, got an h grid"):
-            variance_ratio_study(cfg)
-        assert drawn == []
-
-    def test_one_replication_is_refused_before_any_draw(self, onedim_dist, linear, drawn):
-        # one replication has no cv: both columns would be nan
-        cfg = ExperimentConfig(dist=onedim_dist, loss=linear, betas=(0.01,), n=500,
-                               h_rule=FixedH(3.0), reps=1)
-        with pytest.raises(DomainError, match="at least 2 replications"):
-            variance_ratio_study(cfg)
-        assert drawn == []
 
 
 class TestExperimentConfig:

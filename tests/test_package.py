@@ -9,8 +9,9 @@ from tailshift import distributions, errors, estimators, harness, losses, transf
 MODULES = (distributions, errors, estimators, harness, losses, transform)
 
 # tailshift.__all__ before the package took its names from the modules'
-# lists (stretch_exponents, a test-only second formula for the exponents,
-# has since been deleted)
+# lists.  Since deleted: stretch_exponents, a test-only second formula for
+# the exponents, and variance_ratio_study with its VarianceRatioRow, whose
+# numbers are summarize(run_replications(config, method)) for each method
 EARLIER_NAMES = (
     "__version__",
     "CorrelationMatrix", "DistributionSpec", "MarginalSpec",
@@ -23,7 +24,7 @@ EARLIER_NAMES = (
     "AffineH", "CrossValResult", "ExperimentConfig", "FixedH", "GridH",
     "REPLICATION_COLUMNS", "SUMMARY_COLUMNS",
     "ReplicationTable", "cross_validate_h", "derive_seed", "pert_h_rule",
-    "relative_rmse", "run_replications", "summarize", "variance_ratio_study",
+    "relative_rmse", "run_replications", "summarize",
     "LossModel", "ReluNetParams", "linear_loss", "load_relu_params",
     "pert_completion_time", "relu_net_loss", "save_relu_params", "synthetic_relu_params",
     "TransformParams", "extrapolate", "extrapolation_factor",
@@ -44,15 +45,16 @@ def test_each_name_is_its_modules_object():
 
 
 def test_the_row_types_and_pert_dim_are_exported():
-    for name in ("ReplicationRow", "CrossValEntry", "VarianceRatioRow", "PERT_DIM"):
+    for name in ("ReplicationRow", "CrossValEntry", "PERT_DIM"):
         assert name in tailshift.__all__
 
 
 def test_earlier_names_still_import():
     for name in EARLIER_NAMES:
         assert hasattr(tailshift, name), name
-    assert not hasattr(tailshift, "stretch_exponents")
-    assert not hasattr(transform, "stretch_exponents")
+    for mod, name in ((transform, "stretch_exponents"), (harness, "variance_ratio_study"),
+                      (harness, "VarianceRatioRow")):
+        assert not hasattr(tailshift, name) and not hasattr(mod, name), name
 
 
 def test_init_holds_no_list_of_names():
