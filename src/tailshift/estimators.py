@@ -1,8 +1,9 @@
 """Weighted tail estimators and the one-shot estimation entry point.
 
-The estimators consume weighted loss samples (loss, log weight).  With all
-log weights zero they reduce to the plain empirical estimators, so the
-naive path is the weighted path with unit weights.
+The estimators consume weighted loss samples: a pair (losses, log weights)
+of equal-length arrays.  With all log weights zero they reduce to the plain
+empirical estimators, so the naive path is the weighted path with unit
+weights.
 
 The kernel (``_estimates``) weighs one draw at a list of (h, transform)
 cells, made and checked once per level (``_cells``).  It weighs each drawn
@@ -41,14 +42,12 @@ from .transform import (
 )
 
 __all__ = [
-    "WeightedLossSample",
     "ISConfig",
     "EstimateReport",
     "tail_probability",
     "value_at_risk",
     "cvar",
     "cvar_standard_error",
-    "naive_var_cvar",
     "estimate",
 ]
 
@@ -57,25 +56,12 @@ NAIVE_MIN_TAIL_COUNT = 5.0
 _METHOD_CODES = {"is": 0, "naive": 1}
 
 
-@dataclass(frozen=True)
-class WeightedLossSample:
-    """One sampled loss with its log importance weight (0 for plain sampling)."""
-
-    loss: float
-    log_weight: float = 0.0
-
-
 def _as_arrays(samples):
-    """Split samples into new (losses, log_weights) float arrays, which the tail may overwrite.
-
-    Accepts a sequence of WeightedLossSample or a pair of equal-length
-    arrays (losses, log_weights).
-    """
-    if isinstance(samples, tuple) and len(samples) == 2:
+    """Split the pair (losses, log weights) into new float arrays, which the tail may overwrite."""
+    try:
         losses, logw = samples
-    else:
-        pairs = [(s.loss, s.log_weight) for s in samples]
-        losses, logw = [p[0] for p in pairs], [p[1] for p in pairs]
+    except (TypeError, ValueError):
+        raise DomainError("samples must be a pair (losses, log weights) of arrays") from None
     # np.array copies: _reals hands a float array back as it is
     losses = np.array(_reals("losses", losses, np.isfinite, "be finite"))
     logw = np.array(_reals("log weights", logw, lambda w: w < np.inf, "not be nan or +inf"))
@@ -122,11 +108,6 @@ def cvar_standard_error(samples, beta, var):
     if math.isnan(se):
         raise DomainError("standard error needs at least two samples")
     return se
-
-
-def naive_var_cvar(losses, beta):
-    """Plain empirical (value at risk, cvar) at level beta: unit weights."""
-    return _tail(*_as_arrays((losses, np.zeros(np.shape(losses)))), beta)[:2]
 
 
 def _tail(losses, logw, beta, var=None):

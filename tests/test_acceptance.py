@@ -20,7 +20,6 @@ from tailshift import (
     ISConfig,
     LossModel,
     TransformParams,
-    WeightedLossSample,
     cross_validate_h,
     cvar,
     estimate,
@@ -28,7 +27,6 @@ from tailshift import (
     extrapolation_factor,
     log_likelihood_ratio,
     log_jacobian,
-    naive_var_cvar,
     relative_rmse,
     run_replications,
     sample_inputs,
@@ -233,15 +231,12 @@ def test_criterion_8_network_loss():
 
 def test_criterion_9_estimator_oracles():
     started = time.perf_counter()
-    three = [
-        WeightedLossSample(5.0, math.log(0.12)),
-        WeightedLossSample(3.0, math.log(0.5)),
-        WeightedLossSample(1.0, 0.0),
-    ]
+    three = ([5.0, 3.0, 1.0], [math.log(0.12), math.log(0.5), 0.0])
+    ten = (np.arange(1.0, 11.0), np.zeros(10))       # unit weights: the naive estimators
     v = value_at_risk(three, 0.1)
     exact = (v == 3.0
              and cvar(three, 0.1, v) == 3.8
-             and naive_var_cvar(np.arange(1.0, 11.0), 0.2) == (8.0, 9.5))
+             and value_at_risk(ten, 0.2) == 8.0 and cvar(ten, 0.2, 8.0) == 9.5)
 
     rng = np.random.default_rng(909)
     scans = 0

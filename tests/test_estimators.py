@@ -21,7 +21,6 @@ from tailshift import (
     LossModel,
     TailMassError,
     TransformParams,
-    WeightedLossSample,
     cvar,
     cvar_standard_error,
     estimate,
@@ -30,22 +29,25 @@ from tailshift import (
     joint_log_density,
     log_jacobian,
     log_likelihood_ratio,
-    naive_var_cvar,
     sample_inputs,
     tail_probability,
     value_at_risk,
 )
 from tailshift.distributions import _drawn_blocks, _joined
 
-THREE = [
-    WeightedLossSample(5.0, math.log(0.12)),
-    WeightedLossSample(3.0, math.log(0.5)),
-    WeightedLossSample(1.0, 0.0),
-]
+THREE = ([5.0, 3.0, 1.0], [math.log(0.12), math.log(0.5), 0.0])
 
 
 def unit_samples(losses):
-    return [WeightedLossSample(float(v)) for v in losses]
+    losses = [float(v) for v in losses]
+    return losses, [0.0] * len(losses)
+
+
+def plain_var_cvar(losses, beta):
+    """The plain empirical (var, cvar): the weighted estimators on zero log weights."""
+    samples = (losses, np.zeros(len(losses)))
+    v = value_at_risk(samples, beta)
+    return v, cvar(samples, beta, v)
 
 
 class TestTailProbability:
@@ -73,7 +75,7 @@ class TestValueAtRisk:
         assert value_at_risk(unit_samples(range(1, 11)), 0.2) == 8.0
 
     def test_single_sample(self):
-        assert value_at_risk([WeightedLossSample(4.25)], 0.5) == 4.25
+        assert value_at_risk(([4.25], [0.0]), 0.5) == 4.25
 
     def test_all_equal(self):
         assert value_at_risk(unit_samples([7.0] * 5), 0.3) == 7.0
@@ -83,7 +85,7 @@ class TestValueAtRisk:
         assert value_at_risk(unit_samples([1, 1, 2, 2, 3]), 0.2) == 2.0
 
     def test_precondition_message(self):
-        light = [WeightedLossSample(1.0, -50.0), WeightedLossSample(2.0, -50.0)]
+        light = ([1.0, 2.0], [-50.0, -50.0])
         with pytest.raises(TailMassError, match="beta too large for sampled tail mass"):
             value_at_risk(light, 0.5)
 
@@ -234,8 +236,8 @@ class TestCvar:
 
     def test_translation_equivariance_exact_on_integers(self):
         base = np.arange(1.0, 11.0)
-        v0, c0 = naive_var_cvar(base, 0.2)
-        v1, c1 = naive_var_cvar(base + 5.0, 0.2)
+        v0, c0 = plain_var_cvar(base, 0.2)
+        v1, c1 = plain_var_cvar(base + 5.0, 0.2)
         assert (v1, c1) == (v0 + 5.0, c0 + 5.0)
 
     @given(st.floats(-10.0, 10.0), st.integers(0, 5000))
@@ -271,7 +273,7 @@ class TestStandardError:
 
     def test_single_sample_rejected(self):
         with pytest.raises(DomainError):
-            cvar_standard_error([WeightedLossSample(1.0)], 0.5, 0.0)
+            cvar_standard_error(([1.0], [0.0]), 0.5, 0.0)
 
     def test_tail_leaves_its_terms_in_the_vectors_it_is_handed(self):
         # the scaled weights and the scaled tail terms stay in logw and losses,
@@ -319,19 +321,19 @@ class TestStandardError:
 
 class TestNaive:
     def test_counting_example(self):
-        assert naive_var_cvar(np.arange(1.0, 11.0), 0.2) == (8.0, 9.5)
+        assert plain_var_cvar(np.arange(1.0, 11.0), 0.2) == (8.0, 9.5)
 
     def test_all_equal(self):
-        assert naive_var_cvar(np.full(6, 3.25), 0.3) == (3.25, 3.25)
+        assert plain_var_cvar(np.full(6, 3.25), 0.3) == (3.25, 3.25)
 
     def test_two_points(self):
-        assert naive_var_cvar(np.array([1.0, 2.0]), 0.5) == (1.0, 2.0)
+        assert plain_var_cvar(np.array([1.0, 2.0]), 0.5) == (1.0, 2.0)
 
     def test_equals_weighted_path_with_unit_weights(self):
         rng = np.random.default_rng(77)
         losses = rng.exponential(size=35)
         beta = 0.12
-        v, c = naive_var_cvar(losses, beta)
+        v, c = plain_var_cvar(losses, beta)
         s = unit_samples(losses)
         assert v == value_at_risk(s, beta)
         assert c == cvar(s, beta, v)
@@ -384,10 +386,7 @@ class TestInputValidation:
         ((["1", "2", "3"], [0, 0, 0]), "losses"),
         (([True, False, True], [0, 0, 0]), "losses"),
         (([1.0, 2.0, 3.0], ["0", "0", "0"]), "log weights"),
-        ([WeightedLossSample("1"), WeightedLossSample("2"), WeightedLossSample("3")], "losses"),
-        ([WeightedLossSample(1.0, False), WeightedLossSample(2.0, True)], "log weights"),
-    ], ids=["string losses", "bool losses", "string log weights", "string sample losses",
-            "bool sample log weights"])
+    ], ids=["string losses", "bool losses", "string log weights"])
     def test_samples_of_strings_or_bools_are_refused(self, samples, name):
         for call in (lambda: value_at_risk(samples, 0.4), lambda: cvar(samples, 0.4, 1.0),
                      lambda: cvar_standard_error(samples, 0.4, 1.0),
@@ -398,8 +397,7 @@ class TestInputValidation:
     @pytest.mark.parametrize("samples, name", [
         (([1.0, True, 3.0], [0, 0, 0]), "losses"),
         (([1.0, 2.0, 3.0], [0.0, np.False_, 0.0]), "log weights"),
-        ([WeightedLossSample(1.0), WeightedLossSample(True), WeightedLossSample(3.0)], "losses"),
-    ], ids=["bool among losses", "numpy bool among log weights", "bool sample loss"])
+    ], ids=["bool among losses", "numpy bool among log weights"])
     def test_a_bool_among_numbers_is_refused(self, samples, name):
         # numpy reads the list as floats, with True as 1.0: value_at_risk would return 1.0
         for call in (lambda: value_at_risk(samples, 0.4), lambda: tail_probability(samples, 1.0)):
@@ -420,23 +418,36 @@ class TestInputValidation:
         # log weight -inf: a weight of zero, which carries no tail mass
         assert value_at_risk(([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, -np.inf]), 0.3) == 2.0
 
-    @pytest.mark.parametrize("as_pairs", [False, True], ids=["arrays", "samples"])
-    def test_public_tail_functions_leave_their_inputs_alone(self, as_pairs):
+    @pytest.mark.parametrize("form", ["arrays"])
+    def test_public_tail_functions_leave_their_inputs_alone(self, form):
         rng = np.random.default_rng(2)
         losses, logw = rng.standard_normal(200), rng.standard_normal(200) - 3.0
         logw[::7] = -np.inf
         keep = losses.copy(), logw.copy()
-        samples = ([WeightedLossSample(a, b) for a, b in zip(losses, logw)] if as_pairs
-                   else (losses, logw))
+        samples = (losses, logw)
         v = value_at_risk(samples, 0.01)
         calls = (lambda: tail_probability(samples, v), lambda: value_at_risk(samples, 0.01),
                  lambda: cvar(samples, 0.01, v), lambda: cvar_standard_error(samples, 0.01, v),
-                 lambda: naive_var_cvar(losses, 0.05))
+                 lambda: plain_var_cvar(losses, 0.05))
         first = [f() for f in calls]
         assert [f() for f in calls] == first       # a second call reads the same inputs
         assert losses.tobytes() == keep[0].tobytes() and logw.tobytes() == keep[1].tobytes()
-        if as_pairs:
-            assert [(x.loss, x.log_weight) for x in samples] == list(zip(*keep))
+
+    @pytest.mark.parametrize("call", [
+        lambda s: value_at_risk(s, 0.2),
+        lambda s: cvar(s, 0.2, 8.0),
+        lambda s: cvar_standard_error(s, 0.2, 8.0),
+        lambda s: tail_probability(s, 7.5),
+    ], ids=["value_at_risk", "cvar", "cvar_standard_error", "tail_probability"])
+    def test_samples_must_be_a_pair(self, call):
+        for samples in ([1.0, 2.0, 3.0], (np.ones(3), np.zeros(3), np.zeros(3)),
+                        {"losses": np.ones(3)}, 1.0):
+            with pytest.raises(DomainError, match="^samples must be a pair"):
+                call(samples)
+        # a pair given as a list is read as the tuple is, bit for bit
+        losses, logw = np.arange(1.0, 11.0), np.linspace(-1.0, 0.5, 10)
+        assert np.float64(call([losses, logw])).tobytes() == np.float64(
+            call((losses, logw))).tobytes()
 
     @pytest.mark.parametrize("field", ["n", "seed"])
     def test_config_rejects_bool_counts(self, field):

@@ -10,16 +10,18 @@ MODULES = (distributions, errors, estimators, harness, losses, transform)
 
 # tailshift.__all__ before the package took its names from the modules'
 # lists.  Since deleted: stretch_exponents, a test-only second formula for
-# the exponents, and variance_ratio_study with its VarianceRatioRow, whose
-# numbers are summarize(run_replications(config, method)) for each method
+# the exponents; variance_ratio_study with its VarianceRatioRow, whose
+# numbers are summarize(run_replications(config, method)) for each method;
+# WeightedLossSample, a record form of the (losses, log weights) pair; and
+# naive_var_cvar, value_at_risk and cvar on zero log weights
 EARLIER_NAMES = (
     "__version__",
     "CorrelationMatrix", "DistributionSpec", "MarginalSpec",
     "copula_log_density", "joint_log_density", "sample_inputs", "std_normal_quantile",
     "BadLossError", "ConfigError", "DomainError", "EstimationError", "FeasibilityError",
     "TailMassError", "WeightsDimensionError", "WeightsFileError", "WeightsFormatError",
-    "EstimateReport", "ISConfig", "WeightedLossSample",
-    "cvar", "cvar_standard_error", "estimate", "naive_var_cvar",
+    "EstimateReport", "ISConfig",
+    "cvar", "cvar_standard_error", "estimate",
     "tail_probability", "value_at_risk",
     "AffineH", "CrossValResult", "ExperimentConfig", "FixedH", "GridH",
     "REPLICATION_COLUMNS", "SUMMARY_COLUMNS",
@@ -53,7 +55,8 @@ def test_earlier_names_still_import():
     for name in EARLIER_NAMES:
         assert hasattr(tailshift, name), name
     for mod, name in ((transform, "stretch_exponents"), (harness, "variance_ratio_study"),
-                      (harness, "VarianceRatioRow")):
+                      (harness, "VarianceRatioRow"), (estimators, "WeightedLossSample"),
+                      (estimators, "naive_var_cvar")):
         assert not hasattr(tailshift, name) and not hasattr(mod, name), name
 
 
