@@ -47,7 +47,6 @@ __all__ = [
     "MarginalSpec",
     "CorrelationMatrix",
     "DistributionSpec",
-    "std_normal_quantile",
     "copula_log_density",
     "joint_log_density",
     "sample_inputs",
@@ -141,24 +140,6 @@ def _draw_size(n, dim):
     """n as an int, checked to be a count of (n, dim) float64 draws numpy can hold."""
     # numpy refuses an array whose size in bytes passes its index range
     return _count("n", n, 1, _MAX_INDEX // (8 * dim))
-
-
-def std_normal_quantile(p):
-    """Standard normal quantile function.
-
-    Parameters
-    ----------
-    p : float or array_like
-        Probabilities, strictly inside (0, 1).
-
-    Returns
-    -------
-    float or ndarray
-        Quantiles, accurate to better than 1e-9 absolute error for
-        p in [1e-300, 1 - 1e-12].
-    """
-    out = ndtri(_reals("p", p, *_INSIDE_UNIT))
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -58,10 +58,9 @@ _METHOD_CODES = {"is": 0, "naive": 1}
 
 def _as_arrays(samples):
     """Split the pair (losses, log weights) into new float arrays, which the tail may overwrite."""
-    try:
-        losses, logw = samples
-    except (TypeError, ValueError):
-        raise DomainError("samples must be a pair (losses, log weights) of arrays") from None
+    if not (isinstance(samples, (tuple, list)) and len(samples) == 2):
+        raise DomainError("samples must be a pair (losses, log weights) of arrays")
+    losses, logw = samples
     # np.array copies: _reals hands a float array back as it is
     losses = np.array(_reals("losses", losses, np.isfinite, "be finite"))
     logw = np.array(_reals("log weights", logw, lambda w: w < np.inf, "not be nan or +inf"))
@@ -115,7 +114,7 @@ def _tail(losses, logw, beta, var=None):
 
     Everything is read off the scaled weights exp(log w - m), m the largest
     log weight, and the excess (loss - var)+, made in place over logw and
-    losses.  se is nan for one sample; n_above counts the losses above var.
+    losses.  se is nan for one sample; n_above counts the losses above var with weight.
     """
     beta = _check_beta(beta)
     n = losses.size
@@ -127,12 +126,12 @@ def _tail(losses, logw, beta, var=None):
         var = float(_weighted_var(losses, scaled, beta, m))
     excess = np.subtract(losses, var, out=losses)
     np.maximum(excess, 0.0, out=excess)
-    n_above = int(np.count_nonzero(excess))     # loss - var > 0 exactly where loss > var
     shifted = float(scaled @ excess)
     excess *= scaled
+    n_above = int(np.count_nonzero(excess))     # the losses above var that carry weight
     spread = math.sqrt(np.var(excess, ddof=1) / n) if n > 1 else math.nan
     with np.errstate(over="ignore"):
-        # exp(m) may be inf where nothing lies above var, and inf * 0 is nan
+        # exp(m) may be inf where nothing above var carries weight, and inf * 0 is nan
         c = var if shifted == 0.0 else float(var + np.exp(m) * shifted / (n * beta))
         se = float(np.exp(m) * spread / beta) if spread > 0.0 else spread
     return var, c, se, n_above
@@ -247,7 +246,7 @@ def estimate(dist, loss, config, method="is"):
         The loss raised, or returned a value that is not a finite number.
     TailMassError
         The weighted sample carries too little mass for the level beta, no
-        sampled loss lies strictly above the estimated var (an empty tail,
+        sampled loss above the estimated var carries weight (an empty tail,
         whose cvar and standard error would say nothing), or the stretch
         sends samples past the float range.
     """
@@ -316,7 +315,8 @@ def _report(config, method, h, losses, logw):
         return exc
     if n_above == 0:
         return TailMassError(
-            f"no sampled loss lies above var = {v:g} at beta = {config.beta:g}; the tail is empty"
+            f"no sampled loss lies above var = {v:g} with weight at beta = {config.beta:g}; "
+            f"the tail is empty"
         )
     return EstimateReport(
         method=method, beta=config.beta, h=h, n=config.n, seed=config.seed,

@@ -202,7 +202,7 @@ def run_replications(config, method):
     levels still get their rows, carrying the status tag "infeasible".
     Other estimation failures inside a replication are recorded the same
     way rather than aborting: "tail-mass" (too little weighted mass, or no
-    sample above var) and "bad-loss" (the loss raised or returned a
+    weighted sample above var) and "bad-loss" (the loss raised or returned a
     non-finite value).  An unknown method, or an importance (beta, h) cell
     that cannot stretch outward, raises DomainError before any draw, as
     does a config that is no ExperimentConfig.

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, ndtri
 
 from tailshift import (
     CorrelationMatrix,
@@ -26,14 +26,14 @@ from tailshift import (
     extrapolation_factor,
     joint_log_density,
     sample_inputs,
-    std_normal_quantile,
     value_at_risk,
 )
 from tailshift.distributions import _drawn_blocks, _joined, _normal_scores, _sum_components
 
-# Reference values for the normal quantile were produced with mpmath at 60
-# decimal digits (root of log(ncdf(x)) = log(p), seeded from the classic
-# sqrt(-2 log p) asymptote).  Keys are the exact float64 inputs.
+# Normal quantiles ndtri(p), the scores copula_log_density takes at u = p,
+# from mpmath at 60 decimal digits (root of log(ncdf(x)) = log(p), seeded
+# from the classic sqrt(-2 log p) asymptote).  Keys are the exact float64
+# inputs p.
 NDTRI_ORACLE = {
     1e-300: -37.04709629936119923655,
     1e-150: -26.12296119059398350925,
@@ -46,41 +46,6 @@ NDTRI_ORACLE = {
     0.9: 1.281551565544600593487,
     float(1 - 1e-12): 7.034486910047835205692,
 }
-
-
-class TestStdNormalQuantile:
-    def test_oracle_points(self):
-        for p, want in NDTRI_ORACLE.items():
-            got = std_normal_quantile(p)
-            assert abs(got - want) <= 1e-9, (p, got, want)
-
-    def test_median_is_exact_zero(self):
-        assert std_normal_quantile(0.5) == 0.0
-
-    def test_symmetry(self):
-        # structural for p > 1/2: 1-p is then computed exactly, and the
-        # wrapper evaluates the complement branch verbatim
-        for p in (0.75, 0.9, 0.987, 1.0 - 1e-9):
-            assert std_normal_quantile(p) == -std_normal_quantile(1.0 - p)
-
-    def test_vectorized(self):
-        p = np.array(list(NDTRI_ORACLE))
-        want = np.array(list(NDTRI_ORACLE.values()))
-        np.testing.assert_allclose(std_normal_quantile(p), want, rtol=0, atol=1e-9)
-
-    @pytest.mark.parametrize("p", [math.nan, math.inf, "0.5", True, [[0.5], [0.5, 0.5]]])
-    def test_rejects_nan_strings_and_bools(self, p):
-        with pytest.raises(DomainError, match="^p must"):
-            std_normal_quantile(p)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(DomainError):
-            std_normal_quantile(0.0)
-        with pytest.raises(DomainError):
-            std_normal_quantile(1.0)
-        with pytest.raises(DomainError):
-            std_normal_quantile(-0.2)
-
 
 # Normal scores z with Phi(z) = 1 - exp(-t), from mpmath at 60 decimal digits
 # as sqrt(2) * erfinv(1 - 2 exp(-t)).  Keys are the exact float64 inputs t;
@@ -342,11 +307,36 @@ class TestCopula:
         with pytest.raises(DomainError):
             copula_log_density(np.array([0.5, 1.0]), R)
 
-    @pytest.mark.parametrize("u", [[0.0, 0.5], [0.5, 1.0], [math.nan, 0.5], [0.5, -math.inf]])
+    @pytest.mark.parametrize("u", [[0.0, 0.5], [0.5, 1.0], [math.nan, 0.5], [0.5, -math.inf],
+                                   [-0.2, 0.5], [0.5, math.inf]])
     def test_names_u_for_a_coordinate_outside_the_open_unit_interval(self, u):
         # the kernel's normal quantile named its own argument p
         with pytest.raises(DomainError, match=r"^u must lie strictly inside \(0, 1\)$"):
             copula_log_density(np.array(u), CorrelationMatrix.identity(2))
+
+    @pytest.mark.parametrize("p", list(NDTRI_ORACLE))
+    def test_scores_match_the_oracle_into_both_tails(self, p):
+        # at u = (p, 1/2) the second score is an exact 0, so with rho = 1/2
+        # the copula term is -log(1 - rho^2)/2 - s^2 rho^2/(2(1 - rho^2))
+        # = -log(3/4)/2 - s^2/6 at the score s = ndtri(p)
+        s = NDTRI_ORACLE[p]
+        want = -0.5 * math.log(0.75) - s * s / 6.0
+        got = copula_log_density([p, 0.5], CorrelationMatrix.equicorrelated(2, 0.5))
+        assert abs(got - want) <= 1e-13 * (0.5 * abs(math.log(0.75)) + s * s / 6.0), (got, want)
+
+    def test_median_scores_are_exact_zeros(self):
+        # ndtri(1/2) is an exact 0, so the quadratic form adds nothing
+        for d in (1, 2, 3, 7, 12):
+            R = _correlation("equicorrelated", d, 0.3)
+            assert copula_log_density(np.full(d, 0.5), R) == -0.5 * R.log_det
+
+    def test_reflecting_u_keeps_the_bits(self):
+        # for u >= 1/2, 1 - u is exact and ndtri(1 - u) == -ndtri(u); the
+        # scores change sign, and the quadratic form keeps every bit
+        u = np.random.default_rng(3).uniform(0.5, 1.0, (1000, 3))
+        u[:2] = [[0.75, 0.9, 0.987], [1.0 - 1e-9, 0.5, 1.0 - 1e-15]]
+        R = CorrelationMatrix.equicorrelated(3, 0.3)
+        assert copula_log_density(1.0 - u, R).tobytes() == copula_log_density(u, R).tobytes()
 
     @given(
         st.integers(1, 12).flatmap(lambda d: st.tuples(
@@ -366,7 +356,7 @@ class TestCopula:
         d, kind, c = model
         R = _correlation(kind, d, c)
         u = np.random.default_rng(seed).uniform(1e-12, 1.0 - 1e-12, (n, d))
-        s = std_normal_quantile(u)
+        s = ndtri(u)
         y = solve_triangular(R.chol, s.T, lower=True)
         want = -0.5 * (R.log_det + np.sum(y * y, axis=0) - np.sum(s * s, axis=1))
         got = copula_log_density(u, R)
@@ -509,8 +499,8 @@ class TestRealArguments:
          "correlation matrix must be an array of real numbers, got '0.5'"),
         (lambda: CorrelationMatrix([[1.0, 0.5], [0.5, True]]),
          "correlation matrix must be an array of real numbers, got True"),
-        (lambda: std_normal_quantile([0.5, None, "x"]),
-         "p must be an array of real numbers, got None"),
+        (lambda: copula_log_density([0.5, None, "x"], CorrelationMatrix.identity(3)),
+         "u must be an array of real numbers, got None"),
         (lambda: joint_log_density([[1.0, 2.0], [np.True_, 3.0]], DistributionSpec.from_alphas(
             [1.0, 1.0])), f"x must be an array of real numbers, got {np.True_!r}"),
         (lambda: MarginalSpec(1.0).cdf("1.5"), "x must be an array of real numbers, got '1.5'"),

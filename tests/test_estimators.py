@@ -358,6 +358,10 @@ class TestInputValidation:
             with pytest.raises(DomainError):
                 value_at_risk(unit_samples([1.0, 2.0]), beta)
 
+    def test_rejects_an_empty_pair(self):
+        with pytest.raises(DomainError, match="^need at least one sample$"):
+            value_at_risk(([], []), 0.3)
+
     @pytest.mark.parametrize("losses, logw", [
         (np.ones(3), np.zeros(2)),
         (np.ones((2, 2)), np.zeros((2, 2))),
@@ -440,12 +444,14 @@ class TestInputValidation:
         lambda s: tail_probability(s, 7.5),
     ], ids=["value_at_risk", "cvar", "cvar_standard_error", "tail_probability"])
     def test_samples_must_be_a_pair(self, call):
+        # a dict, a string and a (2, n) array each hold two items, but are no pair
+        losses, logw = np.arange(1.0, 11.0), np.linspace(-1.0, 0.5, 10)
         for samples in ([1.0, 2.0, 3.0], (np.ones(3), np.zeros(3), np.zeros(3)),
-                        {"losses": np.ones(3)}, 1.0):
+                        {"losses": np.ones(3)}, 1.0, {"losses": losses, "log weights": logw},
+                        "ab", np.vstack([losses, logw])):
             with pytest.raises(DomainError, match="^samples must be a pair"):
                 call(samples)
         # a pair given as a list is read as the tuple is, bit for bit
-        losses, logw = np.arange(1.0, 11.0), np.linspace(-1.0, 0.5, 10)
         assert np.float64(call([losses, logw])).tobytes() == np.float64(
             call((losses, logw))).tobytes()
 
@@ -552,6 +558,16 @@ class TestEstimate:
         dist = DistributionSpec.from_alphas([alpha])
         with pytest.raises(TailMassError, match="no sampled loss lies above var"):
             estimate(dist, linear, ISConfig(beta=beta, n=1000, seed=7, h=2.6))
+
+    def test_a_tail_whose_losses_carry_no_weight_is_empty(self):
+        import tailshift.estimators as ez
+
+        # var is 2; the one loss above it has log weight -1000, whose scaled
+        # weight exp(-1000) is an exact zero, so its tail term is zero too
+        got = ez._report(ISConfig(beta=0.1, n=3, seed=0, h=2.6), "is", 2.6,
+                         np.array([1.0, 2.0, 3.0]), np.array([0.0, 0.0, -1000.0]))
+        assert isinstance(got, TailMassError)
+        assert str(got).startswith("no sampled loss lies above var = 2 with weight at beta = 0.1")
 
     def test_one_stretch_pass_per_estimate(self, portfolio_dist, linear, monkeypatch):
         import tailshift.estimators as ez

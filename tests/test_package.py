@@ -12,12 +12,14 @@ MODULES = (distributions, errors, estimators, harness, losses, transform)
 # lists.  Since deleted: stretch_exponents, a test-only second formula for
 # the exponents; variance_ratio_study with its VarianceRatioRow, whose
 # numbers are summarize(run_replications(config, method)) for each method;
-# WeightedLossSample, a record form of the (losses, log weights) pair; and
-# naive_var_cvar, value_at_risk and cvar on zero log weights
+# WeightedLossSample, a record form of the (losses, log weights) pair;
+# naive_var_cvar, value_at_risk and cvar on zero log weights; and
+# std_normal_quantile, scipy.special.ndtri behind the open-unit check that
+# copula_log_density makes
 EARLIER_NAMES = (
     "__version__",
     "CorrelationMatrix", "DistributionSpec", "MarginalSpec",
-    "copula_log_density", "joint_log_density", "sample_inputs", "std_normal_quantile",
+    "copula_log_density", "joint_log_density", "sample_inputs",
     "BadLossError", "ConfigError", "DomainError", "EstimationError", "FeasibilityError",
     "TailMassError", "WeightsDimensionError", "WeightsFileError", "WeightsFormatError",
     "EstimateReport", "ISConfig",
@@ -56,7 +58,7 @@ def test_earlier_names_still_import():
         assert hasattr(tailshift, name), name
     for mod, name in ((transform, "stretch_exponents"), (harness, "variance_ratio_study"),
                       (harness, "VarianceRatioRow"), (estimators, "WeightedLossSample"),
-                      (estimators, "naive_var_cvar")):
+                      (estimators, "naive_var_cvar"), (distributions, "std_normal_quantile")):
         assert not hasattr(tailshift, name) and not hasattr(mod, name), name
 
 
