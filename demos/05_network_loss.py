@@ -22,7 +22,7 @@ from tailshift import (
     synthetic_relu_params,
 )
 
-net = synthetic_relu_params(dim=8, hidden=12, seed=2025, nonnegative="output")
+net = synthetic_relu_params(dim=8, hidden=12, seed=2025)
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "weights.json"

@@ -423,40 +423,38 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__.splitlines()[0].lower())
+        # no prefix matching: --h where a command has no --h would read as --help
+        p = sub.add_parser(name, help=fn.__doc__.splitlines()[0].lower(), allow_abbrev=False)
         p.add_argument("--config", required=True, help="JSON run configuration (or a manifest)")
-        p.add_argument("--seed", type=int, default=None, help="override the base seed")
-        p.add_argument("--threads", type=int, default=None, help="worker threads for replications")
         p.add_argument("--out", default=".", help="directory for CSV and manifest outputs")
-        p.add_argument("--method", choices=_METHODS, default=None,
-                       help="override the configured method")
-        p.add_argument("--beta", type=float, action="append", default=None,
+        # every other flag overrides the config entry its dest names
+        p.add_argument("--seed", type=int, help="override the base seed")
+        p.add_argument("--threads", type=int, help="worker threads for replications")
+        p.add_argument("--beta", dest="betas", metavar="BETA", type=float, action="append",
                        help="override the beta levels (repeatable)")
-        p.add_argument("--h", type=float, default=None, help="override h with a fixed value")
+        # crossval runs the importance method on an h grid, and varratio runs both methods
+        if name not in ("crossval", "varratio"):
+            p.add_argument("--method", choices=_METHODS, help="override the configured method")
+        if name != "crossval":
+            p.add_argument("--h", type=float, help="override h with a fixed value")
     return parser
 
 
 def main(argv=None):
     """Run the command line; returns the exit code instead of exiting."""
     try:
-        args = build_parser().parse_args(argv)
+        args = vars(build_parser().parse_args(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    overrides = {
-        "seed": args.seed,
-        "threads": args.threads,
-        "method": args.method,
-        "betas": args.beta,
-        "h": args.h,
-    }
+    command, config, out = (args.pop(k) for k in ("command", "config", "out"))
     try:
-        spec = parse_config(args.config, overrides)
-        _check_h_rule(args.command, spec)
-        out_dir = Path(args.out)
+        spec = parse_config(config, args)
+        _check_h_rule(command, spec)
+        out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()
-        code, outputs = _COMMANDS[args.command](spec, out_dir)
-        manifest = _write_manifest(out_dir, args.command, args.config, spec, outputs,
+        code, outputs = _COMMANDS[command](spec, out_dir)
+        manifest = _write_manifest(out_dir, command, config, spec, outputs,
                                    time.perf_counter() - started)
         print(f"wrote {', '.join(str(p) for p in outputs)} and {manifest}")
         return code

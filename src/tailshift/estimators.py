@@ -198,7 +198,7 @@ class EstimateReport:
     cvar_se: float
 
 
-def _weigh(xc, log_fx, dist, loss, params, base=None):
+def _weigh(xc, log_fx, dist, loss, params, base):
     """(losses, log weights) of a drawn component-major (d, m) block X with its log f(X).
 
     The one step from a drawn block to the tail's inputs.  The importance

@@ -158,17 +158,12 @@ class ReplicationTable:
 
     rows: list
 
-    def rows_for(self, beta=None, method=None):
-        out = self.rows
-        if beta is not None:
-            out = [r for r in out if r.beta == beta]
-        if method is not None:
-            out = [r for r in out if r.method == method]
-        return out
+    def rows_for(self, beta=None):
+        return self.rows if beta is None else [r for r in self.rows if r.beta == beta]
 
-    def values(self, field, beta=None, method=None):
+    def values(self, field, beta=None):
         """Array of one field over the successful rows."""
-        rows = [r for r in self.rows_for(beta, method) if r.status == "ok"]
+        rows = [r for r in self.rows_for(beta) if r.status == "ok"]
         return np.array([getattr(r, field) for r in rows], dtype=float)
 
     def write_csv(self, path):

@@ -185,19 +185,14 @@ def save_relu_params(params, path):
         fh.write("\n")
 
 
-def synthetic_relu_params(dim, hidden, seed, nonnegative="output"):
+def synthetic_relu_params(dim, hidden, seed):
     """Seeded random network for experiments.
 
-    nonnegative="output" keeps only the output layer w2 nonnegative (the
-    loss can then decrease in some directions); "all" makes every weight
-    nonnegative, which gives a loss monotone in each input.
+    Only the output layer w2 is nonnegative, so the loss can decrease in
+    some directions.
     """
-    if nonnegative not in ("output", "all"):
-        raise ValueError(f"nonnegative must be 'output' or 'all', got {nonnegative!r}")
     rng = np.random.default_rng(seed)
     W1 = rng.standard_normal((hidden, dim)) / math.sqrt(dim)
-    if nonnegative == "all":
-        W1 = np.abs(W1)
     b1 = 0.1 * rng.standard_normal(hidden)
     w2 = np.abs(rng.standard_normal(hidden)) / math.sqrt(hidden)
     return ReluNetParams(W1=W1, b1=b1, w2=w2, b2=0.0)
@@ -253,6 +248,8 @@ class LossModel:
         """Register a deterministic vector-to-scalar callable with its rho.
 
         Anything func raises surfaces as BadLossError, chained to the original.
+        A study with threads > 1 calls func from several worker threads at
+        once, so func must then be thread-safe.
         """
         return cls(kind="external", rho=rho, func=func)
 

@@ -216,7 +216,7 @@ def test_criterion_7_h_grid_stability():
 
 def test_criterion_8_network_loss():
     started = time.perf_counter()
-    net = synthetic_relu_params(dim=8, hidden=12, seed=2025, nonnegative="output")
+    net = synthetic_relu_params(dim=8, hidden=12, seed=2025)
     dist = DistributionSpec.from_alphas([0.6] * 8, CorrelationMatrix.tridiagonal(8, 0.1))
     cfg = ExperimentConfig(dist=dist, loss=LossModel.relu_net(net), betas=(1e-3,),
                            n=517, h_rule=FixedH(4.6), reps=50, base_seed=808)

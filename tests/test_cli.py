@@ -30,6 +30,7 @@ from tailshift.cli import (
     CROSSVAL_COLUMNS,
     REPLICATION_COLUMNS,
     VARRATIO_COLUMNS,
+    build_parser,
     main,
     parse_config,
 )
@@ -742,6 +743,34 @@ class TestUsage:
     def test_missing_config_flag(self, capsys):
         assert main(["estimate"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command, h, argv", [
+        ("crossval", {"grid": [2.0, 3.0]}, ["--method", "is"]),
+        ("varratio", 2.6, ["--method", "is"]),
+        ("crossval", {"grid": [2.0, 3.0]}, ["--h", "2.6"]),
+        ("estimate", 2.6, ["--thread", "2"]),
+    ])
+    def test_a_flag_the_command_does_not_read_exits_1(self, tmp_path, capsys, command, h, argv):
+        # crossval runs the importance method on its h grid, and varratio runs both methods;
+        # a flag is matched whole, or crossval's --h would be read as --help
+        cfg = write_config(tmp_path, dict(MINIMAL, betas=[1e-4], n=300, reps=4, h=h))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out), *argv]) == 1
+        assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, argv, overrides", [
+        ("estimate", ["--method", "both", "--h", "2.6"], {"method": "both", "h": 2.6}),
+        ("benchmark", ["--method", "naive", "--h", "2.6"], {"method": "naive", "h": 2.6}),
+        ("varratio", ["--h", "2.6"], {"h": 2.6}),
+        ("crossval", [], {}),
+    ])
+    def test_each_command_takes_the_overrides_it_reads(self, command, argv, overrides):
+        args = build_parser().parse_args([command, "--config", "c.json", "--seed", "3",
+                                          "--threads", "2", "--beta", "0.1", "--beta", "0.01",
+                                          *argv])
+        assert vars(args) == {"command": command, "config": "c.json", "out": ".", "seed": 3,
+                              "threads": 2, "betas": [0.1, 0.01], **overrides}
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0

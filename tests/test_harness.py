@@ -235,14 +235,15 @@ class TestRunReplications:
         assert all(math.isnan(r.var_hat) for r in bad)
         assert table.values("var_hat", 0.05).size == 0
 
-    def test_rows_and_values_of_one_level_and_method(self, onedim_dist, linear):
+    def test_rows_and_values_of_one_level(self, onedim_dist, linear):
         cfg = small_config(onedim_dist, linear, betas=(0.1, 0.05), reps=3)
-        tables = {m: run_replications(cfg, m) for m in ("is", "naive")}
-        both = ReplicationTable(rows=tables["is"].rows + tables["naive"].rows)
-        for m, table in tables.items():
-            assert both.rows_for(0.1, m) == table.rows_for(0.1) == table.rows[:3]
-            assert both.values("cvar_hat", 0.1, m).tolist() == [r.cvar_hat for r in table.rows[:3]]
-        assert both.rows_for(method="naive") == tables["naive"].rows
+        tables = [run_replications(cfg, m) for m in ("is", "naive")]
+        for table in tables:
+            assert table.rows_for(0.1) == table.rows[:3]
+            assert table.values("cvar_hat", 0.1).tolist() == [r.cvar_hat for r in table.rows[:3]]
+        both = ReplicationTable(rows=tables[0].rows + tables[1].rows)
+        assert both.rows_for(0.1) == tables[0].rows[:3] + tables[1].rows[:3]
+        assert both.rows_for() == both.rows
 
     def test_naive_rows_have_no_h(self, onedim_dist, linear):
         table = run_replications(small_config(onedim_dist, linear, reps=2), "naive")

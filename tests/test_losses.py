@@ -248,12 +248,8 @@ class TestSyntheticParams:
         assert a.b2 == b.b2
 
     def test_nonnegative_output_layer(self):
-        p = synthetic_relu_params(dim=5, hidden=7, seed=9, nonnegative="output")
-        assert np.all(p.w2 >= 0)
-
-    def test_all_nonnegative_mode(self):
-        p = synthetic_relu_params(dim=5, hidden=7, seed=9, nonnegative="all")
-        assert np.all(p.W1 >= 0) and np.all(p.w2 >= 0)
+        p = synthetic_relu_params(dim=5, hidden=7, seed=9)
+        assert np.all(p.w2 >= 0) and np.any(p.W1 < 0)
 
 
 def _weights_file(tmp_path, doc):
@@ -270,8 +266,9 @@ def _weights_file(tmp_path, doc):
     (lambda tmp: load_relu_params(_weights_file(tmp, {"dims": {"d": 2}, "W1": [], "b1": [],
                                                       "w2": [], "b2": 0.0})),
      WeightsFormatError, "net.json: 'dims' must hold 'd' and 'hidden'$"),
-    (lambda tmp: synthetic_relu_params(2, 3, seed=0, nonnegative="hidden"),
-     ValueError, "^nonnegative must be 'output' or 'all', got 'hidden'$"),
+    # one sign rule, no option
+    (lambda tmp: synthetic_relu_params(2, 3, seed=0, nonnegative="all"),
+     TypeError, "unexpected keyword argument 'nonnegative'$"),
     (lambda tmp: LossModel("quadratic"), DomainError, "^unknown loss kind 'quadratic'$"),
     (lambda tmp: LossModel("relu_net"), DomainError, "^relu_net losses need ReluNetParams$"),
     (lambda tmp: LossModel("external", func=3.0), DomainError,
@@ -280,7 +277,7 @@ def _weights_file(tmp_path, doc):
     (lambda tmp: estimate(DistributionSpec.from_alphas([1.0]), linear_loss,
                           ISConfig(beta=0.1, n=10, seed=0, h=2.0)),
      DomainError, "^loss must be a LossModel$"),
-], ids=["W1 not 2-d", "weights no object", "dims without d and hidden", "bad nonnegative",
+], ids=["W1 not 2-d", "weights no object", "dims without d and hidden", "no nonnegative",
         "unknown kind", "relu_net without params", "external without callable",
         "no LossModel"])
 def test_malformed_losses_and_weights_are_refused(tmp_path, call, error, match):
