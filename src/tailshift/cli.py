@@ -8,10 +8,10 @@ Subcommands:
              naive sample count needed to match the importance error
 * varratio   replication cv of both methods side by side
 
-Every run writes a manifest.json next to its CSVs holding the fully
-resolved configuration; passing that manifest back via --config reproduces
-the CSVs byte for byte.  Exit codes: 0 success, 1 usage or configuration
-error, 2 estimation failure.
+Every run writes a manifest.json next to its CSVs holding the config it
+read, overrides applied, with the values the run took filled in; passing
+that manifest back via --config reproduces the CSVs byte for byte.  Exit
+codes: 0 success, 1 usage or configuration error, 2 estimation failure.
 """
 
 from __future__ import annotations
@@ -156,25 +156,21 @@ def _parse_loss(spec, base_dir):
 def _parse_h_rule(spec):
     # json reads NaN and Infinity, and --h arrives here as a number
     if not isinstance(spec, dict):
-        h = _number(spec, "h")
-        return FixedH(h), {"fixed": h}
+        return FixedH(_number(spec, "h"))
     form = next((k for k in ("fixed", "grid", "affine") if k in spec), None)
     if form is None:
         raise ConfigError("must be a number or hold 'fixed', 'grid' or 'affine'", field="h")
     value = _entries(spec, "h", (form,))[form]
     if form == "fixed":
-        h = _number(value, "h.fixed")
-        return FixedH(h), {"fixed": h}
+        return FixedH(_number(value, "h.fixed"))
     if form == "grid":
         try:
-            grid = GridH(tuple(value))
+            return GridH(tuple(value))
         except (TypeError, DomainError) as exc:
             raise ConfigError(f"bad h grid: {exc}", field="h.grid") from None
-        return grid, {"grid": list(grid.values)}
     aff = _entries(value, "h.affine", ("intercept", "slope"))
-    rule = AffineH(*(_number(_require(aff, k, None, where="h.affine"), "h.affine")
+    return AffineH(*(_number(_require(aff, k, None, where="h.affine"), "h.affine")
                      for k in ("intercept", "slope")))
-    return rule, {"affine": {"intercept": rule.intercept, "slope": rule.slope}}
 
 
 _TOP_KEYS = {"dist", "loss", "betas", "n", "reps", "h", "seed", "method", "threads"}
@@ -184,8 +180,8 @@ def parse_config(path, overrides=None):
     """Read and validate a run configuration (or a manifest) from JSON.
 
     overrides maps {"seed", "method", "betas", "h", "threads"} to values
-    from the command line; they are applied before validation and recorded
-    in the resolved configuration.
+    from the command line; they are applied before validation, and so are
+    part of the config document that the spec's resolved form records.
     """
     path = Path(path)
     try:
@@ -234,7 +230,7 @@ def parse_config(path, overrides=None):
         raise ConfigError(f"must be 'is', 'naive' or 'both', got {method!r}", field="method")
 
     # the importance method's needs (a level below 1/e, an h) are _check_h_rule's, per command
-    h_rule, h_resolved = _parse_h_rule(doc["h"]) if "h" in doc else (None, None)
+    h_rule = _parse_h_rule(doc["h"]) if "h" in doc else None
 
     n = _require(doc, "n", (int, float))
     counts = {name: _require(doc, key, (int, float))
@@ -246,23 +242,10 @@ def parse_config(path, overrides=None):
         experiment = ExperimentConfig(dist=dist, loss=loss, betas=tuple(betas), n=n,
                                       h_rule=h_rule, **counts)
 
-    resolved = {
-        "dist": {
-            "alphas": alphas,
-            "correlation": ({"matrix": [[float(v) for v in row] for row in correlation.matrix]}
-                            if "matrix" in (dist_doc.get("correlation") or {})
-                            else dist_doc["correlation"]),
-        },
-        "loss": loss_resolved,
-        "betas": betas,
-        "n": experiment.n,
-        "reps": experiment.reps,
-        "seed": experiment.base_seed,
-        "method": method,
-        "threads": experiment.threads,
-    }
-    if h_resolved is not None:
-        resolved["h"] = h_resolved
+    # the loss is rewritten because a weights_file path is relative to the config, and a
+    # manifest need not sit beside it
+    resolved = {**doc, "loss": loss_resolved, "n": experiment.n, "reps": experiment.reps,
+                "seed": experiment.base_seed, "method": method, "threads": experiment.threads}
     return RunSpec(experiment=experiment, method=method, resolved=resolved)
 
 
@@ -285,12 +268,12 @@ def _write_manifest(out_dir, command, config_path, spec, outputs, wall_seconds):
 def _check_h_rule(command, spec):
     """Refuse, before any output, what the command's importance runs cannot use.
 
-    Every level must lie below 1/e.  crossval and varratio need two replications for a cv,
-    and run the importance method whatever the config's method.  crossval needs an h grid,
+    Every level must lie below 1/e.  crossval and varratio need two replications for a cv;
+    main sets their method ('is' and 'both').  crossval needs an h grid,
     whose unusable points it skips; elsewhere the rule must stretch outward at every level.
     """
     exp, rule = spec.experiment, spec.experiment.h_rule
-    if command not in ("crossval", "varratio") and "is" not in spec.methods:
+    if "is" not in spec.methods:
         return
     with _refused("betas"):
         for beta in exp.betas:
@@ -393,7 +376,7 @@ def _naive_matching_n(spec, summary_rows):
 
 def cmd_varratio(spec, out_dir):
     """Replication cv of both methods at every beta."""
-    is_table, naive_table = (run_replications(spec.experiment, m) for m in ("is", "naive"))
+    is_table, naive_table = (run_replications(spec.experiment, m) for m in spec.methods)
     infeasible = {r.beta for r in naive_table.rows if r.status == "infeasible"}
     # summarize's rel_rmse_cvar, as benchmark --method both reports it: one summary row per
     # level in each table, in the config's order
@@ -447,6 +430,8 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     command, config, out = (args.pop(k) for k in ("command", "config", "out"))
+    # crossval runs the importance method and varratio both, whatever the config's method
+    args.setdefault("method", {"crossval": "is", "varratio": "both"}.get(command))
     try:
         spec = parse_config(config, args)
         _check_h_rule(command, spec)

@@ -731,6 +731,75 @@ class TestVarratioCommand:
         assert not out.exists()
 
 
+def resolved_config(out):
+    return json.loads((out / "manifest.json").read_text())["resolved_config"]
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command, doc, argv, ran", [
+        ("estimate", dict(MINIMAL, dist={"alphas": {"value": 0.9, "dim": 2},
+                                         "correlation": {"matrix": [[1, 0.3], [0.3, 1]]}},
+                          betas=1e-3, n=100, h={"fixed": 2.6}),
+         ["--seed", "5", "--h", "3"],
+         {"h": 3.0, "n": 100, "reps": 50, "seed": 5, "method": "is", "threads": 1}),
+        ("crossval", dict(MINIMAL, betas=[1e-4], n=3e2, reps=3, h={"grid": [2, 3]}),
+         [], {"n": 300, "reps": 3, "seed": 123, "method": "is", "threads": 1}),
+        ("benchmark", dict(MINIMAL, betas=[0.05], n=80, reps=3, method="both", threads=2),
+         ["--beta", "0.1"],
+         {"betas": [0.1], "n": 80, "reps": 3, "seed": 123, "method": "both", "threads": 2}),
+        ("varratio", dict(MINIMAL, dist={"alphas": [1], "correlation": {"pattern": "identity"}},
+                          betas=[0.1, 1e-4], n=200, reps=3,
+                          h={"affine": {"intercept": 2, "slope": 0.1}}),
+         [], {"n": 200, "reps": 3, "seed": 123, "method": "both", "threads": 1}),
+    ])
+    def test_records_the_config_it_read(self, tmp_path, command, doc, argv, ran):
+        # the document as written, overrides applied, with the loss in its canonical form and
+        # n, reps, seed, method and threads as the run took them; a rerun records the same
+        cfg = write_config(tmp_path, doc)
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main([command, "--config", str(cfg), "--out", str(first), *argv]) == 0
+        want = {**doc, "loss": {"kind": "linear", "rho": 1.0}, **ran}
+        assert list(resolved_config(first).items()) == list(want.items())
+        assert main([command, "--config", str(first / "manifest.json"), "--out", str(again)]) == 0
+        assert list(resolved_config(again).items()) == list(want.items())
+
+    def test_crossval_and_varratio_record_the_method_they_run(self, tmp_path):
+        # each command runs its own method, and the config's entry does not reach the manifest
+        bundled = Path(__file__).resolve().parents[1] / "configs" / "crossval_portfolio.json"
+        naive = write_config(tmp_path, dict(json.loads(bundled.read_text()), method="naive"))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["crossval", "--config", str(naive), "--out", str(a)]) == 0
+        assert main(["crossval", "--config", str(bundled), "--out", str(b)]) == 0
+        assert (a / "crossval.csv").read_bytes() == (b / "crossval.csv").read_bytes()
+        assert resolved_config(a)["method"] == "is"
+        cfg = write_config(tmp_path, dict(MINIMAL, method="naive", betas=[0.1], n=200, reps=3))
+        assert main(["varratio", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
+        assert resolved_config(tmp_path / "v")["method"] == "both"
+
+    def test_a_manifest_in_the_earlier_form_reruns(self, tmp_path):
+        # earlier manifests spelled h as {"fixed": h}, alphas and a correlation matrix as
+        # lists of floats, and the network weights inline
+        save_relu_params(synthetic_relu_params(dim=3, hidden=4, seed=8), tmp_path / "net.json")
+        doc = dict(MINIMAL, dist={"alphas": {"value": 0.6, "dim": 3}, "correlation": {
+            "matrix": [[1, 0.2, 0], [0.2, 1, 0.2], [0, 0.2, 1]]}},
+            loss={"kind": "relu_net", "weights_file": "net.json"}, betas=[1e-3], n=500, h=4.6)
+        earlier = {
+            "dist": {"alphas": [0.6, 0.6, 0.6], "correlation": {
+                "matrix": [[1.0, 0.2, 0.0], [0.2, 1.0, 0.2], [0.0, 0.2, 1.0]]}},
+            "loss": {"kind": "relu_net", "rho": 1.0,
+                     "weights": json.loads((tmp_path / "net.json").read_text())},
+            "betas": [1e-3], "n": 500, "reps": 50, "seed": 123, "method": "is", "threads": 1,
+            "h": {"fixed": 4.6},
+        }
+        manifest = write_config(tmp_path, {"command": "estimate", "resolved_config": earlier},
+                                "manifest.json")
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["estimate", "--config", str(write_config(tmp_path, doc)), "--out",
+                     str(a)]) == 0
+        assert main(["estimate", "--config", str(manifest), "--out", str(b)]) == 0
+        assert (a / "estimates.csv").read_bytes() == (b / "estimates.csv").read_bytes()
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 1
