@@ -6,7 +6,6 @@ Subcommands:
 * crossval   pick h from a grid by replication cv at one level
 * benchmark  relative-error-vs-beta tables for both methods, plus the
              naive sample count needed to match the importance error
-* varratio   replication cv of both methods side by side
 
 Every run writes a manifest.json next to its CSVs holding the config it
 read, overrides applied, with the values the run took filled in; passing
@@ -39,7 +38,6 @@ _LOSS_KINDS = tuple(k for k in _KINDS if k != "external")    # a config names no
 _METHODS = ("is", "naive", "both")
 _PATTERNS = ("tridiagonal", "equicorrelated", "identity")
 
-VARRATIO_COLUMNS = ("beta", "cv_is", "cv_naive", "naive_status")
 CROSSVAL_COLUMNS = ("h", "cv", "n_ok", "status", "selected")
 
 _MATCH_MAX_FACTOR = 64           # the naive-match search stops past max(factor * n, cap)
@@ -268,9 +266,9 @@ def _write_manifest(out_dir, command, config_path, spec, outputs, wall_seconds):
 def _check_h_rule(command, spec):
     """Refuse, before any output, what the command's importance runs cannot use.
 
-    Every level must lie below 1/e.  crossval and varratio need two replications for a cv;
-    main sets their method ('is' and 'both').  crossval needs an h grid,
-    whose unusable points it skips; elsewhere the rule must stretch outward at every level.
+    Every level must lie below 1/e.  crossval, whose method main sets to 'is', needs two
+    replications for a cv and an h grid, whose unusable points it skips; elsewhere the rule
+    must stretch outward at every level.
     """
     exp, rule = spec.experiment, spec.experiment.h_rule
     if "is" not in spec.methods:
@@ -278,10 +276,9 @@ def _check_h_rule(command, spec):
     with _refused("betas"):
         for beta in exp.betas:
             _check_stretch_level(beta)
-    if command in ("crossval", "varratio"):
+    if command == "crossval":
         with _refused("reps"):
             _cv_reps(exp.reps)
-    if command == "crossval":
         if not isinstance(rule, GridH):
             raise ConfigError("crossval needs an h grid ({'grid': [...]})", field="h")
         return
@@ -295,8 +292,7 @@ def _check_h_rule(command, spec):
 
 def cmd_estimate(spec, out_dir):
     """One estimation per (method, beta); a failed row carries its status tag."""
-    single = replace(spec.experiment, reps=1)
-    rows = [r for method in spec.methods for r in run_replications(single, method).rows]
+    rows = [r for method in spec.methods for r in run_replications(spec.experiment, method).rows]
     for r in rows:
         if r.status == "ok":
             print(f"{r.method:>5}  beta={r.beta:<12g} var={r.var_hat:<12.6g} "
@@ -374,28 +370,10 @@ def _naive_matching_n(spec, summary_rows):
         sub = replace(sub, n=sub.n * 2)
 
 
-def cmd_varratio(spec, out_dir):
-    """Replication cv of both methods at every beta."""
-    is_table, naive_table = (run_replications(spec.experiment, m) for m in spec.methods)
-    infeasible = {r.beta for r in naive_table.rows if r.status == "infeasible"}
-    # summarize's rel_rmse_cvar, as benchmark --method both reports it: one summary row per
-    # level in each table, in the config's order
-    rows = [(s["beta"], s["rel_rmse_cvar"], v["rel_rmse_cvar"],
-             "infeasible" if s["beta"] in infeasible
-             else "failed" if math.isnan(v["rel_rmse_cvar"]) else "ok")
-            for s, v in zip(summarize(is_table), summarize(naive_table))]
-    out = out_dir / "varratio.csv"
-    write_rows_csv(out, VARRATIO_COLUMNS, rows)
-    for beta, cv_is, cv_naive, status in rows:
-        print(f"beta={beta:<12g} cv_is={cv_is:<10.4g} cv_naive={cv_naive:<10.4g} ({status})")
-    return 0, [out]
-
-
 _COMMANDS = {
     "estimate": cmd_estimate,
     "crossval": cmd_crossval,
     "benchmark": cmd_benchmark,
-    "varratio": cmd_varratio,
 }
 
 
@@ -415,10 +393,9 @@ def build_parser():
         p.add_argument("--threads", type=int, help="worker threads for replications")
         p.add_argument("--beta", dest="betas", metavar="BETA", type=float, action="append",
                        help="override the beta levels (repeatable)")
-        # crossval runs the importance method on an h grid, and varratio runs both methods
-        if name not in ("crossval", "varratio"):
-            p.add_argument("--method", choices=_METHODS, help="override the configured method")
+        # crossval runs the importance method on an h grid
         if name != "crossval":
+            p.add_argument("--method", choices=_METHODS, help="override the configured method")
             p.add_argument("--h", type=float, help="override h with a fixed value")
     return parser
 
@@ -430,11 +407,16 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     command, config, out = (args.pop(k) for k in ("command", "config", "out"))
-    # crossval runs the importance method and varratio both, whatever the config's method
-    args.setdefault("method", {"crossval": "is", "varratio": "both"}.get(command))
+    # only crossval takes no --method: it runs the importance method, whatever the config's
+    args.setdefault("method", "is")
     try:
         spec = parse_config(config, args)
         _check_h_rule(command, spec)
+        # estimate runs one replication per level, and records that once the config's reps
+        # has passed parse_config's checks
+        if command == "estimate":
+            spec = replace(spec, experiment=replace(spec.experiment, reps=1),
+                           resolved={**spec.resolved, "reps": 1})
         out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()

@@ -29,7 +29,6 @@ from tailshift import (
 from tailshift.cli import (
     CROSSVAL_COLUMNS,
     REPLICATION_COLUMNS,
-    VARRATIO_COLUMNS,
     build_parser,
     main,
     parse_config,
@@ -190,9 +189,10 @@ class TestParseConfig:
         want = (default["reps"], default["base_seed"], default["threads"], default["rho"])
         exp = parse_config(write_config(tmp_path, doc)).experiment
         assert (exp.reps, exp.base_seed, exp.threads, exp.loss.rho) == want
+        # estimate runs one replication per level and records that; benchmark runs reps
         out = tmp_path / "o"
-        assert main(["estimate", "--config", str(write_config(tmp_path, doc)), "--out",
-                     str(out)]) == 0
+        assert main(["benchmark", "--config", str(write_config(tmp_path, doc)), "--out",
+                     str(out), "--method", "is"]) == 0
         resolved = json.loads((out / "manifest.json").read_text())["resolved_config"]
         assert (resolved["reps"], resolved["seed"], resolved["threads"],
                 resolved["loss"]["rho"]) == want
@@ -528,7 +528,7 @@ class TestEstimateCommand:
         assert "crossval" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["estimate", "benchmark", "varratio"])
+    @pytest.mark.parametrize("command", ["estimate", "benchmark"])
     @pytest.mark.parametrize("h", [1.0, {"affine": {"intercept": 1.0, "slope": 0.0}}])
     def test_h_that_cannot_stretch_a_level_exits_1(self, tmp_path, capsys, command, h):
         # r = h log log(1/beta) is 0.83 at 0.1 and 2.6 at 1e-6: the run cannot stretch 0.1
@@ -672,63 +672,42 @@ class TestBenchmarkCommand:
         assert (a / "replications.csv").read_bytes() == (b / "replications.csv").read_bytes()
         assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
 
-
-class TestVarratioCommand:
-    def test_naive_config_level_at_or_above_1_over_e_names_betas(self, tmp_path, capsys):
-        # varratio runs the importance method whatever the configured method; the
-        # level, not h, is what no run can use
-        doc = dict(MINIMAL, method="naive", betas=[0.5], h=2.0)
-        cfg, out = write_config(tmp_path, doc), tmp_path / "o"
-        assert main(["varratio", "--config", str(cfg), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "config field 'betas'" in err and "beta must be < 1/e" in err
-        assert not out.exists()
-
-    def test_table(self, tmp_path, capsys):
+    def test_method_both_writes_the_cv_of_each_method(self, tmp_path):
+        # the replication cv of each method at each level is the rel_rmse_cvar of its row;
+        # the naive level 1e-4 has n * beta < 5, so its rows are infeasible and its cv nan
         doc = dict(MINIMAL, betas=[0.1, 1e-4], n=200, reps=4, h=3.0)
-        cfg = write_config(tmp_path, doc)
-        out = tmp_path / "out"
-        assert main(["varratio", "--config", str(cfg), "--out", str(out)]) == 0
-        rows = read_csv(out / "varratio.csv")
-        assert tuple(rows[0]) == VARRATIO_COLUMNS
-        assert [r[3] for r in rows[1:]] == ["ok", "infeasible"]
-        assert "cv_naive" not in capsys.readouterr().err
-        # the cvs are the rel_rmse_cvar that benchmark --method both writes, digit for digit
-        bench = tmp_path / "bench"
-        assert main(["benchmark", "--config", str(cfg), "--out", str(bench),
+        cfg, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out),
                      "--method", "both"]) == 0
-        head, *body = read_csv(bench / "summary.csv")
-        summary = {(r[0], r[1]): r[head.index("rel_rmse_cvar")] for r in body}
-        assert [(r[1], r[2]) for r in rows[1:]] == [
-            (summary["is", r[0]], summary["naive", r[0]]) for r in rows[1:]]
-        assert rows[1][2] != "nan" and rows[2][2] == "nan"
+        head, *body = read_csv(out / "summary.csv")
+        cv = {(r[0], r[1]): r[head.index("rel_rmse_cvar")] for r in body}
+        assert list(cv)[:4] == [("is", "0.1"), ("is", "0.0001"), ("naive", "0.1"),
+                                ("naive", "0.0001")]
+        assert [cv[k] != "nan" for k in list(cv)[:4]] == [True, True, True, False]
+        status = {(r[0], r[1], r[-1]) for r in read_csv(out / "replications.csv")[1:]}
+        assert ("naive", "0.0001", "infeasible") in status
 
-    def test_one_replication_exits_1(self, tmp_path, capsys):
-        # one replication has no cv: the table would be nan, and the naive level "failed"
-        doc = dict(MINIMAL, betas=[0.01], n=500, reps=1, h=3.0)
+    @pytest.mark.parametrize("doc, field, want", [
+        ({"betas": [0.5]}, "betas", "beta must be < 1/e"),
+        ({"h": None}, "h", "benchmark runs the importance method"),
+        ({"h": {"grid": [2.0, 3.0]}}, "h", "an h grid only works with crossval"),
+        # r = h log log(1/beta) is 0.83 at 0.1 and 2.6 at 1e-6: the run cannot stretch 0.1
+        ({"betas": [1e-6, 0.1], "h": 1.0}, "h", "no outward extrapolation"),
+        ({"betas": [1e-6, 0.1], "h": {"affine": {"intercept": 1.0, "slope": 0.0}}}, "h",
+         "no outward extrapolation"),
+    ], ids=["level at or above 1/e", "no h", "h grid", "fixed h", "affine h"])
+    def test_method_both_refuses_what_its_importance_runs_cannot_use(self, tmp_path, capsys,
+                                                                    doc, field, want):
+        # a naive config takes none of the importance method's needs; --method both does
+        doc = {k: v for k, v in dict(MINIMAL, method="naive", n=100, reps=2, **doc).items()
+               if v is not None}
         cfg, out = write_config(tmp_path, doc), tmp_path / "o"
-        assert main(["varratio", "--config", str(cfg), "--out", str(out)]) == 1
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out / "both"),
+                     "--method", "both"]) == 1
         err = capsys.readouterr().err
-        assert "config field 'reps'" in err and "at least 2 replications" in err
-        assert not out.exists()
-
-    def test_grid_rejected(self, tmp_path, capsys):
-        # an h grid gives a level one summary row per h, not one cv
-        doc = dict(MINIMAL, h={"grid": [2.0, 3.0]})
-        cfg, out = write_config(tmp_path, doc), tmp_path / "o"
-        assert main(["varratio", "--config", str(cfg), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "config field 'h'" in err and "an h grid only works with crossval" in err
-        assert not out.exists()
-
-    def test_naive_config_without_h_exits_1(self, tmp_path, capsys):
-        # varratio runs the importance method whatever the configured method
-        doc = {k: v for k, v in dict(MINIMAL, method="naive", n=100).items() if k != "h"}
-        cfg, out = write_config(tmp_path, doc), tmp_path / "o"
-        assert main(["varratio", "--config", str(cfg), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "config field 'h'" in err and "varratio runs the importance method" in err
-        assert not out.exists()
+        assert f"config field '{field}'" in err and want in err
+        assert not (out / "both").exists()
 
 
 def resolved_config(out):
@@ -741,20 +720,22 @@ class TestManifest:
                                          "correlation": {"matrix": [[1, 0.3], [0.3, 1]]}},
                           betas=1e-3, n=100, h={"fixed": 2.6}),
          ["--seed", "5", "--h", "3"],
-         {"h": 3.0, "n": 100, "reps": 50, "seed": 5, "method": "is", "threads": 1}),
+         {"h": 3.0, "n": 100, "reps": 1, "seed": 5, "method": "is", "threads": 1}),
         ("crossval", dict(MINIMAL, betas=[1e-4], n=3e2, reps=3, h={"grid": [2, 3]}),
          [], {"n": 300, "reps": 3, "seed": 123, "method": "is", "threads": 1}),
         ("benchmark", dict(MINIMAL, betas=[0.05], n=80, reps=3, method="both", threads=2),
          ["--beta", "0.1"],
          {"betas": [0.1], "n": 80, "reps": 3, "seed": 123, "method": "both", "threads": 2}),
-        ("varratio", dict(MINIMAL, dist={"alphas": [1], "correlation": {"pattern": "identity"}},
-                          betas=[0.1, 1e-4], n=200, reps=3,
-                          h={"affine": {"intercept": 2, "slope": 0.1}}),
-         [], {"n": 200, "reps": 3, "seed": 123, "method": "both", "threads": 1}),
+        ("benchmark", dict(MINIMAL, dist={"alphas": [1], "correlation": {"pattern": "identity"}},
+                           betas=[0.1, 1e-4], n=200, reps=3, method="naive",
+                           h={"affine": {"intercept": 2, "slope": 0.1}}),
+         ["--method", "both"], {"method": "both", "n": 200, "reps": 3, "seed": 123,
+                                "threads": 1}),
     ])
     def test_records_the_config_it_read(self, tmp_path, command, doc, argv, ran):
         # the document as written, overrides applied, with the loss in its canonical form and
-        # n, reps, seed, method and threads as the run took them; a rerun records the same
+        # n, reps, seed, method and threads as the run took them (estimate runs one replication
+        # per level, whatever the config's reps); a rerun records the same
         cfg = write_config(tmp_path, doc)
         first, again = tmp_path / "first", tmp_path / "again"
         assert main([command, "--config", str(cfg), "--out", str(first), *argv]) == 0
@@ -763,8 +744,8 @@ class TestManifest:
         assert main([command, "--config", str(first / "manifest.json"), "--out", str(again)]) == 0
         assert list(resolved_config(again).items()) == list(want.items())
 
-    def test_crossval_and_varratio_record_the_method_they_run(self, tmp_path):
-        # each command runs its own method, and the config's entry does not reach the manifest
+    def test_crossval_records_the_method_it_runs(self, tmp_path):
+        # crossval runs the importance method, and the config's entry does not reach the manifest
         bundled = Path(__file__).resolve().parents[1] / "configs" / "crossval_portfolio.json"
         naive = write_config(tmp_path, dict(json.loads(bundled.read_text()), method="naive"))
         a, b = tmp_path / "a", tmp_path / "b"
@@ -772,9 +753,27 @@ class TestManifest:
         assert main(["crossval", "--config", str(bundled), "--out", str(b)]) == 0
         assert (a / "crossval.csv").read_bytes() == (b / "crossval.csv").read_bytes()
         assert resolved_config(a)["method"] == "is"
-        cfg = write_config(tmp_path, dict(MINIMAL, method="naive", betas=[0.1], n=200, reps=3))
-        assert main(["varratio", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
-        assert resolved_config(tmp_path / "v")["method"] == "both"
+
+    def test_a_varratio_manifest_reruns_under_benchmark(self, tmp_path):
+        # varratio, once a command, wrote the replication cv of both methods to varratio.csv;
+        # its manifest records method "both", so benchmark reruns it, and the is and naive
+        # rows of summary.csv hold those cvs as rel_rmse_cvar
+        earlier = {
+            "dist": {"alphas": [1], "correlation": {"pattern": "identity"}},
+            "loss": {"kind": "linear", "rho": 1.0}, "betas": [0.1, 0.0001], "n": 200,
+            "h": {"affine": {"intercept": 2, "slope": 0.1}}, "seed": 123, "reps": 3,
+            "method": "both", "threads": 1,
+        }
+        manifest = write_config(tmp_path, {"command": "varratio", "resolved_config": earlier},
+                                "manifest.json")
+        out = tmp_path / "o"
+        assert main(["benchmark", "--config", str(manifest), "--out", str(out)]) == 0
+        head, *body = read_csv(out / "summary.csv")
+        cv = {(r[0], r[1]): r[head.index("rel_rmse_cvar")] for r in body}
+        # varratio.csv's cv_is and cv_naive at 0.1, then at 1e-4 (whose naive level is
+        # infeasible)
+        assert [cv[m, b] for m in ("is", "naive") for b in ("0.1", "0.0001")] == [
+            "0.0674555267001396", "0.007085614490259897", "0.16276189306555408", "nan"]
 
     def test_a_manifest_in_the_earlier_form_reruns(self, tmp_path):
         # earlier manifests spelled h as {"fixed": h}, alphas and a correlation matrix as
@@ -805,9 +804,14 @@ class TestUsage:
         assert main([]) == 1
         capsys.readouterr()
 
-    def test_unknown_command(self, capsys):
-        assert main(["frobnicate"]) == 1
-        capsys.readouterr()
+    # varratio was a command; benchmark --method both writes its cvs (see TestManifest)
+    @pytest.mark.parametrize("command", ["frobnicate", "varratio"])
+    def test_unknown_command(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        assert main([command, "--config", str(write_config(tmp_path, MINIMAL)), "--out",
+                     str(out)]) == 1
+        assert "invalid choice" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_flag(self, capsys):
         assert main(["estimate"]) == 1
@@ -815,13 +819,13 @@ class TestUsage:
 
     @pytest.mark.parametrize("command, h, argv", [
         ("crossval", {"grid": [2.0, 3.0]}, ["--method", "is"]),
-        ("varratio", 2.6, ["--method", "is"]),
+        ("benchmark", 2.6, ["--meth", "both"]),
         ("crossval", {"grid": [2.0, 3.0]}, ["--h", "2.6"]),
         ("estimate", 2.6, ["--thread", "2"]),
     ])
     def test_a_flag_the_command_does_not_read_exits_1(self, tmp_path, capsys, command, h, argv):
-        # crossval runs the importance method on its h grid, and varratio runs both methods;
-        # a flag is matched whole, or crossval's --h would be read as --help
+        # crossval runs the importance method on its h grid; a flag is matched whole, or
+        # crossval's --h would be read as --help and benchmark's --meth as --method
         cfg = write_config(tmp_path, dict(MINIMAL, betas=[1e-4], n=300, reps=4, h=h))
         out = tmp_path / "o"
         assert main([command, "--config", str(cfg), "--out", str(out), *argv]) == 1
@@ -831,7 +835,7 @@ class TestUsage:
     @pytest.mark.parametrize("command, argv, overrides", [
         ("estimate", ["--method", "both", "--h", "2.6"], {"method": "both", "h": 2.6}),
         ("benchmark", ["--method", "naive", "--h", "2.6"], {"method": "naive", "h": 2.6}),
-        ("varratio", ["--h", "2.6"], {"h": 2.6}),
+        ("estimate", [], {"method": None, "h": None}),     # unset: the config's entry stands
         ("crossval", [], {}),
     ])
     def test_each_command_takes_the_overrides_it_reads(self, command, argv, overrides):
